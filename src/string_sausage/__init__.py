@@ -1,16 +1,13 @@
 """Simulation of a random string (stochastic heat equation on a circle)
 among Poissonian traps: exact spectral evolution, sausage-volume geometry,
 annealed/quenched survival estimation, and proof-machinery diagnostics.
+
+The package namespace carries the entry points the demos and the acceptance
+tests use; everything else is imported from its module
+(`string_sausage.traps`, ...).
 """
 
 from .asymptotics import (
-    ChainInvariantError,
-    ClearingBound,
-    ConfinementReport,
-    ExponentFit,
-    GSpaceReport,
-    RangeSmoothingReport,
-    StoppingChain,
     calibrate_lambda,
     chain_L,
     chain_delta,
@@ -20,76 +17,20 @@ from .asymptotics import (
     confinement_stats,
     exponent_fit,
     gspace_ratio,
-    maximize_clearing_exponent,
     range_smoothing_check,
     stopping_chain,
-    tau_sequence,
-    unit_ball_volume,
 )
 from .geometry import (
-    BoxCountResult,
     PointCloud,
-    ResolutionWarning,
-    SausageEstimate,
-    bounding_box,
     box_counting_dimension,
-    occupied_cube_count,
     sausage_volume_hit_or_miss,
     sausage_volume_voxel,
     wiener_sausage_volume,
 )
-from .rng import substream
-from .simulate import Trace, brownian_path, simulate
-from .spectral import (
-    FieldSamples,
-    ModelParams,
-    StringState,
-    evaluate,
-    evaluate_at,
-    evolve,
-    heat_convolve,
-    init_from_profile,
-    mode_rates,
-    noise_segment,
-    sample_stationary_field,
-    variance_series,
-    zero_state,
-)
-from .statistics import (
-    IndependenceReport,
-    PathRecord,
-    center_of_mass,
-    independence_test,
-    radius,
-    range_of,
-)
-from .survival import (
-    ResolutionError,
-    ScaledParams,
-    ScalingReport,
-    SurvivalEstimate,
-    annealed_hard,
-    annealed_soft,
-    environment_for_cloud,
-    quenched,
-    resolution_doubling_report,
-    scaled_unit_params,
-    scaling_check,
-    scaling_transform,
-    survive_hard_once,
-)
-from .traps import (
-    Box,
-    GridIndex,
-    PoissonEnvironment,
-    PotentialKind,
-    PotentialSpec,
-    any_contact,
-    contact_counts,
-    min_distance,
-    path_functional,
-    potential_at,
-    sample_environment,
-)
+from .simulate import brownian_path, simulate
+from .spectral import ModelParams, sample_stationary_field, variance_series
+from .statistics import range_of
+from .survival import annealed_hard, annealed_soft, scaling_check
+from .traps import PotentialKind, PotentialSpec
 
 __version__ = "0.1.0"

@@ -141,13 +141,10 @@ def add_model_args(sp: argparse.ArgumentParser) -> None:
 
 
 def params_from(args) -> ModelParams:
-    try:
-        return ModelParams(
-            d=args.d, J=args.J, nu=args.nu, a=args.a, K=args.K, M=args.M, dt=args.dt,
-            T=args.T, eps_tail=args.eps_tail,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(
+        d=args.d, J=args.J, nu=args.nu, a=args.a, K=args.K, M=args.M, dt=args.dt,
+        T=args.T, eps_tail=args.eps_tail,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ def cmd_survival(args) -> int:
         spec = (
             PotentialSpec(PotentialKind.SOFT_INDICATOR, p.a, args.height) if args.soft else None
         )
-        env = PoissonEnvironment.from_json(text, cell=max(p.a, 0.05))
+        env = PoissonEnvironment.from_json(text)
         est = quenched(p, env, args.n, args.seed, spec=spec, workers=args.threads)
     elif args.soft:
         spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, p.a, args.height)
@@ -363,10 +360,7 @@ def cmd_fit(args) -> int:
             if "stderr" in cols and rec.get("stderr"):
                 se.append(float(rec["stderr"]))
     stderr = np.asarray(se) if len(se) == len(Ts) and se else None
-    try:
-        fit = exponent_fit(Ts, y, stderr)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fit = exponent_fit(Ts, y, stderr)
     emit(
         {
             "command": "fit",
@@ -450,10 +444,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         for J in sweeps["J"]:
             for nu in sweeps["nu"]:
                 for a in sweeps["a"]:
-                    try:
-                        p = ModelParams(J=float(J), nu=float(nu), a=float(a), T=float(T), **base)
-                    except ValueError as exc:
-                        raise ConfigError(str(exc)) from exc
+                    p = ModelParams(J=float(J), nu=float(nu), a=float(a), T=float(T), **base)
                     if experiment == "survival":
                         est = annealed_hard(p, n_rep, seed + idx, method=method, workers=workers)
                         rows.append(row("survival", p, est.method, est.p_hat, est.stderr,
@@ -557,13 +548,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ResolutionError as exc:
         print(f"resolution guard failure: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

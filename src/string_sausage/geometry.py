@@ -3,7 +3,8 @@
 Every estimator measures the union of radius-r balls around the SAMPLED
 cloud, which is a subset of the continuum sausage; the space-time sampling
 guards (sqrt(dx), dt^(1/4) moduli small against the radius) and the
-resolution-doubling convergence check in the CLI quantify the bias.
+library's resolution-doubling check, `survival.resolution_doubling_report`,
+quantify the bias.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ from .spectral import (
     ModelParams,
     StringState,
     evolve,
+    grid_values,
     init_from_profile,
     zero_state,
 )
-from .statistics import PathRecord, center_of_mass
+from .statistics import PathRecord
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,7 @@ class Trace:
     @cached_property
     def values(self) -> np.ndarray:
         """Field values (n+1, M, d) on the evaluation grid, via batched inverse FFT."""
-        p = self.params
-        K, M, J = p.K, p.M, p.J
-        spec = np.zeros((self.n_snapshots, M // 2 + 1, p.d), dtype=complex)
-        spec[:, 0, :] = self.coeffs[:, :, 0] / math.sqrt(J)
-        bk = self.coeffs[:, :, 1 : K + 1]
-        ck = self.coeffs[:, :, K + 1 :]
-        spec[:, 1 : K + 1, :] = np.transpose(bk - 1j * ck, (0, 2, 1)) / math.sqrt(2.0 * J)
-        return np.fft.irfft(spec * M, n=M, axis=1)
+        return grid_values(self.params, self.coeffs)
 
     def samples(self, i: int) -> FieldSamples:
         return FieldSamples(self.params.grid(), self.values[i])

@@ -162,18 +162,21 @@ def init_from_profile(params: ModelParams, profile: FieldSamples) -> StringState
     return StringState(params, 0.0, coeffs)
 
 
+def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
+    """Field values (..., M, d) on the uniform grid from coefficients
+    (..., d, 2K+1), via inverse FFT over any leading batch axes."""
+    M, K, J = params.M, params.K, params.J
+    spec = np.zeros(coeffs.shape[:-2] + (M // 2 + 1, params.d), dtype=complex)
+    spec[..., 0, :] = coeffs[..., 0] / math.sqrt(J)
+    bk = coeffs[..., 1 : K + 1]
+    ck = coeffs[..., K + 1 :]
+    spec[..., 1 : K + 1, :] = np.swapaxes(bk - 1j * ck, -1, -2) / math.sqrt(2.0 * J)
+    return np.fft.irfft(spec * M, n=M, axis=-2)
+
+
 def evaluate(state: StringState) -> FieldSamples:
     """Field values on the uniform grid via inverse FFT."""
-    p = state.params
-    M, K, J = p.M, p.K, p.J
-    coeffs = state.coeffs
-    spec = np.zeros((M // 2 + 1, p.d), dtype=complex)
-    spec[0] = coeffs[:, 0] / math.sqrt(J)
-    bk = coeffs[:, 1 : K + 1].T
-    ck = coeffs[:, K + 1 :].T
-    spec[1 : K + 1] = (bk - 1j * ck) / math.sqrt(2.0 * J)
-    values = np.fft.irfft(spec * M, n=M, axis=0)
-    return FieldSamples(p.grid(), values)
+    return FieldSamples(state.params.grid(), grid_values(state.params, state.coeffs))
 
 
 def evaluate_at(state: StringState, x: np.ndarray) -> np.ndarray:
@@ -230,45 +233,25 @@ def heat_convolve_state(state: StringState, delta: float) -> StringState:
     return StringState(p, state.t, coeffs)
 
 
-def heat_convolve_samples(
-    samples: FieldSamples, delta: float, J: float = 1.0
-) -> FieldSamples:
-    """Heat-semigroup convolution of gridded samples (all resolvable modes)."""
+def heat_convolve_samples(samples: FieldSamples, delta: float) -> FieldSamples:
+    """Heat-semigroup convolution of unit-circle gridded samples (all resolvable modes)."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     M = samples.grid.shape[0]
     spec = np.fft.rfft(samples.values, axis=0)
     k = np.arange(spec.shape[0], dtype=float)
-    decay = np.exp(-TWO_PI_SQ * k * k / J ** 2 * delta)
+    decay = np.exp(-TWO_PI_SQ * k * k * delta)
     values = np.fft.irfft(spec * decay[:, None], n=M, axis=0)
     return FieldSamples(samples.grid, values)
 
 
-def heat_convolve(obj, delta: float):
-    """G_delta * f for a StringState or FieldSamples (same kind returned)."""
-    if isinstance(obj, StringState):
-        return heat_convolve_state(obj, delta)
-    if isinstance(obj, FieldSamples):
-        return heat_convolve_samples(obj, delta)
-    raise TypeError("heat_convolve expects StringState or FieldSamples")
-
-
-def noise_segment(state_s: StringState, state_t: StringState) -> FieldSamples:
-    """Noise accumulated between two states of one trajectory.
+def noise_segment_state(state_s: StringState, state_t: StringState) -> StringState:
+    """Noise accumulated between two states of one trajectory, in coefficient form.
 
     N(s, t; x) = u(t, x) - (G_{t-s} * u(s))(x); for states produced by
-    `evolve` this isolates exactly the Gaussian innovations of (s, t].
+    `evolve` this isolates exactly the Gaussian innovations of (s, t].  The
+    result is stamped with state_t's time; `evaluate` gives it on the grid.
     """
-    if state_s.t >= state_t.t:
-        raise ValueError("need state_s.t < state_t.t")
-    smoothed = heat_convolve_state(state_s, state_t.t - state_s.t)
-    late = evaluate(state_t)
-    early = evaluate(smoothed)
-    return FieldSamples(late.grid, late.values - early.values)
-
-
-def noise_segment_state(state_s: StringState, state_t: StringState) -> StringState:
-    """Same as `noise_segment` but in coefficient form (t stamped from state_t)."""
     if state_s.t >= state_t.t:
         raise ValueError("need state_s.t < state_t.t")
     smoothed = heat_convolve_state(state_s, state_t.t - state_s.t)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FieldSamples, StringState, evaluate
+from .spectral import FieldSamples, StringState
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,6 @@ class PathRecord:
 def center_of_mass(state: StringState) -> np.ndarray:
     """Spatial average of the string; exactly the mode-0 coefficients / sqrt(J)."""
     return state.coeffs[:, 0] / math.sqrt(state.params.J)
-
-
-def radius(state: StringState) -> float:
-    """Grid maximum of |u(t, x) - X_t|; a lower bound to the continuum sup."""
-    samples = evaluate(state)
-    dev = samples.values - center_of_mass(state)[None, :]
-    return float(np.sqrt((dev ** 2).sum(axis=1)).max())
 
 
 def _diameter(points: np.ndarray) -> float:

@@ -22,8 +22,6 @@ from .geometry import PointCloud, bounding_box, sausage_volume_hit_or_miss
 from .simulate import Trace, simulate
 from .spectral import ModelParams
 from .traps import (
-    Box,
-    GridIndex,
     PoissonEnvironment,
     PotentialKind,
     PotentialSpec,
@@ -97,9 +95,7 @@ def environment_for_cloud(
     Traps farther than `a` from every string point cannot interact, so the
     padded-box restriction of the infinite process is exact in law.
     """
-    box = bounding_box(cloud, a + ENV_PAD_MARGIN)
-    cell = max(a, float(np.max(box.upper - box.lower)) / 128.0)
-    return sample_environment(box, nu, rng, cell=cell)
+    return sample_environment(bounding_box(cloud, a + ENV_PAD_MARGIN), nu, rng)
 
 
 def survive_hard_once(
@@ -130,82 +126,77 @@ def _weight_stats(weights: np.ndarray, method: str, params: ModelParams) -> Surv
     return SurvivalEstimate(min(p, 1.0), stderr, n, method, params)
 
 
-def _hard_direct_batch(args) -> np.ndarray:
-    params, seed, replicas = args
-    out = np.empty(len(replicas), dtype=bool)
-    for i, r in enumerate(replicas):
-        cloud = simulate(params, seed, replica=r).cloud()
-        env = environment_for_cloud(
-            cloud, params.nu, params.a, streams.substream(seed, streams.ENV, r)
-        )
-        out[i] = survive_hard_once(cloud, env, params.a)
-    return out
+def _hard_direct(trace: Trace, seed: int, r: int) -> float:
+    cloud = trace.cloud()
+    p = trace.params
+    env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(seed, streams.ENV, r))
+    return float(survive_hard_once(cloud, env, p.a))
 
 
-def _hard_volume_batch(args) -> np.ndarray:
-    params, seed, replicas, n_mc = args
+def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
+    p = trace.params
+    est = sausage_volume_hit_or_miss(
+        trace.cloud(), p.a, n_mc, streams.substream(seed, streams.MC, r)
+    )
+    return math.exp(-p.nu * est.volume)
+
+
+def _soft_weight(trace: Trace, env: PoissonEnvironment, spec: PotentialSpec) -> float:
+    p = trace.params
+    functional = path_functional(
+        [trace.samples(j) for j in range(trace.n_snapshots)],
+        env,
+        spec,
+        dt=p.dt,
+        dx=p.J / p.M,
+    )
+    return math.exp(-functional)
+
+
+def _soft(trace: Trace, seed: int, r: int, spec: PotentialSpec) -> float:
+    p = trace.params
+    env = environment_for_cloud(
+        trace.cloud(), p.nu, spec.a, streams.substream(seed, streams.ENV, r)
+    )
+    return _soft_weight(trace, env, spec)
+
+
+def _quenched(
+    trace: Trace, seed: int, r: int, env: PoissonEnvironment, spec: PotentialSpec | None
+) -> float:
+    if spec is None or spec.kind is PotentialKind.HARD:
+        a = trace.params.a if spec is None else spec.a
+        return float(survive_hard_once(trace.cloud(), env, a, require_cover=False))
+    return _soft_weight(trace, env, spec)
+
+
+def _replica_batch(args) -> np.ndarray:
+    """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk."""
+    weight, params, seed, replicas, extra = args
     out = np.empty(len(replicas))
     for i, r in enumerate(replicas):
-        cloud = simulate(params, seed, replica=r).cloud()
-        est = sausage_volume_hit_or_miss(
-            cloud, params.a, n_mc, streams.substream(seed, streams.MC, r)
-        )
-        out[i] = math.exp(-params.nu * est.volume)
-    return out
-
-
-def _soft_batch(args) -> np.ndarray:
-    params, spec, seed, replicas = args
-    out = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        trace = simulate(params, seed, replica=r)
-        cloud = trace.cloud()
-        env = environment_for_cloud(
-            cloud, params.nu, spec.a, streams.substream(seed, streams.ENV, r)
-        )
-        functional = path_functional(
-            [trace.samples(j) for j in range(trace.n_snapshots)],
-            env,
-            spec,
-            dt=params.dt,
-            dx=params.J / params.M,
-        )
-        out[i] = math.exp(-functional)
-    return out
-
-
-def _quenched_batch(args) -> np.ndarray:
-    params, spec, env, seed, replicas = args
-    hard = spec is None or spec.kind is PotentialKind.HARD
-    a = params.a if spec is None else spec.a
-    out = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        trace = simulate(params, seed, replica=r)
-        cloud = trace.cloud()
-        if hard:
-            out[i] = float(survive_hard_once(cloud, env, a, require_cover=False))
-        else:
-            functional = path_functional(
-                [trace.samples(j) for j in range(trace.n_snapshots)],
-                env,
-                spec,
-                dt=params.dt,
-                dx=params.J / params.M,
-            )
-            out[i] = math.exp(-functional)
+        out[i] = weight(simulate(params, seed, replica=r), seed, r, *extra)
     return out
 
 
 def n_workers(requested: int | None = None) -> int:
-    if requested is not None and requested >= 1:
-        return requested
-    env_val = os.environ.get("STRING_SAUSAGE_THREADS")
-    if env_val:
-        return max(1, int(env_val))
-    return os.cpu_count() or 1
+    """Worker count: `requested`, else STRING_SAUSAGE_THREADS, else every core."""
+    if requested is None:
+        env_val = os.environ.get("STRING_SAUSAGE_THREADS")
+        if not env_val:
+            return os.cpu_count() or 1
+        try:
+            requested = int(env_val)
+        except ValueError:
+            raise ValueError(f"STRING_SAUSAGE_THREADS={env_val!r} is not an integer") from None
+    if requested < 1:
+        raise ValueError(f"worker count must be >= 1, got {requested}")
+    return requested
 
 
-def _run_batches(fn, make_args, n_rep: int, workers: int) -> np.ndarray:
+def _run_batches(
+    weight, params: ModelParams, seed: int, extra: tuple, n_rep: int, workers: int
+) -> np.ndarray:
     """Replica-parallel execution with an order-independent merge.
 
     Replicas are split into contiguous chunks; each chunk's output is keyed
@@ -214,11 +205,11 @@ def _run_batches(fn, make_args, n_rep: int, workers: int) -> np.ndarray:
     """
     replicas = list(range(n_rep))
     if workers <= 1:
-        return fn(make_args(replicas))
+        return _replica_batch((weight, params, seed, replicas, extra))
     chunk = max(1, math.ceil(n_rep / (workers * 4)))
     chunks = [replicas[i : i + chunk] for i in range(0, n_rep, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(fn, [make_args(c) for c in chunks]))
+        parts = list(pool.map(_replica_batch, [(weight, params, seed, c, extra) for c in chunks]))
     return np.concatenate(parts)
 
 
@@ -244,12 +235,10 @@ def annealed_hard(
         return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
     w = n_workers(workers)
     if method == "hard_direct":
-        hits = _run_batches(_hard_direct_batch, lambda c: (params, seed, c), n_rep, w)
+        hits = _run_batches(_hard_direct, params, seed, (), n_rep, w)
         return _indicator_stats(hits, "hard_direct", params)
     if method == "hard_via_volume":
-        weights = _run_batches(
-            _hard_volume_batch, lambda c: (params, seed, c, n_mc), n_rep, w
-        )
+        weights = _run_batches(_hard_volume, params, seed, (n_mc,), n_rep, w)
         return _weight_stats(weights, "hard_via_volume", params)
     raise ValueError(f"unknown method {method!r}")
 
@@ -269,7 +258,7 @@ def annealed_soft(
     if params.T == 0:
         return SurvivalEstimate(1.0, 0.0, n_rep, "soft_weight", params)
     w = n_workers(workers)
-    weights = _run_batches(_soft_batch, lambda c: (params, spec, seed, c), n_rep, w)
+    weights = _run_batches(_soft, params, seed, (spec,), n_rep, w)
     return _weight_stats(weights, "soft_weight", params)
 
 
@@ -291,11 +280,9 @@ def quenched(
     if params.T == 0:
         return SurvivalEstimate(1.0, 0.0, n_rep, "quenched", params)
     w = n_workers(workers)
-    out = _run_batches(
-        _quenched_batch, lambda c: (params, spec, env, seed, c), n_rep, w
-    )
+    out = _run_batches(_quenched, params, seed, (env, spec), n_rep, w)
     if spec is None or spec.kind is PotentialKind.HARD:
-        return _indicator_stats(out.astype(bool), "quenched_hard", params)
+        return _indicator_stats(out, "quenched_hard", params)
     return _weight_stats(out, "quenched_soft", params)
 
 

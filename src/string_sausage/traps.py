@@ -1,4 +1,4 @@
-"""Poisson trap field, obstacle potentials, and spatial distance queries.
+"""Poisson trap field, obstacle potentials, and distance queries.
 
 The infinite-intensity Poisson process is realised only inside a bounding
 box covering the string trajectory padded by the interaction radius plus a
@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,94 +48,6 @@ class Box:
         return rng.uniform(self.lower, self.upper, size=(n, self.d))
 
 
-class GridIndex:
-    """Spatial hash over a fixed point set for distance queries.
-
-    Cells are cubes of side `cell`; a query of radius r visits the
-    ceil(r/cell)-neighborhood of the query's cell, so fixed-radius lookups
-    are O(1) expected at the densities simulated here.
-    """
-
-    def __init__(self, points: np.ndarray, cell: float):
-        if cell <= 0:
-            raise ValueError("cell size must be > 0")
-        self.points = np.atleast_2d(np.asarray(points, float))
-        self.cell = float(cell)
-        self.d = self.points.shape[1] if self.points.size else 0
-        self._table: dict[tuple, np.ndarray] = {}
-        if self.points.size:
-            keys = np.floor(self.points / self.cell).astype(np.int64)
-            order = np.lexsort(keys.T[::-1])
-            sorted_keys = keys[order]
-            boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0), axis=1))[0] + 1
-            for grp in np.split(order, boundaries):
-                self._table[tuple(keys[grp[0]])] = grp
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def _cells_in_range(self, z: np.ndarray, reach: int):
-        base = np.floor(z / self.cell).astype(np.int64)
-        ranges = [range(b - reach, b + reach + 1) for b in base]
-        out = [()]
-        for r in ranges:
-            out = [key + (i,) for key in out for i in r]
-        return out
-
-    def query_within(self, z: np.ndarray, r: float) -> np.ndarray:
-        """Indices of all points with |p - z| <= r (closed ball)."""
-        if len(self) == 0:
-            return np.empty(0, dtype=np.int64)
-        z = np.asarray(z, float)
-        reach = int(math.ceil(r / self.cell))
-        cand = [self._table[key] for key in self._cells_in_range(z, reach) if key in self._table]
-        if not cand:
-            return np.empty(0, dtype=np.int64)
-        idx = np.concatenate(cand)
-        dist2 = ((self.points[idx] - z) ** 2).sum(axis=1)
-        return idx[dist2 <= r * r + 1e-300]
-
-    def count_within(self, z: np.ndarray, r: float) -> int:
-        return int(self.query_within(z, r).shape[0])
-
-    def min_distance(self, z: np.ndarray) -> float:
-        """Exact nearest-point distance via expanding shell search (inf if empty)."""
-        if len(self) == 0:
-            return math.inf
-        z = np.asarray(z, float)
-        base = np.floor(z / self.cell).astype(np.int64)
-        best = math.inf
-        shell = 0
-        max_shell = self._max_shell(z)
-        while shell <= max_shell:
-            idx = self._shell_candidates(base, shell)
-            if idx.size:
-                dist = np.sqrt(((self.points[idx] - z) ** 2).sum(axis=1)).min()
-                best = min(best, float(dist))
-            # any point in an unvisited cell lies at distance >= shell * cell
-            if best <= shell * self.cell:
-                break
-            shell += 1
-        return best
-
-    def _max_shell(self, z: np.ndarray) -> int:
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        extent = float(np.max(np.maximum(np.abs(z - lo), np.abs(hi - z))))
-        return int(math.ceil(extent / self.cell)) + 1
-
-    def _shell_candidates(self, base: np.ndarray, shell: int) -> np.ndarray:
-        cand = []
-        for key in self._cells_in_range(base * self.cell + self.cell / 2.0, shell):
-            if max(abs(k - b) for k, b in zip(key, base)) != shell and shell > 0:
-                continue
-            if key in self._table:
-                cand.append(self._table[key])
-        if not cand:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(cand)
-
-
 class PotentialKind(enum.Enum):
     HARD = "hard"
     SOFT_INDICATOR = "soft_indicator"
@@ -162,7 +74,6 @@ class PoissonEnvironment:
     points: np.ndarray
     box: Box
     nu: float
-    index: GridIndex = field(compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, float).reshape(-1, self.box.d)
@@ -184,40 +95,33 @@ class PoissonEnvironment:
         )
 
     @classmethod
-    def from_json(cls, text: str, cell: float) -> "PoissonEnvironment":
+    def from_json(cls, text: str) -> "PoissonEnvironment":
         obj = json.loads(text)
         box = Box(np.asarray(obj["box"]["lower"]), np.asarray(obj["box"]["upper"]))
-        pts = np.asarray(obj["points"], float).reshape(-1, box.d)
-        return cls(pts, box, float(obj["nu"]), GridIndex(pts, cell))
+        return cls(np.asarray(obj["points"], float), box, float(obj["nu"]))
 
 
-def default_cell(box: Box, a: float) -> float:
-    return max(a, float(np.max(box.upper - box.lower)) / 128.0)
-
-
-def sample_environment(
-    box: Box, nu: float, rng: np.random.Generator, cell: float | None = None
-) -> PoissonEnvironment:
+def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> PoissonEnvironment:
     """Poisson(nu * vol) many i.i.d. uniform traps inside the box."""
     if nu < 0:
         raise ValueError("intensity must be >= 0")
     n = int(rng.poisson(nu * box.volume))
     points = box.sample_uniform(n, rng) if n else np.empty((0, box.d))
-    if cell is None:
-        cell = default_cell(box, a=0.25)
-    return PoissonEnvironment(points, box, nu, GridIndex(points, cell))
+    return PoissonEnvironment(points, box, nu)
 
 
 def min_distance(z: np.ndarray, env: PoissonEnvironment) -> float:
     """Exact Euclidean distance from z to the nearest trap (+inf if none)."""
-    return env.index.min_distance(np.asarray(z, float))
+    if env.n_points == 0:
+        return math.inf
+    return float(np.sqrt(((env.points - np.asarray(z, float)) ** 2).sum(axis=1)).min())
 
 
 def potential_at(z: np.ndarray, env: PoissonEnvironment, spec: PotentialSpec) -> float:
     """V(z, eta) = sum_i H(z - xi_i); hard potentials return +inf on contact."""
     if spec.kind is PotentialKind.HARD:
         return math.inf if min_distance(z, env) <= spec.a else 0.0
-    return spec.height * env.index.count_within(np.asarray(z, float), spec.a)
+    return spec.height * int(contact_counts(z, env, spec.a)[0])
 
 
 def contact_counts(points: np.ndarray, env: PoissonEnvironment, a: float) -> np.ndarray:

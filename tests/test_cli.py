@@ -69,6 +69,25 @@ def test_bad_model_params_exit_2(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv, threads_env",
+    [
+        (["--n", "50", "--threads", "1"], None),
+        (["--n", "100", "--threads", "0"], None),
+        (["--n", "100"], "two"),
+    ],
+    ids=["too_few_replicas", "zero_threads", "non_integer_threads_env"],
+)
+def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch):
+    if threads_env is None:
+        monkeypatch.delenv("STRING_SAUSAGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STRING_SAUSAGE_THREADS", threads_env)
+    code = main(["survival", "--hard", "--T", "0.5", "--seed", "1", *argv])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_scaling_check_subcommand(capsys):
     code, out = run_cli(
         [

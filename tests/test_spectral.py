@@ -11,12 +11,10 @@ from string_sausage.spectral import (
     evaluate,
     evaluate_at,
     evolve,
-    heat_convolve,
     heat_convolve_samples,
     heat_convolve_state,
     init_from_profile,
     mode_rates,
-    noise_segment,
     noise_segment_state,
     sample_stationary_field,
     variance_series,
@@ -131,10 +129,6 @@ def test_heat_convolve_samples_matches_state_route():
     via_state = evaluate(heat_convolve_state(state, 0.2))
     via_samples = heat_convolve_samples(evaluate(state), 0.2)
     np.testing.assert_allclose(via_state.values, via_samples.values, atol=1e-10)
-    # dispatcher agrees
-    np.testing.assert_allclose(
-        heat_convolve(evaluate(state), 0.2).values, via_samples.values, atol=1e-14
-    )
 
 
 def test_heat_convolve_preserves_mean_and_contracts_range():
@@ -156,11 +150,10 @@ def test_noise_segment_definition():
     rng = substream(7, AUX, 0)
     s1 = evolve(zero_state(p), 0.3, rng)
     s2 = evolve(s1, 0.4, rng)
-    seg = noise_segment(s1, s2)
-    expected = evaluate(s2).values - evaluate(heat_convolve_state(s1, 0.4)).values
-    np.testing.assert_allclose(seg.values, expected, atol=1e-12)
     seg_state = noise_segment_state(s1, s2)
-    np.testing.assert_allclose(evaluate(seg_state).values, seg.values, atol=1e-12)
+    assert seg_state.t == s2.t
+    expected = evaluate(s2).values - evaluate(heat_convolve_state(s1, 0.4)).values
+    np.testing.assert_allclose(evaluate(seg_state).values, expected, atol=1e-12)
 
 
 def test_noise_segment_with_zero_initial_state_is_whole_field():
@@ -168,7 +161,7 @@ def test_noise_segment_with_zero_initial_state_is_whole_field():
     rng = substream(8, AUX, 0)
     s0 = zero_state(p)
     s1 = evolve(s0, 0.6, rng)
-    seg = noise_segment(s0, s1)
+    seg = evaluate(noise_segment_state(s0, s1))
     np.testing.assert_allclose(seg.values, evaluate(s1).values, atol=1e-12)
 
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from string_sausage.rng import AUX, substream
-from string_sausage.simulate import simulate
+from string_sausage.simulate import Trace, simulate
 from string_sausage.spectral import ModelParams, evaluate, evolve, zero_state
 from string_sausage.statistics import (
     IndependenceReport,
     PathRecord,
     center_of_mass,
     independence_test,
-    radius,
     range_of,
 )
 
@@ -25,13 +24,14 @@ def test_center_of_mass_equals_grid_mean():
 
 
 def test_radius_translation_invariant():
-    p = ModelParams(d=2, K=8, M=32, eps_tail=5e-3)
-    state = evolve(zero_state(p), 0.7, substream(2, AUX, 0))
-    shifted = state.coeffs.copy()
-    shifted[:, 0] += 5.0  # move the center of mass only
-    from string_sausage.spectral import StringState
-
-    assert abs(radius(state) - radius(StringState(p, state.t, shifted))) < 1e-12
+    p = ModelParams(d=2, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3)
+    trace = simulate(p, seed=2)
+    shifted = trace.coeffs.copy()
+    shifted[:, :, 0] += 5.0  # move the center of mass only
+    moved = Trace(p, trace.times, shifted)
+    R = trace.path_record().R
+    assert R[-1] > 0
+    np.testing.assert_allclose(moved.path_record().R, R, atol=1e-12)
 
 
 def test_range_of_matches_brute_force():

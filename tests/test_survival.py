@@ -21,7 +21,6 @@ from string_sausage.survival import (
 )
 from string_sausage.traps import (
     Box,
-    GridIndex,
     PoissonEnvironment,
     PotentialKind,
     PotentialSpec,
@@ -35,10 +34,9 @@ def params(**kw):
     return ModelParams(**defaults)
 
 
-def make_env(points, lo, hi, nu=1.0, cell=0.3):
-    pts = np.asarray(points, float)
+def make_env(points, lo, hi, nu=1.0):
     box = Box(np.asarray(lo, float), np.asarray(hi, float))
-    return PoissonEnvironment(pts.reshape(-1, box.d), box, nu, GridIndex(pts, cell))
+    return PoissonEnvironment(np.asarray(points, float), box, nu)
 
 
 def test_survive_hard_once_contact():
@@ -165,6 +163,27 @@ def test_resolution_doubling_report_runs():
     assert 0.0 <= coarse.p_hat <= 1.0
     assert 0.0 <= fine.p_hat <= 1.0
     assert fine.params.M == 2 * p.M
+
+
+@pytest.mark.parametrize(
+    "path", ["hard_direct", "hard_via_volume", "annealed_soft", "quenched_hard", "quenched_soft"]
+)
+def test_every_estimator_is_worker_invariant(path):
+    p = params(nu=0.5)
+    soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=1.0)
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
+
+    def estimate(workers):
+        if path in ("hard_direct", "hard_via_volume"):
+            return annealed_hard(p, 100, seed=10, method=path, n_mc=1000, workers=workers)
+        if path == "annealed_soft":
+            return annealed_soft(p, soft, 100, seed=10, workers=workers)
+        spec = soft if path == "quenched_soft" else None
+        return quenched(p, env, 100, seed=10, spec=spec, workers=workers)
+
+    serial, parallel = estimate(1), estimate(2)
+    assert serial.stderr > 0  # a constant weight would pass vacuously
+    assert (serial.p_hat, serial.stderr) == (parallel.p_hat, parallel.stderr)
 
 
 def test_parallel_merge_is_order_independent():

@@ -7,7 +7,6 @@ from string_sausage.rng import ENV, substream
 from string_sausage.spectral import FieldSamples
 from string_sausage.traps import (
     Box,
-    GridIndex,
     PoissonEnvironment,
     PotentialKind,
     PotentialSpec,
@@ -32,31 +31,30 @@ def test_box_basics():
         Box(np.array([0.0]), np.array([0.0]))
 
 
-def test_grid_index_against_brute_force():
+def test_distance_queries_against_brute_force():
     rng = substream(1, ENV, 0)
     pts = rng.uniform(-2, 2, size=(300, 2))
-    idx = GridIndex(pts, cell=0.4)
+    env = PoissonEnvironment(pts, Box(np.full(2, -2.0), np.full(2, 2.0)), 1.0)
     for _ in range(30):
         z = rng.uniform(-2.5, 2.5, size=2)
         r = rng.uniform(0.05, 1.0)
-        brute = np.nonzero(((pts - z) ** 2).sum(axis=1) <= r * r)[0]
-        got = np.sort(idx.query_within(z, r))
-        np.testing.assert_array_equal(got, brute)
-        d_brute = float(np.sqrt(((pts - z) ** 2).sum(axis=1)).min())
-        assert abs(idx.min_distance(z) - d_brute) < 1e-12
+        # independent oracle: scalar loop over the traps
+        inside = sum(math.dist(z, p) <= r for p in pts)
+        assert contact_counts(z, env, r)[0] == inside
+        assert abs(min_distance(z, env) - min(math.dist(z, p) for p in pts)) < 1e-12
 
 
-def test_grid_index_empty():
-    idx = GridIndex(np.empty((0, 2)), cell=0.5)
-    assert len(idx) == 0
-    assert idx.min_distance(np.zeros(2)) == math.inf
-    assert idx.query_within(np.zeros(2), 1.0).size == 0
+def test_distance_queries_empty_environment():
+    env = PoissonEnvironment(np.empty((0, 2)), Box(np.zeros(2), np.ones(2)), 1.0)
+    assert min_distance(np.zeros(2), env) == math.inf
+    assert contact_counts(np.zeros(2), env, 1.0)[0] == 0
+    assert not any_contact(np.zeros(2), env, 1.0)
 
 
 def test_min_distance_far_query():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    idx = GridIndex(pts, cell=0.3)
-    assert abs(idx.min_distance(np.array([10.0, 0.0])) - 9.0) < 1e-12
+    env = PoissonEnvironment(pts, Box(np.full(2, -1.0), np.full(2, 2.0)), 1.0)
+    assert abs(min_distance(np.array([10.0, 0.0]), env) - 9.0) < 1e-12
 
 
 def test_sample_environment_poisson_count():
@@ -80,7 +78,7 @@ def test_sample_environment_zero_intensity():
 def test_potential_hard_and_soft():
     box = Box(np.full(2, -2.0), np.full(2, 2.0))
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    env = PoissonEnvironment(pts, box, 1.0, GridIndex(pts, 0.5))
+    env = PoissonEnvironment(pts, box, 1.0)
     hard = PotentialSpec(PotentialKind.HARD, a=0.3)
     soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.3, height=2.0)
     assert potential_at(np.array([0.1, 0.0]), env, hard) == math.inf
@@ -96,7 +94,7 @@ def test_contact_counts_brute_force():
     rng = substream(4, ENV, 0)
     traps = rng.uniform(-1, 1, size=(40, 2))
     box = Box(np.full(2, -1.0), np.full(2, 1.0))
-    env = PoissonEnvironment(traps, box, 1.0, GridIndex(traps, 0.3))
+    env = PoissonEnvironment(traps, box, 1.0)
     queries = rng.uniform(-1, 1, size=(100, 2))
     a = 0.25
     got = contact_counts(queries, env, a)
@@ -110,7 +108,7 @@ def test_contact_counts_brute_force():
 def test_path_functional_counts_occupation():
     box = Box(np.full(1, -5.0), np.full(1, 5.0))
     traps = np.array([[0.0]])
-    env = PoissonEnvironment(traps, box, 1.0, GridIndex(traps, 0.5))
+    env = PoissonEnvironment(traps, box, 1.0)
     spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.5, height=3.0)
     grid = np.linspace(0, 1, 4, endpoint=False)
     inside = FieldSamples(grid, np.full((4, 1), 0.2))  # all 4 points inside B(0, 0.5)
@@ -125,7 +123,7 @@ def test_environment_json_round_trip():
     rng = substream(5, ENV, 0)
     box = Box(np.zeros(2), np.ones(2) * 3.0)
     env = sample_environment(box, 1.5, rng)
-    clone = PoissonEnvironment.from_json(env.to_json(), cell=0.4)
+    clone = PoissonEnvironment.from_json(env.to_json())
     np.testing.assert_allclose(clone.points, env.points)
     assert clone.nu == env.nu
     np.testing.assert_allclose(clone.box.lower, env.box.lower)
@@ -137,7 +135,7 @@ def test_environment_rejects_outside_points():
     box = Box(np.zeros(2), np.ones(2))
     pts = np.array([[2.0, 2.0]])
     with pytest.raises(ValueError):
-        PoissonEnvironment(pts, box, 1.0, GridIndex(pts, 0.5))
+        PoissonEnvironment(pts, box, 1.0)
 
 
 def test_potential_spec_validation():
