@@ -192,3 +192,32 @@ def test_parallel_merge_is_order_independent():
     parallel = annealed_hard(p, 120, seed=9, workers=3)
     assert serial.p_hat == parallel.p_hat
     assert serial.stderr == parallel.stderr
+
+
+# (p_hat, stderr) recorded on the current random-stream layout; a change to
+# that layout re-records them on purpose, any other change must keep them.
+PINNED_ESTIMATES = {
+    "hard_direct": (0.19, 0.039230090491866064),
+    "hard_via_volume": (0.169358552084352, 0.0049635053698003076),
+    "annealed_soft": (0.9211089810337623, 0.00822934523105548),
+    "quenched_hard": (0.08, 0.027129319932501072),
+    "quenched_soft": (0.9335614148037333, 0.006645912779768901),
+}
+
+
+@pytest.mark.parametrize("path", list(PINNED_ESTIMATES))
+def test_estimates_are_pinned(path):
+    p = params(nu=0.5)
+    soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=1.0)
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
+    if path in ("hard_direct", "hard_via_volume"):
+        est = annealed_hard(p, 100, seed=17, method=path, n_mc=1000, workers=1)
+    elif path == "annealed_soft":
+        est = annealed_soft(p, soft, 100, seed=17, workers=1)
+    else:
+        spec = soft if path == "quenched_soft" else None
+        est = quenched(p, env, 100, seed=17, spec=spec, workers=1)
+    if path in ("hard_direct", "quenched_hard"):  # indicator means: exact
+        assert (est.p_hat, est.stderr) == PINNED_ESTIMATES[path]
+    else:
+        assert (est.p_hat, est.stderr) == pytest.approx(PINNED_ESTIMATES[path], rel=1e-12)
