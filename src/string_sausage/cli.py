@@ -72,8 +72,10 @@ EXIT_CONFIG = 2
 EXIT_RESOLUTION = 3
 
 
-class ConfigError(ValueError):
-    pass
+# model defaults shared by the subcommand flags and `run` configs
+MODEL_DEFAULTS = {
+    "d": 2, "J": 1.0, "nu": 1.0, "a": 0.3, "K": 16, "M": 64, "dt": 0.02, "T": 1.0, "eps_tail": 2e-3,
+}
 
 
 def _fmt(x) -> str:
@@ -125,26 +127,18 @@ def emit(obj) -> None:
 
 
 def add_model_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--J", type=float, default=1.0)
-    sp.add_argument("--nu", type=float, default=1.0)
-    sp.add_argument("--a", type=float, default=0.3)
-    sp.add_argument("--K", type=int, default=16)
-    sp.add_argument("--M", type=int, default=64)
-    sp.add_argument("--dt", type=float, default=0.02)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--eps-tail", type=float, default=2e-3,
-                    help="accepted neglected stationary variance per mode coefficient")
+    for name, default in MODEL_DEFAULTS.items():
+        sp.add_argument(
+            "--" + name.replace("_", "-"), type=type(default), default=default,
+            help="accepted neglected stationary variance per mode coefficient" if name == "eps_tail" else None,
+        )
     sp.add_argument("--seed", type=int, required=True, help="master seed (no wall-clock default)")
     sp.add_argument("--csv", type=str, default=None, help="append result rows to this CSV file")
     sp.add_argument("--threads", type=int, default=None, help="worker count (default: cores, or STRING_SAUSAGE_THREADS)")
 
 
 def params_from(args) -> ModelParams:
-    return ModelParams(
-        d=args.d, J=args.J, nu=args.nu, a=args.a, K=args.K, M=args.M, dt=args.dt,
-        T=args.T, eps_tail=args.eps_tail,
-    )
+    return ModelParams(**{name: getattr(args, name) for name in MODEL_DEFAULTS})
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +197,7 @@ def cmd_sausage(args) -> int:
             path, p.a, args.n_mc, streams.substream(args.seed, streams.MC, 0)
         )
     else:
-        raise ConfigError(f"unknown sausage method {args.method!r}")
+        raise ValueError(f"unknown sausage method {args.method!r}")
     summary.update(volume=est.volume, stderr=est.stderr, method=est.method, n=est.n_samples)
     rows.append(row("sausage", p, f"{args.method}", est.volume, est.stderr, est.n_samples, args.seed))
     write_rows(args.csv, rows)
@@ -214,7 +208,7 @@ def cmd_sausage(args) -> int:
 def cmd_survival(args) -> int:
     p = params_from(args)
     if args.soft and args.hard:
-        raise ConfigError("choose exactly one of --hard / --soft")
+        raise ValueError("choose exactly one of --hard / --soft")
     if args.env is not None:
         text = Path(args.env).read_text(encoding="utf-8")
         spec = (
@@ -353,7 +347,7 @@ def cmd_fit(args) -> int:
         reader = csv.DictReader(fh)
         cols = reader.fieldnames or []
         if "T" not in cols or "neg_log_S" not in cols:
-            raise ConfigError("fit input needs columns T,neg_log_S[,stderr]")
+            raise ValueError("fit input needs columns T,neg_log_S[,stderr]")
         for rec in reader:
             Ts.append(float(rec["T"]))
             y.append(float(rec["neg_log_S"]))
@@ -390,9 +384,9 @@ def parse_config(path: str) -> dict:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON config: {exc}") from exc
+            raise ValueError(f"bad JSON config: {exc}") from exc
         if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         return obj
     config: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -400,7 +394,7 @@ def parse_config(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
+            raise ValueError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         value = value.strip()
         try:
@@ -416,27 +410,19 @@ def _as_list(v):
 
 def run_config(config: dict) -> tuple[list[dict], dict]:
     if "seed" not in config:
-        raise ConfigError("config must set `seed` explicitly")
+        raise ValueError("config must set `seed` explicitly")
     seed = int(config["seed"])
     experiment = config.get("experiment", "survival")
     n_rep = int(config.get("n_replicas", 200))
     workers = config.get("threads")
     method = config.get("method", "hard_direct")
-    sweeps = {
-        "T": _as_list(config.get("T", 1.0)),
-        "J": _as_list(config.get("J", 1.0)),
-        "nu": _as_list(config.get("nu", 1.0)),
-        "a": _as_list(config.get("a", 0.3)),
-    }
+    sweeps = {name: _as_list(config.get(name, MODEL_DEFAULTS[name])) for name in ("T", "J", "nu", "a")}
     for name, values in sweeps.items():
         if not values:
-            raise ConfigError(f"sweep axis {name} is empty")
+            raise ValueError(f"sweep axis {name} is empty")
     base = {
-        "d": int(config.get("d", 2)),
-        "K": int(config.get("K", 16)),
-        "M": int(config.get("M", 64)),
-        "dt": float(config.get("dt", 0.02)),
-        "eps_tail": float(config.get("eps_tail", 2e-3)),
+        name: type(MODEL_DEFAULTS[name])(config.get(name, MODEL_DEFAULTS[name]))
+        for name in ("d", "K", "M", "dt", "eps_tail")
     }
     rows = []
     idx = 0
@@ -458,7 +444,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
                         rows.append(row("sausage", p, est.method, est.volume, est.stderr,
                                         est.n_samples, seed + idx))
                     else:
-                        raise ConfigError(f"unknown experiment {experiment!r}")
+                        raise ValueError(f"unknown experiment {experiment!r}")
                     idx += 1
     summary = {
         "command": "run",
@@ -551,7 +537,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution guard failure: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError is a ValueError
+    except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

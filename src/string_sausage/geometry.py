@@ -144,10 +144,6 @@ class BoxCountResult:
     slope: float
     intercept: float
 
-    def __iter__(self):  # (slope, counts) unpacking convenience
-        yield self.slope
-        yield self.counts
-
 
 def occupied_cube_count(points: np.ndarray, eps: float) -> int:
     """Number of side-eps grid cubes containing at least one point."""

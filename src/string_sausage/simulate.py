@@ -16,7 +16,6 @@ from .spectral import (
     StringState,
     evolve,
     grid_values,
-    init_from_profile,
     zero_state,
 )
 from .statistics import PathRecord
@@ -58,26 +57,21 @@ class Trace:
         return PathRecord(self.times, X, R)
 
 
-def simulate(
-    params: ModelParams,
-    seed: int,
-    replica: int = 0,
-    u0: FieldSamples | None = None,
-    noise_scale: float = 1.0,
-) -> Trace:
-    """Run one replica on the (dt, M) sampling grid with exact transitions.
+def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
+    """Run one replica from the zero string on the (dt, M) sampling grid with
+    exact transitions.
 
     Draws come from the counter-based stream (seed; NOISE, replica, step),
     so traces are reproducible and independent across replicas.
     """
     n = params.n_steps
-    state = zero_state(params) if u0 is None else init_from_profile(params, u0)
+    state = zero_state(params)
     coeffs = np.empty((n + 1,) + state.coeffs.shape)
     coeffs[0] = state.coeffs
     times = np.arange(n + 1) * params.dt
     for step in range(n):
         gen = streams.substream(seed, streams.NOISE, replica, step)
-        state = evolve(state, params.dt, gen, noise_scale=noise_scale)
+        state = evolve(state, params.dt, gen)
         coeffs[step + 1] = state.coeffs
     return Trace(params, times, coeffs)
 

@@ -104,10 +104,6 @@ class FieldSamples:
         if self.grid.shape[0] > 1 and not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid must be strictly increasing")
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class StringState:
@@ -130,36 +126,9 @@ class StringState:
         if self.t < 0:
             raise ValueError("time must be >= 0")
 
-    @property
-    def b0(self) -> np.ndarray:
-        return self.coeffs[:, 0]
-
 
 def zero_state(params: ModelParams) -> StringState:
     return StringState(params, 0.0, np.zeros((params.d, 2 * params.K + 1)))
-
-
-def init_from_profile(params: ModelParams, profile: FieldSamples) -> StringState:
-    """Project an initial profile onto the retained Fourier band.
-
-    The profile must be sampled on the module's own grid.  The result
-    reproduces the profile at grid points up to the truncation error of
-    modes above K.
-    """
-    if profile.values.shape != (params.M, params.d):
-        raise ValueError("profile grid size does not match params.M / params.d")
-    if not np.all(np.isfinite(profile.values)):
-        raise ValueError("profile contains non-finite values")
-    M, K, J = params.M, params.K, params.J
-    spec = np.fft.rfft(profile.values, axis=0) / M  # (M//2+1, d)
-    coeffs = np.zeros((params.d, 2 * K + 1))
-    coeffs[:, 0] = np.sqrt(J) * spec[0].real
-    # f = A0 + sum_k (alpha_k cos + beta_k sin) with alpha = 2 Re A_k,
-    # beta = -2 Im A_k; our convention stores b_k = alpha_k sqrt(J/2).
-    ak = spec[1 : K + 1]
-    coeffs[:, 1 : K + 1] = (2.0 * ak.real).T * math.sqrt(J / 2.0)
-    coeffs[:, K + 1 :] = (-2.0 * ak.imag).T * math.sqrt(J / 2.0)
-    return StringState(params, 0.0, coeffs)
 
 
 def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
@@ -193,18 +162,12 @@ def evaluate_at(state: StringState, x: np.ndarray) -> np.ndarray:
     return out / math.sqrt(p.J)
 
 
-def evolve(
-    state: StringState,
-    delta: float,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> StringState:
+def evolve(state: StringState, delta: float, rng: np.random.Generator) -> StringState:
     """Advance the string by `delta`, sampling the exact OU transition.
 
     Mode 0 gains an independent N(0, delta) increment per coordinate; each
     retained mode k decays by exp(-lam_k delta / J^2) and gains Gaussian
-    noise with the exact transition variance.  `noise_scale` = 0 switches
-    noise off (deterministic heat flow), used by tests.
+    noise with the exact transition variance.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -214,10 +177,10 @@ def evolve(
     trans_sd = np.sqrt((1.0 - decay ** 2) / (2.0 * lam))
     draws = rng.standard_normal((p.d, 2 * p.K + 1))
     coeffs = np.empty_like(state.coeffs)
-    coeffs[:, 0] = state.coeffs[:, 0] + noise_scale * math.sqrt(delta) * draws[:, 0]
+    coeffs[:, 0] = state.coeffs[:, 0] + math.sqrt(delta) * draws[:, 0]
     decay2 = np.concatenate([decay, decay])
     sd2 = np.concatenate([trans_sd, trans_sd])
-    coeffs[:, 1:] = state.coeffs[:, 1:] * decay2 + noise_scale * sd2 * draws[:, 1:]
+    coeffs[:, 1:] = state.coeffs[:, 1:] * decay2 + sd2 * draws[:, 1:]
     return StringState(p, state.t + delta, coeffs)
 
 

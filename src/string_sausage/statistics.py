@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FieldSamples, StringState
+from .spectral import FieldSamples
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class PathRecord:
             raise ValueError("times must be strictly increasing")
         if np.any(self.R < 0):
             raise ValueError("radius must be nonnegative")
-
-
-def center_of_mass(state: StringState) -> np.ndarray:
-    """Spatial average of the string; exactly the mode-0 coefficients / sqrt(J)."""
-    return state.coeffs[:, 0] / math.sqrt(state.params.J)
 
 
 def _diameter(points: np.ndarray) -> float:

@@ -53,38 +53,24 @@ class SurvivalEstimate:
         return (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
 
 
-@dataclass(frozen=True)
-class ScaledParams:
-    """Image of (T, nu, a, H) under the J -> 1 diffusive scaling map."""
-
-    T_tilde: float
-    nu_tilde: float
-    a_tilde: float
-    H_scale: float
-
-
-def scaling_transform(params: ModelParams) -> ScaledParams:
-    """(T, nu, a) -> (T J^-2, nu J^{d/2}, a J^{-1/2}); potentials gain height J^3."""
-    if params.J < 1:
-        raise ValueError("scaling transform requires J >= 1")
-    J = params.J
-    return ScaledParams(
-        T_tilde=params.T / J ** 2,
-        nu_tilde=params.nu * J ** (params.d / 2.0),
-        a_tilde=params.a / math.sqrt(J),
-        H_scale=J ** 3,
-    )
-
-
 def scaled_unit_params(params: ModelParams) -> ModelParams:
     """Unit-J parameter set whose discretized survival law matches `params`.
 
-    The sampling grid is mapped along with the model (dt -> dt J^-2, same M
+    The J -> 1 diffusive scaling map sends (T, nu, a) to
+    (T J^-2, nu J^{d/2}, a J^{-1/2}); potentials gain height J^3.  The
+    sampling grid is mapped along with the model (dt -> dt J^-2, same M
     and K), so the two discretizations are images of each other under the
     exact scaling map.
     """
-    s = scaling_transform(params)
-    return replace(params, J=1.0, nu=s.nu_tilde, a=s.a_tilde, dt=params.dt / params.J ** 2, T=s.T_tilde)
+    J = params.J
+    return replace(
+        params,
+        J=1.0,
+        nu=params.nu * J ** (params.d / 2.0),
+        a=params.a / math.sqrt(J),
+        dt=params.dt / J ** 2,
+        T=params.T / J ** 2,
+    )
 
 
 def environment_for_cloud(
@@ -277,13 +263,17 @@ def quenched(
     """
     if env is None:
         raise ValueError("quenched estimation requires an explicit environment")
+    if n_rep < 100:
+        raise ValueError("need n_rep >= 100")
+    hard = spec is None or spec.kind is PotentialKind.HARD
+    method = "quenched_hard" if hard else "quenched_soft"
     if params.T == 0:
-        return SurvivalEstimate(1.0, 0.0, n_rep, "quenched", params)
+        return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
     w = n_workers(workers)
     out = _run_batches(_quenched, params, seed, (env, spec), n_rep, w)
-    if spec is None or spec.kind is PotentialKind.HARD:
-        return _indicator_stats(out, "quenched_hard", params)
-    return _weight_stats(out, "quenched_soft", params)
+    if hard:
+        return _indicator_stats(out, method, params)
+    return _weight_stats(out, method, params)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Poisson trap field, obstacle potentials, and distance queries.
+"""Poisson trap field, obstacle potentials, and contact queries.
 
 The infinite-intensity Poisson process is realised only inside a bounding
 box covering the string trajectory padded by the interaction radius plus a
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,6 @@ class Box:
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
-
-    def pad(self, amount: float) -> "Box":
-        return Box(self.lower - amount, self.upper + amount)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -108,20 +104,6 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     n = int(rng.poisson(nu * box.volume))
     points = box.sample_uniform(n, rng) if n else np.empty((0, box.d))
     return PoissonEnvironment(points, box, nu)
-
-
-def min_distance(z: np.ndarray, env: PoissonEnvironment) -> float:
-    """Exact Euclidean distance from z to the nearest trap (+inf if none)."""
-    if env.n_points == 0:
-        return math.inf
-    return float(np.sqrt(((env.points - np.asarray(z, float)) ** 2).sum(axis=1)).min())
-
-
-def potential_at(z: np.ndarray, env: PoissonEnvironment, spec: PotentialSpec) -> float:
-    """V(z, eta) = sum_i H(z - xi_i); hard potentials return +inf on contact."""
-    if spec.kind is PotentialKind.HARD:
-        return math.inf if min_distance(z, env) <= spec.a else 0.0
-    return spec.height * int(contact_counts(z, env, spec.a)[0])
 
 
 def contact_counts(points: np.ndarray, env: PoissonEnvironment, a: float) -> np.ndarray:

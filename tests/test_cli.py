@@ -1,8 +1,10 @@
+import csv
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from string_sausage.cli import (
@@ -12,7 +14,9 @@ from string_sausage.cli import (
     main,
     parse_config,
     run_config,
+    write_rows,
 )
+from string_sausage.traps import Box, PoissonEnvironment
 
 
 def run_cli(args, capsys):
@@ -69,20 +73,28 @@ def test_bad_model_params_exit_2(capsys):
     assert code == EXIT_CONFIG
 
 
+def write_env(path):
+    env = PoissonEnvironment(np.array([[0.5, 0.5]]), Box(np.zeros(2), np.ones(2)), 1.0)
+    path.write_text(env.to_json())
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, threads_env",
     [
         (["--n", "50", "--threads", "1"], None),
         (["--n", "100", "--threads", "0"], None),
         (["--n", "100"], "two"),
+        (["--n", "5", "--threads", "1", "--env", "ENV_FILE"], None),
     ],
-    ids=["too_few_replicas", "zero_threads", "non_integer_threads_env"],
+    ids=["too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas"],
 )
-def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch):
+def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
     if threads_env is None:
         monkeypatch.delenv("STRING_SAUSAGE_THREADS", raising=False)
     else:
         monkeypatch.setenv("STRING_SAUSAGE_THREADS", threads_env)
+    argv = [write_env(tmp_path / "env.json") if a == "ENV_FILE" else a for a in argv]
     code = main(["survival", "--hard", "--T", "0.5", "--seed", "1", *argv])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -168,6 +180,19 @@ def test_run_config_zero_intensity_all_survive():
     assert all(r["estimate"] == 1.0 for r in rows)
 
 
+def test_run_config_defaults_match_survival_flags(capsys, tmp_path):
+    """A `run` config with only a seed models the same string as bare `survival` flags."""
+    flags_csv, run_csv = tmp_path / "flags.csv", tmp_path / "run.csv"
+    code, _ = run_cli(["survival", "--seed", "1", "--n", "100", "--threads", "1",
+                       "--csv", str(flags_csv)], capsys)
+    assert code == EXIT_OK
+    rows, _ = run_config({"seed": 1})
+    write_rows(str(run_csv), rows)
+    [flags], [run] = (list(csv.DictReader(p.read_text().splitlines())) for p in (flags_csv, run_csv))
+    for col in ("d", "J", "nu", "a", "T", "resolution_tag"):
+        assert run[col] == flags[col], col
+
+
 def test_run_config_requires_seed():
     with pytest.raises(Exception):
         run_config({"experiment": "survival"})
@@ -215,3 +240,16 @@ def test_quenched_roundtrip_via_env_file(capsys, tmp_path):
     assert code == EXIT_OK
     rec = last_json(out)
     assert rec["method"] == "quenched_hard"
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_quenched_method_name_at_T_zero(kind, capsys, tmp_path):
+    env_file = write_env(tmp_path / "env.json")
+    code, out = run_cli(
+        ["survival", f"--{kind}", "--T", "0", "--n", "100", "--seed", "1", "--threads", "1",
+         "--env", env_file],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rec = last_json(out)
+    assert (rec["method"], rec["p_hat"]) == (f"quenched_{kind}", 1.0)

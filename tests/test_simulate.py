@@ -4,7 +4,7 @@ import numpy as np
 
 from string_sausage.rng import substream
 from string_sausage.simulate import Trace, brownian_path, simulate
-from string_sausage.spectral import FieldSamples, ModelParams, evaluate, init_from_profile
+from string_sausage.spectral import ModelParams, evaluate
 
 
 def params(**kw):
@@ -52,24 +52,6 @@ def test_path_record_consistency():
     i = tr.n_snapshots - 1
     dev = tr.values[i] - rec.X[i][None, :]
     assert abs(rec.R[i] - np.sqrt((dev ** 2).sum(axis=1)).max()) < 1e-12
-
-
-def test_initial_profile_is_respected():
-    p = params(d=1)
-    x = p.grid()
-    values = np.cos(2 * math.pi * x)[:, None]
-    tr = simulate(p, 5, u0=FieldSamples(x, values))
-    np.testing.assert_allclose(tr.values[0][:, 0], np.cos(2 * math.pi * x), atol=1e-10)
-
-
-def test_noise_scale_zero_is_deterministic_heat_flow():
-    p = params(d=1)
-    x = p.grid()
-    u0 = FieldSamples(x, np.cos(2 * math.pi * x)[:, None])
-    tr = simulate(p, 5, u0=u0, noise_scale=0.0)
-    # mode 1 decays at rate 2 pi^2
-    expected = math.exp(-2.0 * math.pi ** 2 * p.T) * np.cos(2 * math.pi * x)
-    np.testing.assert_allclose(tr.values[-1][:, 0], expected, atol=1e-10)
 
 
 def test_brownian_path_statistics():

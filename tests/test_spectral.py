@@ -6,14 +6,12 @@ from scipy.integrate import quad
 
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
-    FieldSamples,
     ModelParams,
     evaluate,
     evaluate_at,
     evolve,
     heat_convolve_samples,
     heat_convolve_state,
-    init_from_profile,
     mode_rates,
     noise_segment_state,
     sample_stationary_field,
@@ -68,16 +66,6 @@ def test_evaluate_general_J():
     )
 
 
-def test_init_from_profile_round_trip():
-    p = small_params(d=2)
-    x = p.grid()
-    values = np.stack(
-        [np.cos(2 * math.pi * x) + 0.5, 0.3 * np.sin(2 * math.pi * 3 * x)], axis=1
-    )
-    state = init_from_profile(p, FieldSamples(x, values))
-    np.testing.assert_allclose(evaluate(state).values, values, atol=1e-10)
-
-
 def test_ou_transition_moments():
     """One-step empirical mean/variance of each mode against the closed form."""
     p = ModelParams(d=400, K=4, M=16, dt=0.05, eps_tail=5e-2)
@@ -104,15 +92,6 @@ def test_ou_transition_moments():
     # mode 0 is Brownian: increment variance dt
     col0 = ends[:, 0] - 1.0
     assert abs(col0.var() - p.dt) < 4 * p.dt * math.sqrt(2.0 / (n - 1))
-
-
-def test_evolve_noise_off_is_heat_flow():
-    p = small_params(d=1)
-    rng = substream(3, AUX, 0)
-    state = evolve(zero_state(p), 0.2, rng)
-    flowed = evolve(state, 0.3, rng, noise_scale=0.0)
-    smoothed = heat_convolve_state(state, 0.3)
-    np.testing.assert_allclose(flowed.coeffs, smoothed.coeffs, atol=1e-14)
 
 
 def test_heat_semigroup_property():

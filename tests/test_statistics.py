@@ -5,22 +5,19 @@ import pytest
 
 from string_sausage.rng import AUX, substream
 from string_sausage.simulate import Trace, simulate
-from string_sausage.spectral import ModelParams, evaluate, evolve, zero_state
+from string_sausage.spectral import ModelParams
 from string_sausage.statistics import (
     IndependenceReport,
     PathRecord,
-    center_of_mass,
     independence_test,
     range_of,
 )
 
 
 def test_center_of_mass_equals_grid_mean():
-    p = ModelParams(d=2, K=8, M=32, eps_tail=5e-3)
-    state = evolve(zero_state(p), 0.7, substream(1, AUX, 0))
-    com = center_of_mass(state)
-    grid_mean = evaluate(state).values.mean(axis=0)
-    np.testing.assert_allclose(com, grid_mean, atol=1e-12)
+    p = ModelParams(d=2, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3)
+    trace = simulate(p, seed=1)
+    np.testing.assert_allclose(trace.path_record().X, trace.values.mean(axis=1), atol=1e-12)
 
 
 def test_radius_translation_invariant():

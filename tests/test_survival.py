@@ -16,7 +16,6 @@ from string_sausage.survival import (
     resolution_doubling_report,
     scaled_unit_params,
     scaling_check,
-    scaling_transform,
     survive_hard_once,
 )
 from string_sausage.traps import (
@@ -132,11 +131,13 @@ def test_quenched_dense_environment_kills():
 
 def test_scaling_transform_values():
     p = params(J=2.0, nu=1.0, a=0.3, T=1.0, d=2)
-    s = scaling_transform(p)
-    assert abs(s.T_tilde - 0.25) < 1e-15
-    assert abs(s.nu_tilde - 2.0) < 1e-15
-    assert abs(s.a_tilde - 0.3 / math.sqrt(2.0)) < 1e-15
-    assert abs(s.H_scale - 8.0) < 1e-15
+    s = scaled_unit_params(p)
+    assert s.J == 1.0
+    assert abs(s.T - 0.25) < 1e-15
+    assert abs(s.nu - 2.0) < 1e-15
+    assert abs(s.a - 0.3 / math.sqrt(2.0)) < 1e-15
+    assert abs(s.dt - p.dt / 4.0) < 1e-15
+    assert (s.d, s.K, s.M) == (p.d, p.K, p.M)
 
 
 def test_scaled_unit_params_are_exact_images():

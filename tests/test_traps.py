@@ -12,9 +12,7 @@ from string_sausage.traps import (
     PotentialSpec,
     any_contact,
     contact_counts,
-    min_distance,
     path_functional,
-    potential_at,
     sample_environment,
 )
 
@@ -25,8 +23,6 @@ def test_box_basics():
     assert abs(box.volume - 4.0) < 1e-15
     assert box.contains(np.array([[1.0, 0.0]]))[0]
     assert not box.contains(np.array([[3.0, 0.0]]))[0]
-    padded = box.pad(1.0)
-    assert abs(padded.volume - 16.0) < 1e-12
     with pytest.raises(ValueError):
         Box(np.array([0.0]), np.array([0.0]))
 
@@ -41,20 +37,12 @@ def test_distance_queries_against_brute_force():
         # independent oracle: scalar loop over the traps
         inside = sum(math.dist(z, p) <= r for p in pts)
         assert contact_counts(z, env, r)[0] == inside
-        assert abs(min_distance(z, env) - min(math.dist(z, p) for p in pts)) < 1e-12
 
 
 def test_distance_queries_empty_environment():
     env = PoissonEnvironment(np.empty((0, 2)), Box(np.zeros(2), np.ones(2)), 1.0)
-    assert min_distance(np.zeros(2), env) == math.inf
     assert contact_counts(np.zeros(2), env, 1.0)[0] == 0
     assert not any_contact(np.zeros(2), env, 1.0)
-
-
-def test_min_distance_far_query():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    env = PoissonEnvironment(pts, Box(np.full(2, -1.0), np.full(2, 2.0)), 1.0)
-    assert abs(min_distance(np.array([10.0, 0.0]), env) - 9.0) < 1e-12
 
 
 def test_sample_environment_poisson_count():
@@ -76,18 +64,17 @@ def test_sample_environment_zero_intensity():
 
 
 def test_potential_hard_and_soft():
+    """Hard contact and soft occupation counts at single query points."""
     box = Box(np.full(2, -2.0), np.full(2, 2.0))
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     env = PoissonEnvironment(pts, box, 1.0)
-    hard = PotentialSpec(PotentialKind.HARD, a=0.3)
-    soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.3, height=2.0)
-    assert potential_at(np.array([0.1, 0.0]), env, hard) == math.inf
-    assert potential_at(np.array([0.5, 0.5]), env, hard) == 0.0
-    assert potential_at(np.array([0.1, 0.0]), env, soft) == 2.0
-    assert potential_at(np.array([0.9, 0.9]), env, soft) == 2.0
-    assert potential_at(np.array([0.5, 0.5]), env, soft) == 0.0
+    a = 0.3
+    assert any_contact(np.array([0.1, 0.0]), env, a)
+    assert not any_contact(np.array([0.5, 0.5]), env, a)
+    assert contact_counts(np.array([[0.1, 0.0], [0.9, 0.9], [0.5, 0.5]]), env, a).tolist() == [1, 1, 0]
     # contact boundary is closed
-    assert potential_at(np.array([0.3, 0.0]), env, hard) == math.inf
+    assert any_contact(np.array([0.3, 0.0]), env, a)
+    assert contact_counts(np.array([0.3, 0.0]), env, a)[0] == 1
 
 
 def test_contact_counts_brute_force():
@@ -127,8 +114,6 @@ def test_environment_json_round_trip():
     np.testing.assert_allclose(clone.points, env.points)
     assert clone.nu == env.nu
     np.testing.assert_allclose(clone.box.lower, env.box.lower)
-    z = np.array([0.7, 0.7])
-    assert abs(min_distance(z, clone) - min_distance(z, env)) < 1e-12
 
 
 def test_environment_rejects_outside_points():
