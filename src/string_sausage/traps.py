@@ -135,14 +135,12 @@ def path_functional(
 ) -> float:
     """Composite quadrature of int_0^T int V(u(s,x)) dx ds for soft potentials.
 
-    `trajectory` is a sequence of FieldSamples on uniform (dt, dx) grids.
+    `trajectory` is a sequence of snapshots on uniform (dt, dx) grids, each
+    with `.values` of shape (M, d); all snapshots are queried at once.
     """
     if spec.kind is not PotentialKind.SOFT_INDICATOR:
         raise ValueError("path_functional handles soft potentials only")
-    total = 0
-    for samples in trajectory:
-        values = samples.values if hasattr(samples, "values") else np.asarray(samples)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite field values in trajectory")
-        total += int(contact_counts(values, env, spec.a).sum())
-    return spec.height * dt * dx * total
+    values = np.concatenate([samples.values for samples in trajectory])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite field values in trajectory")
+    return spec.height * dt * dx * int(contact_counts(values, env, spec.a).sum())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from string_sausage.rng import ENV, substream
-from string_sausage.spectral import FieldSamples
+from string_sausage.simulate import simulate
+from string_sausage.spectral import FieldSamples, ModelParams
 from string_sausage.traps import (
     Box,
     PoissonEnvironment,
@@ -104,6 +105,20 @@ def test_path_functional_counts_occupation():
     assert abs(total - 3.0 * 0.1 * 0.25 * 4) < 1e-12
     with pytest.raises(ValueError):
         path_functional([inside], env, PotentialSpec(PotentialKind.HARD, 0.5), 0.1, 0.25)
+
+
+def test_path_functional_equals_per_snapshot_counts():
+    # the one query over all snapshots against one query per snapshot
+    p = ModelParams(d=2, K=16, M=64, dt=0.05, T=1.0, eps_tail=2e-3)
+    trace = simulate(p, 21, replica=4)
+    box = Box(np.full(2, -2.0), np.full(2, 2.0))
+    env = PoissonEnvironment(box.sample_uniform(25, substream(21, ENV, 0)), box, 1.0)
+    spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.3, height=1.0)
+    dx = p.J / p.M
+    per_snapshot = sum(int(contact_counts(v, env, spec.a).sum()) for v in trace.values)
+    assert per_snapshot > 0
+    snapshots = [trace.samples(j) for j in range(trace.n_snapshots)]
+    assert path_functional(snapshots, env, spec, p.dt, dx) == spec.height * p.dt * dx * per_snapshot
 
 
 def test_environment_json_round_trip():
