@@ -21,6 +21,7 @@ from .spectral import (
     ModelParams,
     StringState,
     evaluate,
+    grid_values,
     heat_convolve_samples,
     heat_convolve_state,
     noise_segment_state,
@@ -111,8 +112,7 @@ def calibrate_lambda(params: ModelParams, L: float, n_rep: int, seed: int) -> fl
     ranges = np.empty(n_rep)
     for r in range(n_rep):
         gen = streams.substream(seed, streams.AUX, r)
-        state = evolve(zero_state(params), L, gen)
-        ranges[r] = range_of(evaluate(state))
+        ranges[r] = range_of(grid_values(params, evolve(zero_state(params), L, gen)[-1]))
     return max(1.0 + 1e-9, float(np.percentile(ranges, 75)))
 
 
@@ -482,19 +482,17 @@ def confinement_stats(
     hit_x = np.empty(n_rep, bool)
     for r in range(n_rep):
         gen = streams.substream(seed, streams.AUX, r)
-        state = evolve(zero_state(params), t, gen)
+        state = StringState(params, t, evolve(zero_state(params), t, gen)[-1])
         base = evaluate(state).values
         hit_r[r] = range_of(base) <= a / 8.0
         max_field = 0.0
         max_com = 0.0
-        cur = state
-        for _ in range(n_sub):
-            cur = evolve(cur, s_max / n_sub, gen)
-            dev = evaluate(cur).values - base
+        for cur in evolve(state, s_max / n_sub, gen, n_sub)[1:]:
+            dev = grid_values(params, cur) - base
             max_field = max(max_field, float(np.sqrt((dev ** 2).sum(axis=1)).max()))
             max_com = max(
                 max_com,
-                float(np.linalg.norm((cur.coeffs[:, 0] - state.coeffs[:, 0]) / math.sqrt(params.J))),
+                float(np.linalg.norm((cur[:, 0] - state.coeffs[:, 0]) / math.sqrt(params.J))),
             )
         hit_f[r] = max_field <= a / 16.0
         hit_x[r] = max_com <= a / 16.0

@@ -71,8 +71,8 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
     times = np.arange(n + 1) * params.dt
     for step in range(n):
         gen = streams.substream(seed, streams.NOISE, replica, step)
-        state = evolve(state, params.dt, gen)
-        coeffs[step + 1] = state.coeffs
+        coeffs[step + 1] = evolve(state, params.dt, gen)[-1]
+        state = StringState(params, float(times[step + 1]), coeffs[step + 1])
     return Trace(params, times, coeffs)
 
 

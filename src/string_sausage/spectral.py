@@ -162,26 +162,36 @@ def evaluate_at(state: StringState, x: np.ndarray) -> np.ndarray:
     return out / math.sqrt(p.J)
 
 
-def evolve(state: StringState, delta: float, rng: np.random.Generator) -> StringState:
-    """Advance the string by `delta`, sampling the exact OU transition.
+def evolve(
+    state: StringState, delta: float, rng: np.random.Generator, steps: int = 1
+) -> np.ndarray:
+    """Advance the string `steps` times by `delta`, sampling the exact OU
+    transition, and return the coefficients (steps+1, d, 2K+1): row 0 is
+    `state.coeffs`, row i the string at time state.t + i delta.
 
-    Mode 0 gains an independent N(0, delta) increment per coordinate; each
-    retained mode k decays by exp(-lam_k delta / J^2) and gains Gaussian
-    noise with the exact transition variance.
+    Mode 0 gains an independent N(0, delta) increment per coordinate and
+    step; each retained mode k decays by exp(-lam_k delta / J^2) and gains
+    Gaussian noise with the exact transition variance.  All draws come from
+    one `standard_normal((steps, d, 2K+1))` call, so the path is bit-equal
+    to `steps` single-step calls on the same generator.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     p = state.params
     lam = mode_rates(p.K) / p.J ** 2
     decay = np.exp(-lam * delta)
     trans_sd = np.sqrt((1.0 - decay ** 2) / (2.0 * lam))
-    draws = rng.standard_normal((p.d, 2 * p.K + 1))
-    coeffs = np.empty_like(state.coeffs)
-    coeffs[:, 0] = state.coeffs[:, 0] + math.sqrt(delta) * draws[:, 0]
-    decay2 = np.concatenate([decay, decay])
-    sd2 = np.concatenate([trans_sd, trans_sd])
-    coeffs[:, 1:] = state.coeffs[:, 1:] * decay2 + sd2 * draws[:, 1:]
-    return StringState(p, state.t + delta, coeffs)
+    # mode 0 decays by exactly 1.0, which leaves its sum bit-equal
+    decay = np.concatenate([[1.0], decay, decay])
+    sd = np.concatenate([[math.sqrt(delta)], trans_sd, trans_sd])
+    noise = sd * rng.standard_normal((steps, p.d, 2 * p.K + 1))
+    coeffs = np.empty((steps + 1,) + state.coeffs.shape)
+    coeffs[0] = state.coeffs
+    for i in range(steps):
+        coeffs[i + 1] = coeffs[i] * decay + noise[i]
+    return coeffs
 
 
 def heat_convolve_state(state: StringState, delta: float) -> StringState:

@@ -51,7 +51,7 @@ def test_criterion_01_spectral_exactness():
     coeffs = np.ones((p.d, 2 * p.K + 1))
     state = StringState(p, 0.0, coeffs)
     ends = np.concatenate(
-        [evolve(state, p.dt, substream(1001, AUX, r)).coeffs for r in range(50)], axis=0
+        [evolve(state, p.dt, substream(1001, AUX, r))[-1] for r in range(50)], axis=0
     )  # 20000 transitions per column
     n = ends.shape[0]
     lam = mode_rates(p.K)

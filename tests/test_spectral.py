@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
     ModelParams,
+    StringState,
     evaluate,
     evaluate_at,
     evolve,
@@ -24,6 +25,11 @@ def small_params(**kw):
     defaults = dict(d=2, K=8, M=32, dt=0.05, T=1.0, eps_tail=5e-3)
     defaults.update(kw)
     return ModelParams(**defaults)
+
+
+def evolved(state, delta, rng):
+    """The string one `evolve` step of `delta` after `state`."""
+    return StringState(state.params, state.t + delta, evolve(state, delta, rng)[-1])
 
 
 def test_mode_rates():
@@ -51,7 +57,7 @@ def test_tail_variance_decreases_with_K():
 def test_evaluate_matches_pointwise_formula():
     p = small_params(d=1)
     rng = substream(0, AUX, 0)
-    state = evolve(zero_state(p), 0.3, rng)
+    state = evolved(zero_state(p), 0.3, rng)
     grid_vals = evaluate(state).values
     direct = evaluate_at(state, p.grid())
     np.testing.assert_allclose(grid_vals, direct, atol=1e-12)
@@ -60,7 +66,7 @@ def test_evaluate_matches_pointwise_formula():
 def test_evaluate_general_J():
     p = small_params(d=1, J=2.0)
     rng = substream(0, AUX, 1)
-    state = evolve(zero_state(p), 0.3, rng)
+    state = evolved(zero_state(p), 0.3, rng)
     np.testing.assert_allclose(
         evaluate(state).values, evaluate_at(state, p.grid()), atol=1e-12
     )
@@ -72,12 +78,10 @@ def test_ou_transition_moments():
     start = zero_state(p)
     coeffs = start.coeffs.copy()
     coeffs[:, :] = 1.0  # deterministic start for every mode
-    from string_sausage.spectral import StringState
-
     state = StringState(p, 0.0, coeffs)
     ends = []
     for r in range(50):
-        ends.append(evolve(state, p.dt, substream(11, AUX, r)).coeffs)
+        ends.append(evolve(state, p.dt, substream(11, AUX, r))[-1])
     ends = np.concatenate(ends, axis=0)  # (400*50, 2K+1) transitions per column
     lam = mode_rates(p.K)
     decay = np.exp(-lam * p.dt)
@@ -94,9 +98,25 @@ def test_ou_transition_moments():
     assert abs(col0.var() - p.dt) < 4 * p.dt * math.sqrt(2.0 / (n - 1))
 
 
+def test_multi_step_evolve_equals_single_steps():
+    p = small_params(d=3)
+    start = evolved(zero_state(p), 0.2, substream(9, AUX, 0))
+    path = evolve(start, 0.05, substream(9, AUX, 1), steps=7)
+    assert path.shape == (8, p.d, 2 * p.K + 1)
+    np.testing.assert_array_equal(path[0], start.coeffs)
+    rng = substream(9, AUX, 1)
+    state = start
+    for i in range(1, 8):
+        state = evolved(state, 0.05, rng)
+        np.testing.assert_array_equal(path[i], state.coeffs)
+    np.testing.assert_array_equal(evolve(start, 0.05, rng, steps=0), start.coeffs[None])
+    with pytest.raises(ValueError):
+        evolve(start, 0.05, rng, steps=-1)
+
+
 def test_heat_semigroup_property():
     p = small_params(d=1)
-    state = evolve(zero_state(p), 0.5, substream(4, AUX, 0))
+    state = evolved(zero_state(p), 0.5, substream(4, AUX, 0))
     once = heat_convolve_state(state, 0.7)
     twice = heat_convolve_state(heat_convolve_state(state, 0.3), 0.4)
     np.testing.assert_allclose(once.coeffs, twice.coeffs, atol=1e-14)
@@ -104,7 +124,7 @@ def test_heat_semigroup_property():
 
 def test_heat_convolve_samples_matches_state_route():
     p = small_params(d=2)
-    state = evolve(zero_state(p), 0.5, substream(5, AUX, 0))
+    state = evolved(zero_state(p), 0.5, substream(5, AUX, 0))
     via_state = evaluate(heat_convolve_state(state, 0.2))
     via_samples = heat_convolve_samples(evaluate(state), 0.2)
     np.testing.assert_allclose(via_state.values, via_samples.values, atol=1e-10)
@@ -112,7 +132,7 @@ def test_heat_convolve_samples_matches_state_route():
 
 def test_heat_convolve_preserves_mean_and_contracts_range():
     p = small_params(d=1)
-    state = evolve(zero_state(p), 0.4, substream(6, AUX, 0))
+    state = evolved(zero_state(p), 0.4, substream(6, AUX, 0))
     f = evaluate(state)
     g = heat_convolve_samples(f, 0.5)
     assert abs(f.values.mean() - g.values.mean()) < 1e-12
@@ -127,8 +147,8 @@ def test_heat_convolve_preserves_mean_and_contracts_range():
 def test_noise_segment_definition():
     p = small_params(d=2)
     rng = substream(7, AUX, 0)
-    s1 = evolve(zero_state(p), 0.3, rng)
-    s2 = evolve(s1, 0.4, rng)
+    s1 = evolved(zero_state(p), 0.3, rng)
+    s2 = evolved(s1, 0.4, rng)
     seg_state = noise_segment_state(s1, s2)
     assert seg_state.t == s2.t
     expected = evaluate(s2).values - evaluate(heat_convolve_state(s1, 0.4)).values
@@ -139,7 +159,7 @@ def test_noise_segment_with_zero_initial_state_is_whole_field():
     p = small_params(d=1)
     rng = substream(8, AUX, 0)
     s0 = zero_state(p)
-    s1 = evolve(s0, 0.6, rng)
+    s1 = evolved(s0, 0.6, rng)
     seg = evaluate(noise_segment_state(s0, s1))
     np.testing.assert_allclose(seg.values, evaluate(s1).values, atol=1e-12)
 
