@@ -61,19 +61,14 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
     """Run one replica from the zero string on the (dt, M) sampling grid with
     exact transitions.
 
-    Draws come from the counter-based stream (seed; NOISE, replica, step),
-    so traces are reproducible and independent across replicas.
+    The whole path draws from the one counter-based stream
+    (seed; NOISE, replica), step by step in time order, so traces are
+    reproducible and independent across replicas.
     """
     n = params.n_steps
-    state = zero_state(params)
-    coeffs = np.empty((n + 1,) + state.coeffs.shape)
-    coeffs[0] = state.coeffs
-    times = np.arange(n + 1) * params.dt
-    for step in range(n):
-        gen = streams.substream(seed, streams.NOISE, replica, step)
-        coeffs[step + 1] = evolve(state, params.dt, gen)[-1]
-        state = StringState(params, float(times[step + 1]), coeffs[step + 1])
-    return Trace(params, times, coeffs)
+    gen = streams.substream(seed, streams.NOISE, replica)
+    coeffs = evolve(zero_state(params), params.dt, gen, n)
+    return Trace(params, np.arange(n + 1) * params.dt, coeffs)
 
 
 def brownian_path(

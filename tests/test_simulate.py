@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 
-from string_sausage.rng import substream
+from string_sausage import rng as streams
+from string_sausage.rng import NOISE, substream
 from string_sausage.simulate import Trace, brownian_path, simulate
-from string_sausage.spectral import ModelParams, evaluate
+from string_sausage.spectral import ModelParams, evaluate, mode_rates
 
 
 def params(**kw):
@@ -25,6 +26,37 @@ def test_replicas_differ():
     a = simulate(p, 42, replica=0)
     b = simulate(p, 42, replica=1)
     assert not np.array_equal(a.coeffs[-1], b.coeffs[-1])
+
+
+def test_simulate_is_the_exact_recurrence_on_one_stream():
+    p = params(J=2.0, T=0.7)
+    n, K = p.n_steps, p.K
+    draws = substream(42, NOISE, 3).standard_normal((n, p.d, 2 * K + 1))
+    lam = mode_rates(K) / p.J ** 2
+    decay = np.exp(-lam * p.dt)
+    sd = np.sqrt((1.0 - decay ** 2) / (2.0 * lam))
+    expected = np.zeros((n + 1, p.d, 2 * K + 1))
+    for i in range(n):
+        prev = expected[i]
+        expected[i + 1, :, 0] = prev[:, 0] + math.sqrt(p.dt) * draws[i, :, 0]
+        for k in range(K):
+            for col in (1 + k, 1 + K + k):
+                expected[i + 1, :, col] = prev[:, col] * decay[k] + sd[k] * draws[i, :, col]
+    np.testing.assert_array_equal(simulate(p, 42, replica=3).coeffs, expected)
+
+
+def test_simulate_opens_one_stream(monkeypatch):
+    calls = []
+    original = streams.substream
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(streams, "substream", counting)
+    tr = simulate(params(T=1.0), 5, replica=2)
+    assert tr.n_snapshots == 11
+    assert calls == [(5, NOISE, 2)]
 
 
 def test_trace_values_match_evaluate():
