@@ -41,6 +41,12 @@ def unit_ball_volume(d: int) -> float:
 # separation times of the center of mass
 
 
+def max_com_step(path: PathRecord) -> float:
+    """Largest center-of-mass move between samples; tau detection needs it below Lambda/10."""
+    steps = np.diff(np.atleast_2d(path.X), axis=0)
+    return float(np.sqrt((steps ** 2).sum(axis=1)).max(initial=0.0))
+
+
 def tau_sequence(path: PathRecord, Lambda: float) -> np.ndarray:
     """Successive times at which the center of mass is 4*Lambda away from
     all previously selected centers; tau_0 = 0.
@@ -49,13 +55,12 @@ def tau_sequence(path: PathRecord, Lambda: float) -> np.ndarray:
     condition).  Warns when sampling is coarse relative to Lambda.
     """
     X = np.atleast_2d(path.X)
-    if X.shape[0] > 1:
-        step = np.sqrt(((np.diff(X, axis=0)) ** 2).sum(axis=1)).max()
-        if step >= Lambda / 10.0:
-            warnings.warn(
-                f"path sampling too coarse for tau detection: max step {step:.3g} "
-                f">= Lambda/10 = {Lambda / 10:.3g}"
-            )
+    step = max_com_step(path)
+    if step >= Lambda / 10.0:
+        warnings.warn(
+            f"path sampling too coarse for tau detection: max step {step:.3g} "
+            f">= Lambda/10 = {Lambda / 10:.3g}"
+        )
     centers = [X[0]]
     taus = [float(path.times[0])]
     thresh2 = (4.0 * Lambda) ** 2

@@ -30,6 +30,7 @@ from .asymptotics import (
     clearing_exponent,
     exponent_fit,
     gspace_ratio,
+    max_com_step,
     range_smoothing_check,
     stopping_chain,
 )
@@ -232,6 +233,7 @@ def cmd_survival(args) -> int:
             "method": est.method,
             "p_hat": est.p_hat,
             "stderr": est.stderr,
+            "ci95": est.ci95(),
             "n": est.n_replicas,
             "seed": args.seed,
             "resolution_tag": resolution_tag(p),
@@ -324,7 +326,11 @@ def cmd_diagnostics(args) -> int:
         chain_params = dataclasses.replace(p, T=horizon)
         trace = simulate(chain_params, args.seed, replica=0)
         chain = stopping_chain(trace, Lambda, seed=args.seed + 2)
+        step = max_com_step(trace.path_record())
         summary["chain"] = {
+            "resolved": step < Lambda / 10.0,
+            "max_step": step,
+            "step_limit": Lambda / 10.0,
             "Lambda": chain.Lambda,
             "delta": chain.delta,
             "L": chain.L,

@@ -1,10 +1,19 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Every random draw in the library comes from a Philox generator whose
-256-bit counter block is set from a (tag, replica, step) path and whose key
-holds the master seed.  Distinct paths give statistically independent
-streams, so replicas can run in any order (or in parallel) and still
-produce bit-identical results.
+256-bit counter block is set from a stream path of up to three
+non-negative integers and whose key holds the master seed and the path
+length.  Distinct paths give statistically independent streams, so replicas
+can run in any order (or in parallel) and still produce bit-identical
+results.  Each logical unit owns one stream:
+
+- (NOISE, r): the whole base path of replica r, every time step drawn in
+  order from the one stream;
+- (NOISE, r, level): reserved for the bridge draws of refinement level
+  `level` of replica r, so that adding levels never moves the base path;
+- (ENV, r) and (MC, r): the trap field and the hit-or-miss volume samples
+  of replica r;
+- AUX: diagnostics, oracles and demos.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ _MASK64 = (1 << 64) - 1
 NOISE = 1
 ENV = 2
 MC = 3
-PROFILE = 4
 AUX = 5
 
 
@@ -26,7 +34,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the Generator for a counter-derived stream.
 
     ``path`` is up to three non-negative integers (e.g. tag, replica,
-    step).  The path occupies the high words of the Philox counter; the low
+    level).  The path occupies the high words of the Philox counter; the low
     word is left at zero, giving each stream 2**64 blocks of headroom
     before it could run into a sibling.
     """

@@ -63,7 +63,8 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
 
     The whole path draws from the one counter-based stream
     (seed; NOISE, replica), step by step in time order, so traces are
-    reproducible and independent across replicas.
+    reproducible and independent across replicas.  (NOISE, replica, level)
+    is left for refinement draws, which then never move the base path.
     """
     n = params.n_steps
     gen = streams.substream(seed, streams.NOISE, replica)

@@ -162,9 +162,7 @@ def evaluate_at(state: StringState, x: np.ndarray) -> np.ndarray:
     return out / math.sqrt(p.J)
 
 
-def evolve(
-    state: StringState, delta: float, rng: np.random.Generator, steps: int = 1
-) -> np.ndarray:
+def evolve(state: StringState, delta: float, rng: np.random.Generator, steps: int = 1) -> np.ndarray:
     """Advance the string `steps` times by `delta`, sampling the exact OU
     transition, and return the coefficients (steps+1, d, 2K+1): row 0 is
     `state.coeffs`, row i the string at time state.t + i delta.
@@ -177,8 +175,6 @@ def evolve(
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     p = state.params
     lam = mode_rates(p.K) / p.J ** 2
     decay = np.exp(-lam * delta)

@@ -50,7 +50,16 @@ class SurvivalEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
 
     def ci95(self) -> tuple[float, float]:
-        return (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
+        """95% interval: Wilson score for the indicator means, open even where
+        p_hat is 0 or 1 and `stderr` is 0; p_hat +- 1.96 stderr otherwise."""
+        z = 1.96
+        if self.method not in ("hard_direct", "quenched_hard"):
+            return (self.p_hat - z * self.stderr, self.p_hat + z * self.stderr)
+        n, p = self.n_replicas, self.p_hat
+        w = z * z / n
+        centre = (p + w / 2.0) / (1.0 + w)
+        half = z * math.sqrt(p * (1.0 - p) / n + w / (4.0 * n)) / (1.0 + w)
+        return (max(0.0, centre - half), min(1.0, centre + half))
 
 
 def scaled_unit_params(params: ModelParams) -> ModelParams:

@@ -44,6 +44,8 @@ def test_survival_subcommand(capsys, tmp_path):
     assert rec["method"] == "hard_direct"
     assert 0.0 <= rec["p_hat"] <= 1.0
     assert rec["stderr"] >= 0.0
+    lo, hi = rec["ci95"]
+    assert lo <= rec["p_hat"] <= hi and hi > lo
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 2
@@ -113,6 +115,22 @@ def test_scaling_check_subcommand(capsys):
     assert "original" in rec and "scaled" in rec
     assert isinstance(rec["overlap"], bool)
     assert len(rec["original"]["ci95"]) == 2
+
+
+def test_diagnostics_chain_reports_under_resolution(capsys):
+    # at the default dt the center of mass moves about 0.5 per step, well
+    # above Lambda/10, so tau detection is under-resolved
+    with pytest.warns(UserWarning, match="too coarse"):
+        code, out = run_cli(
+            ["diagnostics", "--d", "2", "--a", "0.3", "--seed", "7", "--chain",
+             "--n-smoothing", "2", "--n-lambda", "50"],
+            capsys,
+        )
+    assert code == EXIT_OK
+    chain = last_json(out)["chain"]
+    assert chain["resolved"] is False
+    assert chain["step_limit"] == chain["Lambda"] / 10.0
+    assert chain["max_step"] >= chain["step_limit"]
 
 
 def test_simulate_subcommand(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from string_sausage.rng import AUX, ENV, MC, NOISE, PROFILE, substream
+from string_sausage.rng import AUX, ENV, MC, NOISE, substream
 
 
 def test_same_path_reproduces():
@@ -27,8 +27,8 @@ def test_distinct_seeds_differ():
 def test_path_length_matters():
     # (tag,) and (tag, 0) must be distinct streams even though the counter
     # words coincide; the key encodes the path length
-    a = substream(9, PROFILE).standard_normal(4)
-    b = substream(9, PROFILE, 0).standard_normal(4)
+    a = substream(9, AUX).standard_normal(4)
+    b = substream(9, AUX, 0).standard_normal(4)
     assert not np.array_equal(a, b)
 
 

@@ -9,6 +9,7 @@ from string_sausage.simulate import simulate
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
     ResolutionError,
+    SurvivalEstimate,
     annealed_hard,
     annealed_soft,
     environment_for_cloud,
@@ -222,3 +223,16 @@ def test_estimates_are_pinned(path):
         assert (est.p_hat, est.stderr) == PINNED_ESTIMATES[path]
     else:
         assert (est.p_hat, est.stderr) == pytest.approx(PINNED_ESTIMATES[path], rel=1e-12)
+
+
+def test_indicator_interval_is_wilson():
+    p = params()
+    lo, hi = SurvivalEstimate(0.0, 0.0, 100, "hard_direct", p).ci95()
+    assert lo == 0.0
+    assert hi == pytest.approx(1.96 ** 2 / (100 + 1.96 ** 2))  # 0.0370, not 0
+    lo, hi = SurvivalEstimate(1.0, 0.0, 100, "quenched_hard", p).ci95()
+    assert hi == pytest.approx(1.0)
+    assert lo == pytest.approx(100 / (100 + 1.96 ** 2))
+    # weighted means keep the normal interval
+    weighted = SurvivalEstimate(0.5, 0.01, 100, "hard_via_volume", p)
+    assert weighted.ci95() == pytest.approx((0.5 - 0.0196, 0.5 + 0.0196))
