@@ -1,10 +1,10 @@
 """Sausage volume estimators and the box-counting dimension diagnostic.
 
 Every estimator measures the union of radius-r balls around the SAMPLED
-cloud, which is a subset of the continuum sausage; the space-time sampling
-guards (sqrt(dx), dt^(1/4) moduli small against the radius) and the
-library's resolution-doubling check, `survival.resolution_doubling_report`,
-quantify the bias.
+cloud, which is a subset of the continuum sausage; the sampling moduli
+sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
+them), and `survival.resolution_doubling_report` re-runs an estimate at
+doubled resolution to show it.
 """
 
 from __future__ import annotations

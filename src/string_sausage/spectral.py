@@ -179,7 +179,7 @@ def evolve(state: StringState, delta: float, rng: np.random.Generator, steps: in
     lam = mode_rates(p.K) / p.J ** 2
     decay = np.exp(-lam * delta)
     trans_sd = np.sqrt((1.0 - decay ** 2) / (2.0 * lam))
-    # mode 0 decays by exactly 1.0, which leaves its sum bit-equal
+    # mode 0 (Brownian) takes a decay of exactly 1.0, so c * 1.0 + noise is c + noise
     decay = np.concatenate([[1.0], decay, decay])
     sd = np.concatenate([[math.sqrt(delta)], trans_sd, trans_sd])
     noise = sd * rng.standard_normal((steps, p.d, 2 * p.K + 1))

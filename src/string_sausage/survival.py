@@ -59,7 +59,7 @@ class SurvivalEstimate:
         w = z * z / n
         centre = (p + w / 2.0) / (1.0 + w)
         half = z * math.sqrt(p * (1.0 - p) / n + w / (4.0 * n)) / (1.0 + w)
-        return (max(0.0, centre - half), min(1.0, centre + half))
+        return (0.0 if p == 0.0 else centre - half, 1.0 if p == 1.0 else centre + half)
 
 
 def scaled_unit_params(params: ModelParams) -> ModelParams:

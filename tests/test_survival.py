@@ -231,7 +231,7 @@ def test_indicator_interval_is_wilson():
     assert lo == 0.0
     assert hi == pytest.approx(1.96 ** 2 / (100 + 1.96 ** 2))  # 0.0370, not 0
     lo, hi = SurvivalEstimate(1.0, 0.0, 100, "quenched_hard", p).ci95()
-    assert hi == pytest.approx(1.0)
+    assert hi == 1.0
     assert lo == pytest.approx(100 / (100 + 1.96 ** 2))
     # weighted means keep the normal interval
     weighted = SurvivalEstimate(0.5, 0.01, 100, "hard_via_volume", p)
