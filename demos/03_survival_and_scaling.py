@@ -20,8 +20,7 @@ print(f"hard_via_volume: p = {volume.p_hat:.4f} +- {volume.stderr:.4f}")
 print("CIs overlap:", max(direct.ci95()[0], volume.ci95()[0]) <= min(direct.ci95()[1], volume.ci95()[1]))
 
 # soft obstacles: occupation-weighted survival, between free and hard
-spec = ss.PotentialSpec(ss.PotentialKind.SOFT_INDICATOR, a=params.a, height=0.5)
-soft = ss.annealed_soft(params, spec, 400, seed=22)
+soft = ss.annealed_soft(params, 0.5, 400, seed=22)
 print(f"soft (height 0.5): p = {soft.p_hat:.4f} +- {soft.stderr:.4f}")
 
 # scaling identity: J = 2 configuration vs its unit-circle image

@@ -31,6 +31,5 @@ from .simulate import brownian_path, simulate
 from .spectral import ModelParams, sample_stationary_field, variance_series
 from .statistics import range_of
 from .survival import annealed_hard, annealed_soft, scaling_check
-from .traps import PotentialKind, PotentialSpec
 
 __version__ = "0.1.0"

@@ -97,15 +97,15 @@ def chain_L(a: float, E_const: float) -> float:
     return E_const + 3.0 * abs(math.log(a))
 
 
-def choose_E(d: int, a: float, E0: float = 1.0) -> float:
-    """Smallest integer E >= E0 making the smoothing bound 4 d e^{-2 pi^2 L} <= delta.
+def choose_E(d: int, a: float) -> float:
+    """Smallest integer E >= 1 making the smoothing bound 4 d e^{-2 pi^2 L} <= delta.
 
     This is the only machine-checkable admissibility condition; the others
     involve non-constructive constants and are covered by the diagnostic
     reports instead.
     """
     delta = chain_delta(a)
-    E = float(E0)
+    E = 1.0
     while 4.0 * d * math.exp(-2.0 * math.pi ** 2 * chain_L(a, E)) > delta:
         E += 1.0
     return E
@@ -175,12 +175,12 @@ class GSpaceReport:
         return self.spread <= 25.0
 
 
-def gspace_ratio(t: float, pairs, K: int = 4096) -> GSpaceReport:
+def gspace_ratio(t: float, pairs) -> GSpaceReport:
     """Ratio of the heat-difference energy series to the torus distance.
 
-    Evaluates int_0^t int [G(s,x,z) - G(s,y,z)]^2 dz ds via the exact series
-    and reports ratio/d(x,y) per pair; the ratio spread across pairs is the
-    empirical local-Brownian constant band.
+    Evaluates int_0^t int [G(s,x,z) - G(s,y,z)]^2 dz ds via the exact series,
+    truncated at 4096 modes, and reports ratio/d(x,y) per pair; the ratio
+    spread across pairs is the empirical local-Brownian constant band.
     """
     if t < 1:
         warnings.warn("gspace_ratio called with t < 1 (outside its hypothesis)")
@@ -190,7 +190,7 @@ def gspace_ratio(t: float, pairs, K: int = 4096) -> GSpaceReport:
         dxy = min(dxy, 1.0 - dxy)
         if dxy == 0.0:
             continue  # degenerate pair, excluded
-        series = variance_series("gspace", t, x, y, K=K)
+        series = variance_series("gspace", t, x, y, K=4096)
         dists.append(dxy)
         ratios.append(series / dxy)
     if not ratios:
@@ -211,7 +211,6 @@ class StoppingChain:
     Lambda: float
     delta: float
     L: float
-    E_const: float
     tau: np.ndarray
     S: np.ndarray
     T_seq: np.ndarray
@@ -232,9 +231,6 @@ def _grid_idx(t: float, dt: float) -> int:
 def stopping_chain(
     trace: Trace,
     Lambda: float,
-    delta: float | None = None,
-    L: float | None = None,
-    E_const: float = 1.0,
     seed: int = 0,
     n_mc: int = 20_000,
 ) -> StoppingChain:
@@ -242,17 +238,16 @@ def stopping_chain(
 
     S_i is the first grid time >= T_{i-1} + L at which the heat-smoothed
     previous segment has range <= delta; T_i is the first separation time
-    tau_j >= S_i.  Each completed interval records the range of the noise
-    segment N(T_{i-1}, T_i) and sausage volumes of u(T_i) at radius a and
-    of the segment at radius a/2, and the closeness and volume-domination
+    tau_j >= S_i, where delta = chain_delta(a) and L = chain_L(a, choose_E(d, a)).
+    Each completed interval records the range of the noise segment
+    N(T_{i-1}, T_i) and sausage volumes of u(T_i) at radius a and of the
+    segment at radius a/2, and the closeness and volume-domination
     inequalities between them are asserted within estimator tolerance.
     """
     p = trace.params
     a = p.a
-    if delta is None:
-        delta = chain_delta(a)
-    if L is None:
-        L = chain_L(a, choose_E(p.d, a, E_const))
+    delta = chain_delta(a)
+    L = chain_L(a, choose_E(p.d, a))
     path = trace.path_record()
     tau = tau_sequence(path, Lambda)
     times = trace.times
@@ -322,7 +317,6 @@ def stopping_chain(
         Lambda,
         delta,
         L,
-        E_const,
         tau,
         np.asarray(S_list),
         np.asarray(T_list),
@@ -473,15 +467,15 @@ def confinement_stats(
     s_max: float,
     n_rep: int,
     seed: int,
-    n_sub: int = 8,
 ) -> ConfinementReport:
     """Frequencies of the confinement events used by the soft upper bound.
 
     Starts from zero initial data so the accumulated noise equals the
-    string itself; the hold events are monitored on n_sub sub-steps of
+    string itself; the hold events are monitored on 8 sub-steps of
     [t, t + s_max].
     """
     a = params.a
+    n_sub = 8
     hit_r = np.empty(n_rep, bool)
     hit_f = np.empty(n_rep, bool)
     hit_x = np.empty(n_rep, bool)

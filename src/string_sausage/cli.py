@@ -51,7 +51,7 @@ from .survival import (
     quenched,
     scaling_check,
 )
-from .traps import PoissonEnvironment, PotentialKind, PotentialSpec
+from .traps import PoissonEnvironment
 
 CSV_HEADER = [
     "experiment",
@@ -210,16 +210,17 @@ def cmd_survival(args) -> int:
     p = params_from(args)
     if args.soft and args.hard:
         raise ValueError("choose exactly one of --hard / --soft")
+    if args.via_volume and (args.soft or args.env is not None):
+        raise ValueError("--via-volume applies to annealed hard survival only")
+    if args.height is not None and not args.soft:
+        raise ValueError("--height applies to --soft only")
+    height = (1.0 if args.height is None else args.height) if args.soft else None
     if args.env is not None:
         text = Path(args.env).read_text(encoding="utf-8")
-        spec = (
-            PotentialSpec(PotentialKind.SOFT_INDICATOR, p.a, args.height) if args.soft else None
-        )
         env = PoissonEnvironment.from_json(text)
-        est = quenched(p, env, args.n, args.seed, spec=spec, workers=args.threads)
+        est = quenched(p, env, args.n, args.seed, height=height, workers=args.threads)
     elif args.soft:
-        spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, p.a, args.height)
-        est = annealed_soft(p, spec, args.n, args.seed, workers=args.threads)
+        est = annealed_soft(p, height, args.n, args.seed, workers=args.threads)
     else:
         method = "hard_via_volume" if args.via_volume else "hard_direct"
         est = annealed_hard(p, args.n, args.seed, method=method, workers=args.threads)
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(sp)
     sp.add_argument("--hard", action="store_true", default=False)
     sp.add_argument("--soft", action="store_true", default=False)
-    sp.add_argument("--height", type=float, default=1.0, help="soft indicator height")
+    sp.add_argument("--height", type=float, default=None, help="soft indicator height (default 1)")
     sp.add_argument("--via-volume", action="store_true", help="use the Poisson-identity estimator")
     sp.add_argument("--n", type=int, default=200)
     sp.add_argument("--env", type=str, default=None, help="fixed environment JSON (quenched)")

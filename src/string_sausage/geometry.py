@@ -3,8 +3,7 @@
 Every estimator measures the union of radius-r balls around the SAMPLED
 cloud, which is a subset of the continuum sausage; the sampling moduli
 sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
-them), and `survival.resolution_doubling_report` re-runs an estimate at
-doubled resolution to show it.
+them).
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .traps import Box
+
+MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,7 @@ def sausage_volume_hit_or_miss(
     return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")
 
 
-def sausage_volume_voxel(
-    cloud: PointCloud, radius: float, voxel_size: float, max_voxels: int = 50_000_000
-) -> SausageEstimate:
+def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) -> SausageEstimate:
     """Deterministic voxel-center counting estimate of the same union of balls."""
     if cloud.d > 3:
         raise ValueError("voxel estimator limited to d <= 3 (memory guard)")
@@ -93,7 +92,7 @@ def sausage_volume_voxel(
         raise ValueError("voxel_size must be <= radius/4")
     box = bounding_box(cloud, radius + voxel_size)
     counts = np.ceil((box.upper - box.lower) / voxel_size).astype(int)
-    if int(np.prod(counts)) > max_voxels:
+    if int(np.prod(counts)) > MAX_VOXELS:
         raise ValueError("voxel grid too large; coarsen voxel_size or shrink the cloud")
     axes = [box.lower[i] + (np.arange(counts[i]) + 0.5) * voxel_size for i in range(cloud.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -113,28 +112,21 @@ class ResolutionWarning(UserWarning):
 
 
 def wiener_sausage_volume(
-    path: PointCloud,
-    radius: float,
-    n_mc: int,
-    rng: np.random.Generator,
-    proceed_on_guard: bool = True,
+    path: PointCloud, radius: float, n_mc: int, rng: np.random.Generator
 ) -> SausageEstimate:
     """Sausage volume around a sampled center-of-mass path.
 
-    Warns (and proceeds, unless told otherwise) when the temporal sampling
-    guard sqrt(dt) <= radius/10 is violated.
+    Warns, and proceeds, when the temporal sampling guard
+    sqrt(dt) <= radius/10 is violated.
     """
     dt = path.meta.get("dt")
     if dt is not None and math.sqrt(dt) > radius / 10.0:
-        msg = (
+        warnings.warn(
             f"path resolution guard violated: sqrt(dt)={math.sqrt(dt):.4g} "
-            f"> radius/10={radius / 10:.4g}"
+            f"> radius/10={radius / 10:.4g}",
+            ResolutionWarning,
         )
-        if not proceed_on_guard:
-            raise ValueError(msg)
-        warnings.warn(msg, ResolutionWarning)
-    est = sausage_volume_hit_or_miss(path, radius, n_mc, rng)
-    return SausageEstimate(est.volume, est.stderr, est.n_samples, "hit_or_miss")
+    return sausage_volume_hit_or_miss(path, radius, n_mc, rng)
 
 
 @dataclass(frozen=True)

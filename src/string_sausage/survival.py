@@ -3,9 +3,9 @@
 Hard obstacles kill on contact with the closed ball B(xi, a); survival can
 equivalently be estimated through the Poisson identity
 S_T = E exp(-nu |sausage|).  Soft indicator obstacles weight each path by
-exp(-int int V).  Contact is tested at the sampled (s, x) points only, so
-finite resolution overestimates survival; the resolution-doubling report
-quantifies the effect.
+exp(-int int V), where V is `height` times the number of traps within the
+same radius a.  Contact is tested at the sampled (s, x) points only, so
+finite resolution overestimates survival.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from . import rng as streams
 from .geometry import PointCloud, bounding_box, sausage_volume_hit_or_miss
 from .simulate import Trace, simulate
 from .spectral import ModelParams
-from .traps import (
-    PoissonEnvironment,
-    PotentialKind,
-    PotentialSpec,
-    any_contact,
-    path_functional,
-    sample_environment,
-)
+from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
 
 ENV_PAD_MARGIN = 0.5
 
@@ -50,8 +43,11 @@ class SurvivalEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
 
     def ci95(self) -> tuple[float, float]:
-        """95% interval: Wilson score for the indicator means, open even where
-        p_hat is 0 or 1 and `stderr` is 0; p_hat +- 1.96 stderr otherwise."""
+        """95% interval: the point itself at T=0, where survival is exactly 1;
+        Wilson score for the indicator means, open even where p_hat is 0 or 1
+        and `stderr` is 0; p_hat +- 1.96 stderr otherwise."""
+        if self.params.T == 0:
+            return (self.p_hat, self.p_hat)
         z = 1.96
         if self.method not in ("hard_direct", "quenched_hard"):
             return (self.p_hat - z * self.stderr, self.p_hat + z * self.stderr)
@@ -136,34 +132,33 @@ def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
     return math.exp(-p.nu * est.volume)
 
 
-def _soft_weight(trace: Trace, env: PoissonEnvironment, spec: PotentialSpec) -> float:
+def _soft_weight(trace: Trace, env: PoissonEnvironment, height: float) -> float:
     p = trace.params
     functional = path_functional(
         [trace.samples(j) for j in range(trace.n_snapshots)],
         env,
-        spec,
+        p.a,
+        height,
         dt=p.dt,
         dx=p.J / p.M,
     )
     return math.exp(-functional)
 
 
-def _soft(trace: Trace, seed: int, r: int, spec: PotentialSpec) -> float:
+def _soft(trace: Trace, seed: int, r: int, height: float) -> float:
     p = trace.params
     env = environment_for_cloud(
-        trace.cloud(), p.nu, spec.a, streams.substream(seed, streams.ENV, r)
+        trace.cloud(), p.nu, p.a, streams.substream(seed, streams.ENV, r)
     )
-    return _soft_weight(trace, env, spec)
+    return _soft_weight(trace, env, height)
 
 
 def _quenched(
-    trace: Trace, seed: int, r: int, env: PoissonEnvironment, spec: PotentialSpec | None
+    trace: Trace, seed: int, r: int, env: PoissonEnvironment, height: float | None
 ) -> float:
-    if spec is None or spec.kind is PotentialKind.HARD:
-        a = trace.params.a if spec is None else spec.a
-        return float(survive_hard_once(trace.cloud(), env, a, require_cover=False))
-    return _soft_weight(trace, env, spec)
-
+    if height is None:
+        return float(survive_hard_once(trace.cloud(), env, trace.params.a, require_cover=False))
+    return _soft_weight(trace, env, height)
 
 def _replica_batch(args) -> np.ndarray:
     """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk."""
@@ -240,20 +235,21 @@ def annealed_hard(
 
 def annealed_soft(
     params: ModelParams,
-    spec: PotentialSpec,
+    height: float,
     n_rep: int,
     seed: int,
     workers: int | None = None,
 ) -> SurvivalEstimate:
-    """Annealed soft-obstacle survival: mean of exp(-path functional)."""
-    if spec.kind is not PotentialKind.SOFT_INDICATOR:
-        raise ValueError("annealed_soft requires a SoftIndicator spec; use annealed_hard")
+    """Annealed soft-obstacle survival: mean of exp(-path functional) for the
+    indicator potential of height `height` on the balls B(xi, params.a)."""
+    if height < 0:
+        raise ValueError("soft indicator height must be >= 0")
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")
     if params.T == 0:
         return SurvivalEstimate(1.0, 0.0, n_rep, "soft_weight", params)
     w = n_workers(workers)
-    weights = _run_batches(_soft, params, seed, (spec,), n_rep, w)
+    weights = _run_batches(_soft, params, seed, (height,), n_rep, w)
     return _weight_stats(weights, "soft_weight", params)
 
 
@@ -262,24 +258,27 @@ def quenched(
     env: PoissonEnvironment,
     n_rep: int,
     seed: int,
-    spec: PotentialSpec | None = None,
+    height: float | None = None,
     workers: int | None = None,
 ) -> SurvivalEstimate:
-    """Survival over noise with the trap configuration held fixed.
+    """Survival over noise with the trap configuration held fixed: hard traps
+    when `height` is None, else the soft indicator of that height.
 
     The supplied environment is taken as the whole trap field (no traps
     outside its box), so trajectory coverage is not enforced.
     """
     if env is None:
         raise ValueError("quenched estimation requires an explicit environment")
+    if height is not None and height < 0:
+        raise ValueError("soft indicator height must be >= 0")
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")
-    hard = spec is None or spec.kind is PotentialKind.HARD
+    hard = height is None
     method = "quenched_hard" if hard else "quenched_soft"
     if params.T == 0:
         return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
     w = n_workers(workers)
-    out = _run_batches(_quenched, params, seed, (env, spec), n_rep, w)
+    out = _run_batches(_quenched, params, seed, (env, height), n_rep, w)
     if hard:
         return _indicator_stats(out, method, params)
     return _weight_stats(out, method, params)
@@ -310,14 +309,3 @@ def scaling_check(
         scaled_unit_params(params), n_rep, seed + 1, method=method, workers=workers
     )
     return ScalingReport(original, scaled)
-
-
-def resolution_doubling_report(
-    params: ModelParams, n_rep: int, seed: int, workers: int | None = None
-) -> tuple[SurvivalEstimate, SurvivalEstimate]:
-    """Hard-survival estimates at (dt, M) and (dt/2, 2M) to expose discretization bias."""
-    fine = replace(params, dt=params.dt / 2.0, M=2 * params.M)
-    return (
-        annealed_hard(params, n_rep, seed, workers=workers),
-        annealed_hard(fine, n_rep, seed + 1, workers=workers),
-    )

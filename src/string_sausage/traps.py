@@ -8,7 +8,6 @@ restriction is exact in law for every survival functional.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
@@ -42,27 +41,6 @@ class Box:
 
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.d))
-
-
-class PotentialKind(enum.Enum):
-    HARD = "hard"
-    SOFT_INDICATOR = "soft_indicator"
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Obstacle potential: hard kill inside the closed ball B(0, a), or a
-    soft indicator of height `height` (Assumption C = height)."""
-
-    kind: PotentialKind
-    a: float
-    height: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.a <= 1:
-            raise ValueError("support radius a must lie in (0, 1]")
-        if self.kind is PotentialKind.SOFT_INDICATOR and self.height < 0:
-            raise ValueError("soft indicator height must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,16 +109,15 @@ def any_contact(points: np.ndarray, env: PoissonEnvironment, a: float) -> bool:
 
 
 def path_functional(
-    trajectory, env: PoissonEnvironment, spec: PotentialSpec, dt: float, dx: float
+    trajectory, env: PoissonEnvironment, a: float, height: float, dt: float, dx: float
 ) -> float:
-    """Composite quadrature of int_0^T int V(u(s,x)) dx ds for soft potentials.
+    """Composite quadrature of int_0^T int V(u(s,x)) dx ds for the soft
+    potential V = height * (number of traps within distance a).
 
     `trajectory` is a sequence of snapshots on uniform (dt, dx) grids, each
     with `.values` of shape (M, d); all snapshots are queried at once.
     """
-    if spec.kind is not PotentialKind.SOFT_INDICATOR:
-        raise ValueError("path_functional handles soft potentials only")
     values = np.concatenate([samples.values for samples in trajectory])
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite field values in trajectory")
-    return spec.height * dt * dx * int(contact_counts(values, env, spec.a).sum())
+    return height * dt * dx * int(contact_counts(values, env, a).sum())

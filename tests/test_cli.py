@@ -88,8 +88,17 @@ def write_env(path):
         (["--n", "100", "--threads", "0"], None),
         (["--n", "100"], "two"),
         (["--n", "5", "--threads", "1", "--env", "ENV_FILE"], None),
+        (["--soft", "--via-volume", "--n", "100", "--threads", "1"], None),
+        (["--via-volume", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "-1", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"], None),
+        (["--hard", "--height", "2", "--n", "100", "--threads", "1"], None),
     ],
-    ids=["too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas"],
+    ids=[
+        "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
+        "soft_via_volume", "quenched_via_volume", "negative_height", "quenched_negative_height_T_zero",
+        "height_without_soft",
+    ],
 )
 def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
     if threads_env is None:
@@ -97,7 +106,7 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
     else:
         monkeypatch.setenv("STRING_SAUSAGE_THREADS", threads_env)
     argv = [write_env(tmp_path / "env.json") if a == "ENV_FILE" else a for a in argv]
-    code = main(["survival", "--hard", "--T", "0.5", "--seed", "1", *argv])
+    code = main(["survival", "--T", "0.5", "--seed", "1", *argv])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -271,3 +280,18 @@ def test_quenched_method_name_at_T_zero(kind, capsys, tmp_path):
     assert code == EXIT_OK
     rec = last_json(out)
     assert (rec["method"], rec["p_hat"]) == (f"quenched_{kind}", 1.0)
+    assert rec["ci95"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--hard"], ["--hard", "--via-volume"], ["--soft"]],
+    ids=["hard_direct", "hard_via_volume", "soft"],
+)
+def test_survival_interval_is_exact_at_T_zero(flags, capsys):
+    # at T=0 every path survives: the estimate is exact, not n Bernoulli draws
+    code, out = run_cli(
+        ["survival", *flags, "--T", "0", "--n", "100", "--seed", "1", "--threads", "1"], capsys
+    )
+    assert code == EXIT_OK
+    rec = last_json(out)
+    assert (rec["p_hat"], rec["stderr"], rec["ci95"]) == (1.0, 0.0, [1.0, 1.0])

@@ -110,8 +110,6 @@ def test_wiener_sausage_guard_warns():
     path = brownian_path(3, 1.0, 0.25, seed=1)
     with pytest.warns(ResolutionWarning):
         wiener_sausage_volume(path, 0.1, 2000, substream(10, MC, 0))
-    with pytest.raises(ValueError):
-        wiener_sausage_volume(path, 0.1, 2000, substream(10, MC, 0), proceed_on_guard=False)
 
 
 def test_wiener_sausage_frozen_path_is_ball():

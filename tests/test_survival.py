@@ -14,18 +14,11 @@ from string_sausage.survival import (
     annealed_soft,
     environment_for_cloud,
     quenched,
-    resolution_doubling_report,
     scaled_unit_params,
     scaling_check,
     survive_hard_once,
 )
-from string_sausage.traps import (
-    Box,
-    PoissonEnvironment,
-    PotentialKind,
-    PotentialSpec,
-    sample_environment,
-)
+from string_sausage.traps import Box, PoissonEnvironment, sample_environment
 
 
 def params(**kw):
@@ -94,8 +87,7 @@ def test_annealed_hard_monotone_in_intensity():
 
 def test_soft_zero_height_survives():
     p = params()
-    spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=0.0)
-    est = annealed_soft(p, spec, 100, seed=2, workers=1)
+    est = annealed_soft(p, 0.0, 100, seed=2, workers=1)
     assert est.p_hat == 1.0
 
 
@@ -103,16 +95,9 @@ def test_soft_below_hard_at_large_height():
     """exp(-large occupation) <= contact indicator replica by replica, so the
     soft estimate cannot exceed hard survival by more than MC noise."""
     p = params()
-    spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=50.0)
-    soft = annealed_soft(p, spec, 150, seed=3, workers=1)
+    soft = annealed_soft(p, 50.0, 150, seed=3, workers=1)
     hard = annealed_hard(p, 150, seed=3, workers=1)
     assert soft.p_hat <= hard.p_hat + 4 * (soft.stderr + hard.stderr) + 1e-9
-
-
-def test_soft_requires_soft_spec():
-    p = params()
-    with pytest.raises(ValueError):
-        annealed_soft(p, PotentialSpec(PotentialKind.HARD, a=0.3), 100, seed=1)
 
 
 def test_quenched_empty_environment():
@@ -159,29 +144,20 @@ def test_scaling_check_runs_and_overlaps():
     assert rep.original.n_replicas == rep.scaled.n_replicas == 150
 
 
-def test_resolution_doubling_report_runs():
-    p = params(nu=0.3)
-    coarse, fine = resolution_doubling_report(p, 100, seed=8, workers=1)
-    assert 0.0 <= coarse.p_hat <= 1.0
-    assert 0.0 <= fine.p_hat <= 1.0
-    assert fine.params.M == 2 * p.M
-
-
 @pytest.mark.parametrize(
     "path", ["hard_direct", "hard_via_volume", "annealed_soft", "quenched_hard", "quenched_soft"]
 )
 def test_every_estimator_is_worker_invariant(path):
     p = params(nu=0.5)
-    soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=1.0)
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
 
     def estimate(workers):
         if path in ("hard_direct", "hard_via_volume"):
             return annealed_hard(p, 100, seed=10, method=path, n_mc=1000, workers=workers)
         if path == "annealed_soft":
-            return annealed_soft(p, soft, 100, seed=10, workers=workers)
-        spec = soft if path == "quenched_soft" else None
-        return quenched(p, env, 100, seed=10, spec=spec, workers=workers)
+            return annealed_soft(p, 1.0, 100, seed=10, workers=workers)
+        height = 1.0 if path == "quenched_soft" else None
+        return quenched(p, env, 100, seed=10, height=height, workers=workers)
 
     serial, parallel = estimate(1), estimate(2)
     assert serial.stderr > 0  # a constant weight would pass vacuously
@@ -210,15 +186,14 @@ PINNED_ESTIMATES = {
 @pytest.mark.parametrize("path", list(PINNED_ESTIMATES))
 def test_estimates_are_pinned(path):
     p = params(nu=0.5)
-    soft = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=p.a, height=1.0)
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
     if path in ("hard_direct", "hard_via_volume"):
         est = annealed_hard(p, 100, seed=17, method=path, n_mc=1000, workers=1)
     elif path == "annealed_soft":
-        est = annealed_soft(p, soft, 100, seed=17, workers=1)
+        est = annealed_soft(p, 1.0, 100, seed=17, workers=1)
     else:
-        spec = soft if path == "quenched_soft" else None
-        est = quenched(p, env, 100, seed=17, spec=spec, workers=1)
+        height = 1.0 if path == "quenched_soft" else None
+        est = quenched(p, env, 100, seed=17, height=height, workers=1)
     if path in ("hard_direct", "quenched_hard"):  # indicator means: exact
         assert (est.p_hat, est.stderr) == PINNED_ESTIMATES[path]
     else:

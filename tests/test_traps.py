@@ -9,8 +9,6 @@ from string_sausage.spectral import FieldSamples, ModelParams
 from string_sausage.traps import (
     Box,
     PoissonEnvironment,
-    PotentialKind,
-    PotentialSpec,
     any_contact,
     contact_counts,
     path_functional,
@@ -97,14 +95,11 @@ def test_path_functional_counts_occupation():
     box = Box(np.full(1, -5.0), np.full(1, 5.0))
     traps = np.array([[0.0]])
     env = PoissonEnvironment(traps, box, 1.0)
-    spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.5, height=3.0)
     grid = np.linspace(0, 1, 4, endpoint=False)
     inside = FieldSamples(grid, np.full((4, 1), 0.2))  # all 4 points inside B(0, 0.5)
     outside = FieldSamples(grid, np.full((4, 1), 2.0))
-    total = path_functional([inside, outside], env, spec, dt=0.1, dx=0.25)
+    total = path_functional([inside, outside], env, 0.5, 3.0, dt=0.1, dx=0.25)
     assert abs(total - 3.0 * 0.1 * 0.25 * 4) < 1e-12
-    with pytest.raises(ValueError):
-        path_functional([inside], env, PotentialSpec(PotentialKind.HARD, 0.5), 0.1, 0.25)
 
 
 def test_path_functional_equals_per_snapshot_counts():
@@ -113,12 +108,12 @@ def test_path_functional_equals_per_snapshot_counts():
     trace = simulate(p, 21, replica=4)
     box = Box(np.full(2, -2.0), np.full(2, 2.0))
     env = PoissonEnvironment(box.sample_uniform(25, substream(21, ENV, 0)), box, 1.0)
-    spec = PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.3, height=1.0)
+    a, height = 0.3, 1.0
     dx = p.J / p.M
-    per_snapshot = sum(int(contact_counts(v, env, spec.a).sum()) for v in trace.values)
+    per_snapshot = sum(int(contact_counts(v, env, a).sum()) for v in trace.values)
     assert per_snapshot > 0
     snapshots = [trace.samples(j) for j in range(trace.n_snapshots)]
-    assert path_functional(snapshots, env, spec, p.dt, dx) == spec.height * p.dt * dx * per_snapshot
+    assert path_functional(snapshots, env, a, height, p.dt, dx) == height * p.dt * dx * per_snapshot
 
 
 def test_environment_json_round_trip():
@@ -136,10 +131,3 @@ def test_environment_rejects_outside_points():
     pts = np.array([[2.0, 2.0]])
     with pytest.raises(ValueError):
         PoissonEnvironment(pts, box, 1.0)
-
-
-def test_potential_spec_validation():
-    with pytest.raises(ValueError):
-        PotentialSpec(PotentialKind.HARD, a=0.0)
-    with pytest.raises(ValueError):
-        PotentialSpec(PotentialKind.SOFT_INDICATOR, a=0.3, height=-1.0)
