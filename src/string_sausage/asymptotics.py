@@ -19,15 +19,13 @@ from .simulate import Trace
 from .spectral import (
     FieldSamples,
     ModelParams,
-    StringState,
-    evaluate,
+    evolve,
     grid_values,
+    heat_convolve,
     heat_convolve_samples,
-    heat_convolve_state,
-    noise_segment_state,
+    noise_segment,
     variance_series,
     zero_state,
-    evolve,
 )
 from .statistics import PathRecord, range_of
 
@@ -117,7 +115,7 @@ def calibrate_lambda(params: ModelParams, L: float, n_rep: int, seed: int) -> fl
     ranges = np.empty(n_rep)
     for r in range(n_rep):
         gen = streams.substream(seed, streams.AUX, r)
-        ranges[r] = range_of(grid_values(params, evolve(zero_state(params), L, gen)[-1]))
+        ranges[r] = range_of(grid_values(params, evolve(params, zero_state(params), L, gen)[-1]))
     return max(1.0 + 1e-9, float(np.percentile(ranges, 75)))
 
 
@@ -224,10 +222,6 @@ class StoppingChain:
         return self.S.shape[0]
 
 
-def _grid_idx(t: float, dt: float) -> int:
-    return int(round(t / dt))
-
-
 def stopping_chain(
     trace: Trace,
     Lambda: float,
@@ -257,9 +251,9 @@ def stopping_chain(
     T_list: list[float] = []
     rng_noise, rng_string, vol_u, vol_n = [], [], [], []
     T_prev = 0.0
-    # segment whose smoothed range defines S_i: the initial state for i=1,
+    # segment whose smoothed range defines S_i: the initial string for i=1,
     # afterwards the noise accumulated over the previous completed interval
-    seg_state: StringState = trace.state(0)
+    seg = trace.coeffs[0]
     i = 0
     while True:
         # locate S_{i+1}
@@ -270,8 +264,7 @@ def stopping_chain(
         S_i = None
         while j < times.shape[0]:
             t = times[j]
-            sm = heat_convolve_state(seg_state, t - T_prev)
-            if range_of(evaluate(sm)) <= delta:
+            if range_of(grid_values(p, heat_convolve(p, seg, t - T_prev))) <= delta:
                 S_i = float(t)
                 break
             j += 1
@@ -284,21 +277,22 @@ def stopping_chain(
         S_list.append(S_i)
         T_list.append(T_i)
 
-        seg = noise_segment_state(trace.state(_grid_idx(T_prev, dt)), trace.state(_grid_idx(T_i, dt)))
-        seg_samples = evaluate(seg)
-        u_samples = trace.samples(_grid_idx(T_i, dt))
-        r_n = range_of(seg_samples)
-        r_u = range_of(u_samples)
+        i_prev, i_T = round(T_prev / dt), round(T_i / dt)
+        seg = noise_segment(p, trace.coeffs[i_prev], trace.coeffs[i_T], T_i - T_prev)
+        seg_values = grid_values(p, seg)
+        u_values = trace.values[i_T]
+        r_n = range_of(seg_values)
+        r_u = range_of(u_values)
         if abs(r_u - r_n) > 2.0 * delta + 1e-9:
             raise ChainInvariantError(
                 f"interval {i + 1}: |range(u) - range(noise)| = {abs(r_u - r_n):.3g} "
                 f"exceeds 2*delta = {2 * delta:.3g}"
             )
         est_u = sausage_volume_hit_or_miss(
-            PointCloud(u_samples.values), a, n_mc, streams.substream(seed, streams.MC, 2 * i)
+            PointCloud(u_values), a, n_mc, streams.substream(seed, streams.MC, 2 * i)
         )
         est_n = sausage_volume_hit_or_miss(
-            PointCloud(seg_samples.values), a / 2.0, n_mc, streams.substream(seed, streams.MC, 2 * i + 1)
+            PointCloud(seg_values), a / 2.0, n_mc, streams.substream(seed, streams.MC, 2 * i + 1)
         )
         if est_u.volume < est_n.volume - 4.0 * (est_u.stderr + est_n.stderr):
             raise ChainInvariantError(
@@ -309,7 +303,6 @@ def stopping_chain(
         rng_string.append(r_u)
         vol_u.append(est_u.volume)
         vol_n.append(est_n.volume)
-        seg_state = seg
         T_prev = T_i
         i += 1
 
@@ -481,20 +474,14 @@ def confinement_stats(
     hit_x = np.empty(n_rep, bool)
     for r in range(n_rep):
         gen = streams.substream(seed, streams.AUX, r)
-        state = StringState(params, t, evolve(zero_state(params), t, gen)[-1])
-        base = evaluate(state).values
+        start = evolve(params, zero_state(params), t, gen)[-1]
+        base = grid_values(params, start)
         hit_r[r] = range_of(base) <= a / 8.0
-        max_field = 0.0
-        max_com = 0.0
-        for cur in evolve(state, s_max / n_sub, gen, n_sub)[1:]:
-            dev = grid_values(params, cur) - base
-            max_field = max(max_field, float(np.sqrt((dev ** 2).sum(axis=1)).max()))
-            max_com = max(
-                max_com,
-                float(np.linalg.norm((cur[:, 0] - state.coeffs[:, 0]) / math.sqrt(params.J))),
-            )
-        hit_f[r] = max_field <= a / 16.0
-        hit_x[r] = max_com <= a / 16.0
+        hold = evolve(params, start, s_max / n_sub, gen, n_sub)[1:]
+        dev = grid_values(params, hold) - base
+        com = (hold[:, :, 0] - start[:, 0]) / math.sqrt(params.J)
+        hit_f[r] = np.sqrt((dev ** 2).sum(axis=2)).max() <= a / 16.0
+        hit_x[r] = np.sqrt((com ** 2).sum(axis=1)).max() <= a / 16.0
     return ConfinementReport(
         t,
         s_max,

@@ -358,9 +358,11 @@ def cmd_fit(args) -> int:
         for rec in reader:
             Ts.append(float(rec["T"]))
             y.append(float(rec["neg_log_S"]))
-            if "stderr" in cols and rec.get("stderr"):
+            if "stderr" in cols:
+                if not rec["stderr"]:
+                    raise ValueError(f"fit input row {len(Ts)} has a blank stderr")
                 se.append(float(rec["stderr"]))
-    stderr = np.asarray(se) if len(se) == len(Ts) and se else None
+    stderr = np.asarray(se) if se else None
     fit = exponent_fit(Ts, y, stderr)
     emit(
         {
@@ -544,7 +546,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution guard failure: {exc}", file=sys.stderr)
         return EXIT_RESOLUTION
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,7 +13,6 @@ from .geometry import PointCloud
 from .spectral import (
     FieldSamples,
     ModelParams,
-    StringState,
     evolve,
     grid_values,
     zero_state,
@@ -23,7 +22,7 @@ from .statistics import PathRecord
 
 @dataclass(frozen=True)
 class Trace:
-    """States of one trajectory at times 0, dt, ..., T."""
+    """One trajectory at times 0, dt, ..., T: coeffs[i] is the string at times[i]."""
 
     params: ModelParams
     times: np.ndarray
@@ -32,9 +31,6 @@ class Trace:
     @property
     def n_snapshots(self) -> int:
         return self.times.shape[0]
-
-    def state(self, i: int) -> StringState:
-        return StringState(self.params, float(self.times[i]), self.coeffs[i])
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -68,7 +64,7 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
     """
     n = params.n_steps
     gen = streams.substream(seed, streams.NOISE, replica)
-    coeffs = evolve(zero_state(params), params.dt, gen, n)
+    coeffs = evolve(params, zero_state(params), params.dt, gen, n)
     return Trace(params, np.arange(n + 1) * params.dt, coeffs)
 
 

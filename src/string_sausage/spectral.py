@@ -12,6 +12,11 @@ lam_k = 2 pi^2 k^2, and unit noise intensity.  Time stepping samples the
 OU transition exactly, so the step size only controls how often the field
 is observed, never integrator accuracy.  For J = 1 this reduces to the
 plain unit-circle expansion b0 + sum sqrt(2)(b cos + c sin).
+
+The string at one time is its (d, 2K+1) coefficient array, read with its
+`ModelParams`: row j holds coordinate j, column 0 b0, columns 1..K the b_k
+and columns K+1..2K the c_k.  A path stacks such arrays along a leading time
+axis; `grid_values` is the one route from coefficients to grid values.
 """
 
 from __future__ import annotations
@@ -105,30 +110,9 @@ class FieldSamples:
             raise ValueError("grid must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class StringState:
-    """String at a fixed time: per-coordinate real Fourier coefficients.
-
-    coeffs has shape (d, 2K+1): column 0 is b0, columns 1..K the cosine
-    coefficients b_k, columns K+1..2K the sine coefficients c_k.
-    """
-
-    params: ModelParams
-    t: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        K = self.params.K
-        if self.coeffs.shape != (self.params.d, 2 * K + 1):
-            raise ValueError(f"coeffs must have shape ({self.params.d}, {2 * K + 1})")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
-        if self.t < 0:
-            raise ValueError("time must be >= 0")
-
-
-def zero_state(params: ModelParams) -> StringState:
-    return StringState(params, 0.0, np.zeros((params.d, 2 * params.K + 1)))
+def zero_state(params: ModelParams) -> np.ndarray:
+    """The zero string: coefficients (d, 2K+1), all 0."""
+    return np.zeros((params.d, 2 * params.K + 1))
 
 
 def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
@@ -143,29 +127,26 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * M, n=M, axis=-2)
 
 
-def evaluate(state: StringState) -> FieldSamples:
-    """Field values on the uniform grid via inverse FFT."""
-    return FieldSamples(state.params.grid(), grid_values(state.params, state.coeffs))
-
-
-def evaluate_at(state: StringState, x: np.ndarray) -> np.ndarray:
-    """Field values at arbitrary points x (shape (n,)), returns (n, d)."""
-    p = state.params
+def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Field values at arbitrary points x (shape (n,)) by summing the series, returns (n, d)."""
+    p = params
     k = np.arange(1, p.K + 1)
     phase = 2.0 * math.pi * np.outer(np.asarray(x, float), k) / p.J  # (n, K)
     cos, sin = np.cos(phase), np.sin(phase)
     out = (
-        state.coeffs[:, 0][None, :]
-        + math.sqrt(2.0) * (cos @ state.coeffs[:, 1 : p.K + 1].T
-                            + sin @ state.coeffs[:, p.K + 1 :].T)
+        coeffs[:, 0][None, :]
+        + math.sqrt(2.0) * (cos @ coeffs[:, 1 : p.K + 1].T + sin @ coeffs[:, p.K + 1 :].T)
     )
     return out / math.sqrt(p.J)
 
 
-def evolve(state: StringState, delta: float, rng: np.random.Generator, steps: int = 1) -> np.ndarray:
-    """Advance the string `steps` times by `delta`, sampling the exact OU
-    transition, and return the coefficients (steps+1, d, 2K+1): row 0 is
-    `state.coeffs`, row i the string at time state.t + i delta.
+def evolve(
+    params: ModelParams, coeffs: np.ndarray, delta: float, rng: np.random.Generator, steps: int = 1
+) -> np.ndarray:
+    """Advance the string with coefficients `coeffs` (d, 2K+1) `steps` times
+    by `delta`, sampling the exact OU transition, and return the
+    coefficients (steps+1, d, 2K+1): row 0 is `coeffs`, row i the string
+    i delta later.
 
     Mode 0 gains an independent N(0, delta) increment per coordinate and
     step; each retained mode k decays by exp(-lam_k delta / J^2) and gains
@@ -175,7 +156,11 @@ def evolve(state: StringState, delta: float, rng: np.random.Generator, steps: in
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    p = state.params
+    p = params
+    if coeffs.shape != (p.d, 2 * p.K + 1):
+        raise ValueError(f"coeffs must have shape ({p.d}, {2 * p.K + 1})")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
     lam = mode_rates(p.K) / p.J ** 2
     decay = np.exp(-lam * delta)
     trans_sd = np.sqrt((1.0 - decay ** 2) / (2.0 * lam))
@@ -183,23 +168,19 @@ def evolve(state: StringState, delta: float, rng: np.random.Generator, steps: in
     decay = np.concatenate([[1.0], decay, decay])
     sd = np.concatenate([[math.sqrt(delta)], trans_sd, trans_sd])
     noise = sd * rng.standard_normal((steps, p.d, 2 * p.K + 1))
-    coeffs = np.empty((steps + 1,) + state.coeffs.shape)
-    coeffs[0] = state.coeffs
+    path = np.empty((steps + 1,) + coeffs.shape)
+    path[0] = coeffs
     for i in range(steps):
-        coeffs[i + 1] = coeffs[i] * decay + noise[i]
-    return coeffs
+        path[i + 1] = path[i] * decay + noise[i]
+    return path
 
 
-def heat_convolve_state(state: StringState, delta: float) -> StringState:
-    """Apply the heat semigroup G_delta to the string (mode-wise decay)."""
+def heat_convolve(params: ModelParams, coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """Apply the heat semigroup G_delta to the string (mode-wise decay; mode 0 keeps factor 1.0)."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    p = state.params
-    decay = np.exp(-mode_rates(p.K) / p.J ** 2 * delta)
-    coeffs = state.coeffs.copy()
-    coeffs[:, 1 : p.K + 1] *= decay
-    coeffs[:, p.K + 1 :] *= decay
-    return StringState(p, state.t, coeffs)
+    decay = np.exp(-mode_rates(params.K) / params.J ** 2 * delta)
+    return coeffs * np.concatenate([[1.0], decay, decay])
 
 
 def heat_convolve_samples(samples: FieldSamples, delta: float) -> FieldSamples:
@@ -214,17 +195,18 @@ def heat_convolve_samples(samples: FieldSamples, delta: float) -> FieldSamples:
     return FieldSamples(samples.grid, values)
 
 
-def noise_segment_state(state_s: StringState, state_t: StringState) -> StringState:
-    """Noise accumulated between two states of one trajectory, in coefficient form.
+def noise_segment(
+    params: ModelParams, coeffs_s: np.ndarray, coeffs_t: np.ndarray, delta: float
+) -> np.ndarray:
+    """Noise accumulated from the string `coeffs_s` at time s to the string
+    `coeffs_t` of the same trajectory at t = s + delta, in coefficient form.
 
-    N(s, t; x) = u(t, x) - (G_{t-s} * u(s))(x); for states produced by
-    `evolve` this isolates exactly the Gaussian innovations of (s, t].  The
-    result is stamped with state_t's time; `evaluate` gives it on the grid.
+    N(s, t; x) = u(t, x) - (G_{t-s} * u(s))(x); for strings produced by
+    `evolve` this isolates exactly the Gaussian innovations of (s, t].
     """
-    if state_s.t >= state_t.t:
-        raise ValueError("need state_s.t < state_t.t")
-    smoothed = heat_convolve_state(state_s, state_t.t - state_s.t)
-    return StringState(state_t.params, state_t.t, state_t.coeffs - smoothed.coeffs)
+    if delta <= 0:
+        raise ValueError("need delta = t - s > 0")
+    return coeffs_t - heat_convolve(params, coeffs_s, delta)
 
 
 def sample_stationary_field(
@@ -243,10 +225,8 @@ def sample_stationary_field(
     coeffs = np.zeros((p.d, 2 * p.K + 1))
     coeffs[:, 1 : p.K + 1] = draws[:, : p.K] * sd
     coeffs[:, p.K + 1 :] = draws[:, p.K :] * sd
-    state = StringState(p, 0.0, coeffs)
-    samples = evaluate(state)
-    values = samples.values - samples.values[0][None, :]
-    return FieldSamples(samples.grid, values)
+    values = grid_values(p, coeffs)
+    return FieldSamples(p.grid(), values - values[0][None, :])
 
 
 def variance_series(

@@ -179,8 +179,8 @@ def n_workers(requested: int | None = None) -> int:
             requested = int(env_val)
         except ValueError:
             raise ValueError(f"STRING_SAUSAGE_THREADS={env_val!r} is not an integer") from None
-    if requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
+    if not isinstance(requested, int) or requested < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {requested!r}")
     return requested
 
 
@@ -269,6 +269,8 @@ def quenched(
     """
     if env is None:
         raise ValueError("quenched estimation requires an explicit environment")
+    if env.box.d != params.d:
+        raise ValueError(f"environment has dimension {env.box.d}, the string d={params.d}")
     if height is not None and height < 0:
         raise ValueError("soft indicator height must be >= 0")
     if n_rep < 100:

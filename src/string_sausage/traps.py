@@ -50,7 +50,11 @@ class PoissonEnvironment:
     nu: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, float).reshape(-1, self.box.d)
+        pts = np.asarray(self.points, float)
+        if pts.size == 0:
+            pts = pts.reshape(0, self.box.d)
+        if pts.ndim != 2 or pts.shape[1] != self.box.d:
+            raise ValueError(f"trap points must have shape (n, {self.box.d}), got {pts.shape}")
         object.__setattr__(self, "points", pts)
         if pts.size and not np.all(self.box.contains(pts)):
             raise ValueError("all trap points must lie inside the box")
@@ -71,8 +75,11 @@ class PoissonEnvironment:
     @classmethod
     def from_json(cls, text: str) -> "PoissonEnvironment":
         obj = json.loads(text)
-        box = Box(np.asarray(obj["box"]["lower"]), np.asarray(obj["box"]["upper"]))
-        return cls(np.asarray(obj["points"], float), box, float(obj["nu"]))
+        try:
+            box = Box(np.asarray(obj["box"]["lower"]), np.asarray(obj["box"]["upper"]))
+            return cls(np.asarray(obj["points"], float), box, float(obj["nu"]))
+        except KeyError as exc:
+            raise ValueError(f"environment JSON lacks the key {exc}") from None
 
 
 def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> PoissonEnvironment:

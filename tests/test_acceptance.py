@@ -25,7 +25,7 @@ from string_sausage.asymptotics import (
 )
 from string_sausage.cli import run_config
 from string_sausage.rng import AUX, MC, substream
-from string_sausage.spectral import StringState, evolve, mode_rates, zero_state
+from string_sausage.spectral import evolve, mode_rates
 from string_sausage.statistics import independence_test, range_of
 
 # Frozen oracle values (computed independently of the library):
@@ -49,9 +49,8 @@ def test_criterion_01_spectral_exactness():
     t_start = time.monotonic()
     p = ss.ModelParams(d=400, K=8, M=17, dt=0.05, eps_tail=5e-2)
     coeffs = np.ones((p.d, 2 * p.K + 1))
-    state = StringState(p, 0.0, coeffs)
     ends = np.concatenate(
-        [evolve(state, p.dt, substream(1001, AUX, r))[-1] for r in range(50)], axis=0
+        [evolve(p, coeffs, p.dt, substream(1001, AUX, r))[-1] for r in range(50)], axis=0
     )  # 20000 transitions per column
     n = ends.shape[0]
     lam = mode_rates(p.K)

@@ -93,11 +93,12 @@ def write_env(path):
         (["--soft", "--height", "-1", "--n", "100", "--threads", "1"], None),
         (["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"], None),
         (["--hard", "--height", "2", "--n", "100", "--threads", "1"], None),
+        (["--n", "100", "--threads", "1", "--env", "TMP_DIR"], None),
     ],
     ids=[
         "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
         "soft_via_volume", "quenched_via_volume", "negative_height", "quenched_negative_height_T_zero",
-        "height_without_soft",
+        "height_without_soft", "env_is_directory",
     ],
 )
 def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
@@ -105,10 +106,34 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
         monkeypatch.delenv("STRING_SAUSAGE_THREADS", raising=False)
     else:
         monkeypatch.setenv("STRING_SAUSAGE_THREADS", threads_env)
-    argv = [write_env(tmp_path / "env.json") if a == "ENV_FILE" else a for a in argv]
+    files = {"ENV_FILE": write_env(tmp_path / "env.json"), "TMP_DIR": str(tmp_path)}
+    argv = [files.get(a, a) for a in argv]
     code = main(["survival", "--T", "0.5", "--seed", "1", *argv])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, argv, cause",
+    [
+        ('{"nu": 1}', [], "'box'"),
+        # six coordinates would also read as three 2-D traps
+        ('{"nu": 1, "box": {"lower": [0, 0], "upper": [1, 1]}, '
+         '"points": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]}', [], "shape (n, 2)"),
+        (None, ["--d", "3"], "dimension 2"),
+    ],
+    ids=["missing_key", "points_of_wrong_dimension", "box_dimension_differs_from_d"],
+)
+def test_malformed_env_file_exit_2(text, argv, cause, capsys, tmp_path):
+    env_file = tmp_path / "env.json"
+    if text is None:
+        write_env(env_file)
+    else:
+        env_file.write_text(text)
+    code = main(["survival", "--T", "0.5", "--n", "100", "--seed", "1", "--threads", "1",
+                 "--env", str(env_file), *argv])
+    assert code == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
 
 
 def test_scaling_check_subcommand(capsys):
@@ -181,6 +206,14 @@ def test_fit_bad_columns_exit_2(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_fit_blank_stderr_exit_2(capsys, tmp_path):
+    # a weighted fit needs every stderr; dropping the column for all rows would hide the gap
+    data = tmp_path / "gap.csv"
+    data.write_text("T,neg_log_S,stderr\n1,7.0,0.1\n2,9.9,\n4,14.0,0.2\n8,19.8,0.3\n16,28.0,0.4\n")
+    assert main(["fit", "--input", str(data)]) == EXIT_CONFIG
+    assert "blank stderr" in capsys.readouterr().err
+
+
 def test_parse_config_flat_and_json(tmp_path):
     flat = tmp_path / "c.cfg"
     flat.write_text("experiment = survival\nseed = 5\nT = [1.0, 2.0]\n# comment\n")
@@ -244,6 +277,12 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
     assert code == EXIT_CONFIG
     code, _ = run_cli(["run", "--config", str(tmp_path / "missing.cfg")], capsys)
     assert code == EXIT_CONFIG
+    code, _ = run_cli(["run", "--config", str(tmp_path)], capsys)
+    assert code == EXIT_CONFIG
+    for threads in ('"two"', "1.5"):
+        cfg.write_text(f"seed = 1\nn_replicas = 100\nthreads = {threads}\n")
+        code, _ = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG, threads
 
 
 def test_quenched_roundtrip_via_env_file(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 from string_sausage import rng as streams
 from string_sausage.rng import NOISE, substream
 from string_sausage.simulate import Trace, brownian_path, simulate
-from string_sausage.spectral import ModelParams, evaluate, mode_rates
+from string_sausage.spectral import ModelParams, evaluate_at, mode_rates
 
 
 def params(**kw):
@@ -59,11 +59,11 @@ def test_simulate_opens_one_stream(monkeypatch):
     assert calls == [(5, NOISE, 2)]
 
 
-def test_trace_values_match_evaluate():
+def test_trace_values_match_pointwise_series():
     p = params()
     tr = simulate(p, 7)
     for i in (0, 2, tr.n_snapshots - 1):
-        np.testing.assert_allclose(tr.values[i], evaluate(tr.state(i)).values, atol=1e-12)
+        np.testing.assert_allclose(tr.values[i], evaluate_at(p, tr.coeffs[i], p.grid()), atol=1e-12)
 
 
 def test_trace_cloud_shape_and_meta():

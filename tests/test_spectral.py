@@ -6,15 +6,15 @@ from scipy.integrate import quad
 
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
+    FieldSamples,
     ModelParams,
-    StringState,
-    evaluate,
     evaluate_at,
     evolve,
+    grid_values,
+    heat_convolve,
     heat_convolve_samples,
-    heat_convolve_state,
     mode_rates,
-    noise_segment_state,
+    noise_segment,
     sample_stationary_field,
     variance_series,
     zero_state,
@@ -27,9 +27,9 @@ def small_params(**kw):
     return ModelParams(**defaults)
 
 
-def evolved(state, delta, rng):
-    """The string one `evolve` step of `delta` after `state`."""
-    return StringState(state.params, state.t + delta, evolve(state, delta, rng)[-1])
+def evolved(p, c, delta, rng):
+    """The string one `evolve` step of `delta` after the string `c`."""
+    return evolve(p, c, delta, rng)[-1]
 
 
 def test_mode_rates():
@@ -57,31 +57,24 @@ def test_tail_variance_decreases_with_K():
 def test_evaluate_matches_pointwise_formula():
     p = small_params(d=1)
     rng = substream(0, AUX, 0)
-    state = evolved(zero_state(p), 0.3, rng)
-    grid_vals = evaluate(state).values
-    direct = evaluate_at(state, p.grid())
-    np.testing.assert_allclose(grid_vals, direct, atol=1e-12)
+    c = evolved(p, zero_state(p), 0.3, rng)
+    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, p.grid()), atol=1e-12)
 
 
 def test_evaluate_general_J():
     p = small_params(d=1, J=2.0)
     rng = substream(0, AUX, 1)
-    state = evolved(zero_state(p), 0.3, rng)
-    np.testing.assert_allclose(
-        evaluate(state).values, evaluate_at(state, p.grid()), atol=1e-12
-    )
+    c = evolved(p, zero_state(p), 0.3, rng)
+    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, p.grid()), atol=1e-12)
 
 
 def test_ou_transition_moments():
     """One-step empirical mean/variance of each mode against the closed form."""
     p = ModelParams(d=400, K=4, M=16, dt=0.05, eps_tail=5e-2)
-    start = zero_state(p)
-    coeffs = start.coeffs.copy()
-    coeffs[:, :] = 1.0  # deterministic start for every mode
-    state = StringState(p, 0.0, coeffs)
+    start = np.ones((p.d, 2 * p.K + 1))  # deterministic start for every mode
     ends = []
     for r in range(50):
-        ends.append(evolve(state, p.dt, substream(11, AUX, r))[-1])
+        ends.append(evolve(p, start, p.dt, substream(11, AUX, r))[-1])
     ends = np.concatenate(ends, axis=0)  # (400*50, 2K+1) transitions per column
     lam = mode_rates(p.K)
     decay = np.exp(-lam * p.dt)
@@ -100,68 +93,86 @@ def test_ou_transition_moments():
 
 def test_multi_step_evolve_equals_single_steps():
     p = small_params(d=3)
-    start = evolved(zero_state(p), 0.2, substream(9, AUX, 0))
-    path = evolve(start, 0.05, substream(9, AUX, 1), steps=7)
+    start = evolved(p, zero_state(p), 0.2, substream(9, AUX, 0))
+    path = evolve(p, start, 0.05, substream(9, AUX, 1), steps=7)
     assert path.shape == (8, p.d, 2 * p.K + 1)
-    np.testing.assert_array_equal(path[0], start.coeffs)
+    np.testing.assert_array_equal(path[0], start)
     rng = substream(9, AUX, 1)
-    state = start
+    c = start
     for i in range(1, 8):
-        state = evolved(state, 0.05, rng)
-        np.testing.assert_array_equal(path[i], state.coeffs)
-    np.testing.assert_array_equal(evolve(start, 0.05, rng, steps=0), start.coeffs[None])
+        c = evolved(p, c, 0.05, rng)
+        np.testing.assert_array_equal(path[i], c)
+    np.testing.assert_array_equal(evolve(p, start, 0.05, rng, steps=0), start[None])
     with pytest.raises(ValueError):
-        evolve(start, 0.05, rng, steps=-1)
+        evolve(p, start, 0.05, rng, steps=-1)
+
+
+@pytest.mark.parametrize(
+    "start, cause",
+    [
+        (np.zeros((2, 17)), "shape"),
+        (np.zeros((3, 18)), "shape"),
+        (np.zeros(3 * 17), "shape"),
+        (np.pad([[np.inf]], ((1, 1), (5, 11))), "finite"),
+        (np.full((3, 17), np.nan), "finite"),
+    ],
+    ids=["too_few_coordinates", "too_many_modes", "flat", "one_infinite", "nan"],
+)
+def test_evolve_rejects_malformed_start(start, cause):
+    p = small_params(d=3)  # start must be (3, 17)
+    with pytest.raises(ValueError, match=cause):
+        evolve(p, start, 0.05, substream(9, AUX, 2))
 
 
 def test_heat_semigroup_property():
     p = small_params(d=1)
-    state = evolved(zero_state(p), 0.5, substream(4, AUX, 0))
-    once = heat_convolve_state(state, 0.7)
-    twice = heat_convolve_state(heat_convolve_state(state, 0.3), 0.4)
-    np.testing.assert_allclose(once.coeffs, twice.coeffs, atol=1e-14)
+    c = evolved(p, zero_state(p), 0.5, substream(4, AUX, 0))
+    once = heat_convolve(p, c, 0.7)
+    twice = heat_convolve(p, heat_convolve(p, c, 0.3), 0.4)
+    np.testing.assert_allclose(once, twice, atol=1e-14)
 
 
 def test_heat_convolve_samples_matches_state_route():
     p = small_params(d=2)
-    state = evolved(zero_state(p), 0.5, substream(5, AUX, 0))
-    via_state = evaluate(heat_convolve_state(state, 0.2))
-    via_samples = heat_convolve_samples(evaluate(state), 0.2)
-    np.testing.assert_allclose(via_state.values, via_samples.values, atol=1e-10)
+    c = evolved(p, zero_state(p), 0.5, substream(5, AUX, 0))
+    via_coeffs = grid_values(p, heat_convolve(p, c, 0.2))
+    via_samples = heat_convolve_samples(FieldSamples(p.grid(), grid_values(p, c)), 0.2)
+    np.testing.assert_allclose(via_coeffs, via_samples.values, atol=1e-10)
 
 
 def test_heat_convolve_preserves_mean_and_contracts_range():
     p = small_params(d=1)
-    state = evolved(zero_state(p), 0.4, substream(6, AUX, 0))
-    f = evaluate(state)
+    c = evolved(p, zero_state(p), 0.4, substream(6, AUX, 0))
+    f = FieldSamples(p.grid(), grid_values(p, c))
     g = heat_convolve_samples(f, 0.5)
     assert abs(f.values.mean() - g.values.mean()) < 1e-12
     # the heat kernel averages, so the continuum range contracts; compare on
     # a fine grid since coarse-grid extrema undershoot the continuum ones
     x = np.linspace(0.0, 1.0, 1024, endpoint=False)
-    f_fine = evaluate_at(state, x)
-    g_fine = evaluate_at(heat_convolve_state(state, 0.5), x)
+    f_fine = evaluate_at(p, c, x)
+    g_fine = evaluate_at(p, heat_convolve(p, c, 0.5), x)
     assert np.ptp(g_fine) <= np.ptp(f_fine) + 1e-12
 
 
 def test_noise_segment_definition():
     p = small_params(d=2)
     rng = substream(7, AUX, 0)
-    s1 = evolved(zero_state(p), 0.3, rng)
-    s2 = evolved(s1, 0.4, rng)
-    seg_state = noise_segment_state(s1, s2)
-    assert seg_state.t == s2.t
-    expected = evaluate(s2).values - evaluate(heat_convolve_state(s1, 0.4)).values
-    np.testing.assert_allclose(evaluate(seg_state).values, expected, atol=1e-12)
+    s1 = evolved(p, zero_state(p), 0.3, rng)
+    s2 = evolved(p, s1, 0.4, rng)
+    seg = noise_segment(p, s1, s2, 0.4)
+    expected = grid_values(p, s2) - grid_values(p, heat_convolve(p, s1, 0.4))
+    np.testing.assert_allclose(grid_values(p, seg), expected, atol=1e-12)
+    with pytest.raises(ValueError):
+        noise_segment(p, s1, s2, 0.0)
 
 
 def test_noise_segment_with_zero_initial_state_is_whole_field():
     p = small_params(d=1)
     rng = substream(8, AUX, 0)
     s0 = zero_state(p)
-    s1 = evolved(s0, 0.6, rng)
-    seg = evaluate(noise_segment_state(s0, s1))
-    np.testing.assert_allclose(seg.values, evaluate(s1).values, atol=1e-12)
+    s1 = evolved(p, s0, 0.6, rng)
+    seg = grid_values(p, noise_segment(p, s0, s1, 0.6))
+    np.testing.assert_allclose(seg, grid_values(p, s1), atol=1e-12)
 
 
 def test_variance_series_u_against_quadrature():

@@ -131,3 +131,10 @@ def test_environment_rejects_outside_points():
     pts = np.array([[2.0, 2.0]])
     with pytest.raises(ValueError):
         PoissonEnvironment(pts, box, 1.0)
+
+
+def test_environment_points_must_match_box_dimension():
+    box = Box(np.zeros(2), np.ones(2))
+    assert PoissonEnvironment([], box, 1.0).points.shape == (0, 2)
+    with pytest.raises(ValueError, match="shape"):
+        PoissonEnvironment(np.full((2, 3), 0.5), box, 1.0)  # would reshape to three 2-D traps
