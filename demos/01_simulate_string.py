@@ -18,7 +18,7 @@ print("snapshots:", trace.n_snapshots)
 print("final center of mass:", np.round(record.X[-1], 4))
 print("final radius:", round(float(record.R[-1]), 4))
 print("max radius over the run:", round(float(record.R.max()), 4))
-print("final range:", round(ss.range_of(trace.samples(trace.n_snapshots - 1)), 4))
+print("final range:", round(ss.range_of(trace.values[-1]), 4))
 
 # the center of mass should diffuse like sqrt(t) while the radius stays O(1)
 print("\n  t      |X_t|    R_t")

@@ -12,6 +12,7 @@ import numpy as np
 
 import string_sausage as ss
 from string_sausage.rng import MC, substream
+from string_sausage.spectral import grid_values
 
 params = ss.ModelParams(d=2, K=16, M=64, dt=0.02, T=1.0, a=0.3, eps_tail=2e-3)
 cloud = ss.simulate(params, seed=11).cloud()
@@ -43,5 +44,5 @@ print("segment slope:", round(ss.box_counting_dimension(seg, scales).slope, 3))
 
 p3 = ss.ModelParams(d=3, K=256, M=16384, eps_tail=1e-2)
 field = ss.sample_stationary_field(p3, substream(13, MC, 0))
-res = ss.box_counting_dimension(field.values, np.geomspace(0.5, 0.03, 5))
+res = ss.box_counting_dimension(grid_values(p3, field), np.geomspace(0.5, 0.03, 5))
 print("stationary-field image slope:", round(res.slope, 3), "(tends to 2 as K grows)")

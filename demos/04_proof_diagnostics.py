@@ -20,7 +20,7 @@ params = ss.ModelParams(d=2, K=32, M=128, eps_tail=2e-3)
 worst = 0.0
 for r in range(50):
     f = ss.sample_stationary_field(params, substream(31, AUX, r))
-    rep = ss.range_smoothing_check(f, t=1.0)
+    rep = ss.range_smoothing_check(params, f, t=1.0)
     worst = max(worst, rep.lhs / rep.rhs)
     assert rep.holds
 print(f"range smoothing: bound holds on 50 stationary fields (worst lhs/rhs = {worst:.3f})")

@@ -17,12 +17,10 @@ from . import rng as streams
 from .geometry import PointCloud, sausage_volume_hit_or_miss
 from .simulate import Trace
 from .spectral import (
-    FieldSamples,
     ModelParams,
     evolve,
     grid_values,
     heat_convolve,
-    heat_convolve_samples,
     noise_segment,
     variance_series,
     zero_state,
@@ -131,22 +129,24 @@ class RangeSmoothingReport:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-15
+        return self.lhs <= self.rhs * (1.0 + 1e-9)
 
 
-def range_smoothing_check(f: FieldSamples, t: float) -> RangeSmoothingReport:
-    """Verify range(G_t * f) <= 4 d e^{-2 pi^2 t} ||f - mean||_2 (t >= 1).
+def range_smoothing_check(params: ModelParams, coeffs: np.ndarray, t: float) -> RangeSmoothingReport:
+    """Verify range(G_t * f) <= 4 d e^{-2 pi^2 t} ||f - mean||_2 (t >= 1) for
+    the field f with coefficients `coeffs` (d, 2K+1).
 
-    The L2 norm is the grid quadrature of |f - spatial mean| over the circle.
+    The grid is read as the unit circle at any J: G_t runs for time t J^2,
+    so mode k decays by e^{-2 pi^2 k^2 t}.  Mode 0 is zeroed first, as range
+    is shift-invariant; the L2 norm is the grid quadrature of |f - mean|.
     """
     if t < 1:
         warnings.warn("range_smoothing_check called with t < 1 (outside its hypothesis)")
-    d = f.values.shape[1]
-    smoothed = heat_convolve_samples(f, t)
-    lhs = range_of(smoothed)
-    centered = f.values - f.values.mean(axis=0, keepdims=True)
-    l2 = math.sqrt(float((centered ** 2).sum(axis=1).mean()))
-    rhs = 4.0 * d * math.exp(-2.0 * math.pi ** 2 * t) * l2
+    centered = coeffs.copy()
+    centered[:, 0] = 0.0
+    lhs = range_of(grid_values(params, heat_convolve(params, centered, t * params.J ** 2)))
+    l2 = math.sqrt(float((grid_values(params, centered) ** 2).sum(axis=1).mean()))
+    rhs = 4.0 * params.d * math.exp(-2.0 * math.pi ** 2 * t) * l2
     return RangeSmoothingReport(t, lhs, rhs)
 
 

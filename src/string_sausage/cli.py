@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
     p = params_from(args)
     trace = simulate(p, args.seed, replica=args.replica)
     rec = trace.path_record()
-    final_range = range_of(trace.samples(trace.n_snapshots - 1))
+    final_range = range_of(trace.values[-1])
     summary = {
         "command": "simulate",
         "final_com": rec.X[-1].tolist(),
@@ -282,7 +282,7 @@ def cmd_diagnostics(args) -> int:
     for t in (1.0, 2.0):
         for _ in range(args.n_smoothing):
             f = sample_stationary_field(p, rng)
-            if not range_smoothing_check(f, t).holds:
+            if not range_smoothing_check(p, f, t).holds:
                 n_fail += 1
     summary["range_smoothing_failures"] = n_fail
     rows.append(row("diagnostics", p, "range_smoothing_failures", float(n_fail), 0.0,
@@ -417,20 +417,31 @@ def _as_list(v):
     return v if isinstance(v, list) else [v]
 
 
+def _convert(name: str, value, kind: type):
+    """`kind(value)`, with a value of the wrong type reported as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config value {name} = {value!r} cannot be read as {kind.__name__}") from None
+
+
 def run_config(config: dict) -> tuple[list[dict], dict]:
     if "seed" not in config:
         raise ValueError("config must set `seed` explicitly")
-    seed = int(config["seed"])
+    seed = _convert("seed", config["seed"], int)
     experiment = config.get("experiment", "survival")
-    n_rep = int(config.get("n_replicas", 200))
+    n_rep = _convert("n_replicas", config.get("n_replicas", 200), int)
     workers = config.get("threads")
     method = config.get("method", "hard_direct")
-    sweeps = {name: _as_list(config.get(name, MODEL_DEFAULTS[name])) for name in ("T", "J", "nu", "a")}
+    sweeps = {
+        name: [_convert(name, v, float) for v in _as_list(config.get(name, MODEL_DEFAULTS[name]))]
+        for name in ("T", "J", "nu", "a")
+    }
     for name, values in sweeps.items():
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
     base = {
-        name: type(MODEL_DEFAULTS[name])(config.get(name, MODEL_DEFAULTS[name]))
+        name: _convert(name, config.get(name, MODEL_DEFAULTS[name]), type(MODEL_DEFAULTS[name]))
         for name in ("d", "K", "M", "dt", "eps_tail")
     }
     rows = []
@@ -439,7 +450,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         for J in sweeps["J"]:
             for nu in sweeps["nu"]:
                 for a in sweeps["a"]:
-                    p = ModelParams(J=float(J), nu=float(nu), a=float(a), T=float(T), **base)
+                    p = ModelParams(J=J, nu=nu, a=a, T=T, **base)
                     if experiment == "survival":
                         est = annealed_hard(p, n_rep, seed + idx, method=method, workers=workers)
                         rows.append(row("survival", p, est.method, est.p_hat, est.stderr,

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FieldSamples
-
 
 @dataclass(frozen=True)
 class PathRecord:
@@ -54,13 +52,13 @@ def _diameter(points: np.ndarray) -> float:
     return best
 
 
-def range_of(samples) -> float:
-    """Range sup_{x,y} |f(x) - f(y)| of a circle-indexed function.
+def range_of(values) -> float:
+    """Range sup_{x,y} |f(x) - f(y)| of a circle-indexed function sampled (M,) or (M, d).
 
     Computed as the exact diameter of the sampled point set, hence a
     (one-sided) underestimate of the continuum supremum.
     """
-    values = samples.values if isinstance(samples, FieldSamples) else np.asarray(samples, float)
+    values = np.asarray(values, float)
     if values.ndim == 1:
         values = values[:, None]
     if values.shape[0] == 0:

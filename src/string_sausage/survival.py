@@ -220,6 +220,8 @@ def annealed_hard(
     """
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")
+    if method not in ("hard_direct", "hard_via_volume"):
+        raise ValueError(f"unknown method {method!r}")
     if params.T == 0:
         # empty time integral: the survival weight is exp(-0) for every path
         return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
@@ -227,10 +229,8 @@ def annealed_hard(
     if method == "hard_direct":
         hits = _run_batches(_hard_direct, params, seed, (), n_rep, w)
         return _indicator_stats(hits, "hard_direct", params)
-    if method == "hard_via_volume":
-        weights = _run_batches(_hard_volume, params, seed, (n_mc,), n_rep, w)
-        return _weight_stats(weights, "hard_via_volume", params)
-    raise ValueError(f"unknown method {method!r}")
+    weights = _run_batches(_hard_volume, params, seed, (n_mc,), n_rep, w)
+    return _weight_stats(weights, "hard_via_volume", params)
 
 
 def annealed_soft(

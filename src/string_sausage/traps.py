@@ -75,11 +75,19 @@ class PoissonEnvironment:
     @classmethod
     def from_json(cls, text: str) -> "PoissonEnvironment":
         obj = json.loads(text)
-        try:
-            box = Box(np.asarray(obj["box"]["lower"]), np.asarray(obj["box"]["upper"]))
-            return cls(np.asarray(obj["points"], float), box, float(obj["nu"]))
-        except KeyError as exc:
-            raise ValueError(f"environment JSON lacks the key {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError("environment JSON must be an object")
+
+        def member(key, convert):
+            try:
+                return convert(obj[key])
+            except KeyError as exc:
+                raise ValueError(f"environment JSON lacks the key {exc}") from None
+            except TypeError:
+                raise ValueError(f"environment JSON member {key!r} has the wrong type") from None
+
+        box = member("box", lambda b: Box(np.asarray(b["lower"], float), np.asarray(b["upper"], float)))
+        return cls(member("points", lambda v: np.asarray(v, float)), box, member("nu", float))
 
 
 def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> PoissonEnvironment:

@@ -25,7 +25,7 @@ from string_sausage.asymptotics import (
 )
 from string_sausage.cli import run_config
 from string_sausage.rng import AUX, MC, substream
-from string_sausage.spectral import evolve, mode_rates
+from string_sausage.spectral import evolve, grid_values, mode_rates
 from string_sausage.statistics import independence_test, range_of
 
 # Frozen oracle values (computed independently of the library):
@@ -191,7 +191,7 @@ def test_criterion_08_deterministic_inequalities():
     for r in range(50):
         f = ss.sample_stationary_field(p, substream(1009, AUX, r))
         for t in (1.0, 2.0):
-            if not range_smoothing_check(f, t).holds:
+            if not range_smoothing_check(p, f, t).holds:
                 smooth_fail += 1
 
     rng = substream(1010, AUX, 0)
@@ -272,7 +272,7 @@ def test_criterion_10_box_counting():
     scales = np.geomspace(0.5, 0.5 / 16.5, 5)
     p = ss.ModelParams(d=3, K=32768 // 2 - 1, M=32768, eps_tail=1e-2)
     f = ss.sample_stationary_field(p, substream(1011, AUX, 0))
-    field_res = ss.box_counting_dimension(f.values, scales)
+    field_res = ss.box_counting_dimension(grid_values(p, f), scales)
     field_ok = field_res.slope >= 1.7
 
     steps = substream(1011, AUX, 1).standard_normal((p.M, p.d)) / math.sqrt(p.M)

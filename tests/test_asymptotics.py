@@ -26,9 +26,10 @@ from string_sausage.asymptotics import (
 from string_sausage.rng import AUX, substream
 from string_sausage.simulate import brownian_path, simulate
 from string_sausage.spectral import (
-    FieldSamples,
     ModelParams,
+    grid_values,
     sample_stationary_field,
+    zero_state,
 )
 from string_sausage.statistics import PathRecord
 
@@ -120,23 +121,54 @@ def test_calibrate_lambda_exceeds_one():
 # range smoothing
 
 
+def cosine_field(mean=0.0, J=1.0):
+    """f = sqrt(2) cos(2 pi x) + mean on the unit circle as coefficients:
+    b_1 = 1 and b0 = mean (d=1, K=64, M=512)."""
+    p = ModelParams(d=1, J=J, K=64, M=512)
+    c = zero_state(p)
+    c[0, 0] = mean
+    c[0, 1] = 1.0
+    return p, c
+
+
 def test_range_smoothing_cosine_oracle():
     """f = sqrt(2) cos(2 pi x), d=1, t=1: LHS = 2 sqrt(2) e^{-2 pi^2},
     RHS = 4 e^{-2 pi^2} * ||f||_2 = 4 e^{-2 pi^2}."""
+    p, c = cosine_field()
     x = np.arange(512) / 512.0
-    f = FieldSamples(x, (math.sqrt(2.0) * np.cos(2 * math.pi * x))[:, None])
-    rep = range_smoothing_check(f, 1.0)
+    np.testing.assert_allclose(grid_values(p, c)[:, 0], math.sqrt(2.0) * np.cos(2 * math.pi * x), atol=1e-14)
+    rep = range_smoothing_check(p, c, 1.0)
     decay = math.exp(-2.0 * math.pi ** 2)
     assert abs(rep.lhs - 2.0 * math.sqrt(2.0) * decay) < 1e-10
     assert abs(rep.rhs - 4.0 * decay) < 1e-10
     assert rep.holds
 
 
+def test_range_smoothing_resolves_t2_under_a_mean():
+    """At t = 2 the smoothed range 2 sqrt(2) e^{-4 pi^2} ~ 2e-17 lies far
+    below the mean 0.3; the check still reads it to 1e-9 relative."""
+    p, c = cosine_field(mean=0.3)
+    rep = range_smoothing_check(p, c, 2.0)
+    decay = math.exp(-4.0 * math.pi ** 2)
+    assert abs(rep.lhs / (2.0 * math.sqrt(2.0) * decay) - 1.0) < 1e-9
+    assert abs(rep.rhs / (4.0 * decay) - 1.0) < 1e-9
+    assert rep.holds
+
+
+def test_range_smoothing_reads_the_unit_circle_at_any_J():
+    # at J = 2 the same coefficients give a field scaled by 1/sqrt(2) and
+    # twice as long; read on the unit circle, lhs/rhs is unchanged
+    for t in (1.0, 2.0):
+        reps = [range_smoothing_check(*cosine_field(J=J), t) for J in (1.0, 2.0)]
+        assert abs(reps[1].lhs / reps[1].rhs - reps[0].lhs / reps[0].rhs) < 1e-12
+
+
 def test_range_smoothing_constant_input():
-    x = np.arange(64) / 64.0
-    f = FieldSamples(x, np.full((64, 2), 3.7))
-    rep = range_smoothing_check(f, 1.5)
-    assert rep.lhs < 1e-12
+    p = ModelParams(d=2, K=32, M=128)
+    c = zero_state(p)
+    c[:, 0] = 3.7
+    rep = range_smoothing_check(p, c, 1.5)
+    assert rep.lhs == 0.0
     assert rep.holds
 
 
@@ -145,14 +177,13 @@ def test_range_smoothing_random_inputs():
     for r in range(30):
         f = sample_stationary_field(p, substream(5, AUX, r))
         for t in (1.0, 2.0):
-            assert range_smoothing_check(f, t).holds
+            assert range_smoothing_check(p, f, t).holds
 
 
 def test_range_smoothing_warns_below_hypothesis():
-    x = np.arange(64) / 64.0
-    f = FieldSamples(x, np.zeros((64, 1)))
+    p = ModelParams(d=1, K=32, M=128)
     with pytest.warns(UserWarning):
-        range_smoothing_check(f, 0.5)
+        range_smoothing_check(p, zero_state(p), 0.5)
 
 
 # ---------------------------------------------------------------------------

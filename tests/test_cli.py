@@ -121,8 +121,13 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
         ('{"nu": 1, "box": {"lower": [0, 0], "upper": [1, 1]}, '
          '"points": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]}', [], "shape (n, 2)"),
         (None, ["--d", "3"], "dimension 2"),
+        ("[]", [], "must be an object"),
+        ('{"nu": [1], "box": {"lower": [0, 0], "upper": [1, 1]}, "points": [[0.5, 0.5]]}', [],
+         "'nu' has the wrong type"),
+        ('{"nu": 1, "box": 5, "points": [[0.5, 0.5]]}', [], "'box' has the wrong type"),
     ],
-    ids=["missing_key", "points_of_wrong_dimension", "box_dimension_differs_from_d"],
+    ids=["missing_key", "points_of_wrong_dimension", "box_dimension_differs_from_d",
+         "not_an_object", "nu_of_wrong_type", "box_of_wrong_type"],
 )
 def test_malformed_env_file_exit_2(text, argv, cause, capsys, tmp_path):
     env_file = tmp_path / "env.json"
@@ -283,6 +288,10 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
         cfg.write_text(f"seed = 1\nn_replicas = 100\nthreads = {threads}\n")
         code, _ = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG, threads
+    for line in ("seed = [1]", 'seed = 1\nn_replicas = {"a": 1}', "seed = 1\nK = [16]"):
+        cfg.write_text(line + "\n")
+        code, _ = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG, line
 
 
 def test_quenched_roundtrip_via_env_file(capsys, tmp_path):

@@ -38,3 +38,40 @@ def test_library_modules_use_every_import():
     assert modules
     unused = {f.name: unused_imports(f.read_text(encoding="utf-8")) for f in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def fft_callers(source: str) -> list[str]:
+    """Functions (module level: `<module>`) that reach `np.fft` / `numpy.fft`."""
+    tree = ast.parse(source)
+    callers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fft"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ) or (isinstance(node, ast.ImportFrom) and node.module and "fft" in node.module.split(".")):
+            callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_fft_check_sees_a_second_caller():
+    source = "import numpy as np\ndef a(x):\n    return np.fft.rfft(x)\ndef b(x):\n    return np.fft.irfft(x)\n"
+    assert fft_callers(source) == ["a", "b"]
+
+
+def test_only_grid_values_reaches_the_fft():
+    # one field-evaluation path: coefficients reach the grid through spectral.grid_values
+    callers = {
+        (f.stem, name)
+        for f in sorted(ROOT.glob("src/string_sausage/*.py"))
+        for name in fft_callers(f.read_text(encoding="utf-8"))
+    }
+    assert callers == {("spectral", "grid_values")}

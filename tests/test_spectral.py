@@ -6,13 +6,11 @@ from scipy.integrate import quad
 
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
-    FieldSamples,
     ModelParams,
     evaluate_at,
     evolve,
     grid_values,
     heat_convolve,
-    heat_convolve_samples,
     mode_rates,
     noise_segment,
     sample_stationary_field,
@@ -132,25 +130,16 @@ def test_heat_semigroup_property():
     np.testing.assert_allclose(once, twice, atol=1e-14)
 
 
-def test_heat_convolve_samples_matches_state_route():
-    p = small_params(d=2)
-    c = evolved(p, zero_state(p), 0.5, substream(5, AUX, 0))
-    via_coeffs = grid_values(p, heat_convolve(p, c, 0.2))
-    via_samples = heat_convolve_samples(FieldSamples(p.grid(), grid_values(p, c)), 0.2)
-    np.testing.assert_allclose(via_coeffs, via_samples.values, atol=1e-10)
-
-
 def test_heat_convolve_preserves_mean_and_contracts_range():
     p = small_params(d=1)
     c = evolved(p, zero_state(p), 0.4, substream(6, AUX, 0))
-    f = FieldSamples(p.grid(), grid_values(p, c))
-    g = heat_convolve_samples(f, 0.5)
-    assert abs(f.values.mean() - g.values.mean()) < 1e-12
+    g = heat_convolve(p, c, 0.5)
+    assert abs(grid_values(p, c).mean() - grid_values(p, g).mean()) < 1e-12
     # the heat kernel averages, so the continuum range contracts; compare on
     # a fine grid since coarse-grid extrema undershoot the continuum ones
     x = np.linspace(0.0, 1.0, 1024, endpoint=False)
     f_fine = evaluate_at(p, c, x)
-    g_fine = evaluate_at(p, heat_convolve(p, c, 0.5), x)
+    g_fine = evaluate_at(p, g, x)
     assert np.ptp(g_fine) <= np.ptp(f_fine) + 1e-12
 
 
@@ -215,9 +204,9 @@ def test_stationary_field_anchored_and_variance():
     p = ModelParams(d=1, K=64, M=192)
     diffs = []
     for r in range(400):
-        f = sample_stationary_field(p, substream(13, AUX, r))
-        assert abs(f.values[0, 0]) < 1e-12  # anchored at x = 0
-        diffs.append(f.values[p.M // 2, 0])  # difference at x = 1/2 vs anchor
+        f = grid_values(p, sample_stationary_field(p, substream(13, AUX, r)))
+        assert abs(f[0, 0]) < 1e-12  # anchored at x = 0
+        diffs.append(f[p.M // 2, 0])  # difference at x = 1/2 vs anchor
     v = np.var(diffs)
     target = variance_series("N1diff", 0.0, 0.0, 0.5, K=64)
     se = target * math.sqrt(2.0 / len(diffs))

@@ -77,6 +77,8 @@ def test_annealed_needs_replicas_and_known_method():
         annealed_hard(p, 50, seed=1)
     with pytest.raises(ValueError):
         annealed_hard(p, 100, seed=1, method="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        annealed_hard(params(T=0.0), 100, seed=1, method="bogus")
 
 
 def test_annealed_hard_monotone_in_intensity():
