@@ -418,8 +418,12 @@ def _as_list(v):
 
 
 def _convert(name: str, value, kind: type):
-    """`kind(value)`, with a value of the wrong type reported as a config error."""
+    """`kind(value)`, with a value of the wrong type, a boolean or, for an
+    integer key, a fractional number reported as a config error."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
+        if isinstance(value, bool) or fractional:
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise ValueError(f"config value {name} = {value!r} cannot be read as {kind.__name__}") from None
@@ -458,7 +462,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
                     elif experiment == "sausage":
                         cloud = simulate(p, seed + idx, replica=0).cloud()
                         est = sausage_volume_hit_or_miss(
-                            cloud, p.a, int(config.get("n_mc", 20000)),
+                            cloud, p.a, _convert("n_mc", config.get("n_mc", 20000), int),
                             streams.substream(seed + idx, streams.MC, 0),
                         )
                         rows.append(row("sausage", p, est.method, est.volume, est.stderr,

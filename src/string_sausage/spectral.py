@@ -56,6 +56,9 @@ class ModelParams:
     eps_tail: float = 1e-3
 
     def __post_init__(self):
+        for name in ("J", "nu", "a", "dt", "T", "eps_tail"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d < 1:
             raise ValueError("dimension d must be >= 1")
         if self.J < 1:
@@ -72,6 +75,8 @@ class ModelParams:
             raise ValueError("time step dt must be > 0")
         if self.T < 0:
             raise ValueError("horizon T must be >= 0")
+        if self.T > 0 and self.n_steps == 0:
+            raise ValueError(f"horizon T={self.T!r} rounds to no step of dt={self.dt!r}")
         if self.tail_variance() >= self.eps_tail:
             raise ValueError(
                 f"neglected tail variance {self.tail_variance():.3e} exceeds "
@@ -94,7 +99,7 @@ class ModelParams:
         return int(round(self.T / self.dt))
 
 
-# Kept only as the snapshot list `survival._soft_weight` hands
+# Kept only as the snapshot list `survival._soft` hands
 # `traps.path_functional` (which checks the values are finite): the
 # benchmark's tracing hook reads that argument as `trajectory[0].values`.
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ S_T = E exp(-nu |sausage|).  Soft indicator obstacles weight each path by
 exp(-int int V), where V is `height` times the number of traps within the
 same radius a.  Contact is tested at the sampled (s, x) points only, so
 finite resolution overestimates survival.
+
+`_estimate` is the one estimator body: `annealed_hard`, `annealed_soft`
+and `quenched` check their arguments and hand it a per-replica weight,
+`_hard`, `_hard_volume` or `_soft`.  The hard and soft weights draw traps
+from (ENV, r) around the replica's cloud when no environment is given and
+otherwise use the frozen one.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .spectral import ModelParams
 from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
 
 ENV_PAD_MARGIN = 0.5
+# methods whose replica weight is a survival indicator
+INDICATOR_METHODS = ("hard_direct", "quenched_hard")
 
 
 class ResolutionError(ValueError):
@@ -49,7 +57,7 @@ class SurvivalEstimate:
         if self.params.T == 0:
             return (self.p_hat, self.p_hat)
         z = 1.96
-        if self.method not in ("hard_direct", "quenched_hard"):
+        if self.method not in INDICATOR_METHODS:
             return (self.p_hat - z * self.stderr, self.p_hat + z * self.stderr)
         n, p = self.n_replicas, self.p_hat
         w = z * z / n
@@ -103,25 +111,14 @@ def survive_hard_once(
     return not any_contact(cloud.points, env, a)
 
 
-def _indicator_stats(hits: np.ndarray, method: str, params: ModelParams) -> SurvivalEstimate:
-    n = hits.shape[0]
-    p = float(np.mean(hits))
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    return SurvivalEstimate(p, stderr, n, method, params)
-
-
-def _weight_stats(weights: np.ndarray, method: str, params: ModelParams) -> SurvivalEstimate:
-    n = weights.shape[0]
-    p = float(np.mean(weights))
-    stderr = float(np.std(weights, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return SurvivalEstimate(min(p, 1.0), stderr, n, method, params)
-
-
-def _hard_direct(trace: Trace, seed: int, r: int) -> float:
-    cloud = trace.cloud()
-    p = trace.params
-    env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(seed, streams.ENV, r))
-    return float(survive_hard_once(cloud, env, p.a))
+def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> float:
+    """Contact indicator against `env`, or, when `env` is None, against traps
+    drawn from (ENV, r) around the cloud, whose cover is then enforced."""
+    cloud, p = trace.cloud(), trace.params
+    annealed = env is None
+    if annealed:
+        env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(seed, streams.ENV, r))
+    return float(survive_hard_once(cloud, env, p.a, require_cover=annealed))
 
 
 def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
@@ -132,33 +129,19 @@ def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
     return math.exp(-p.nu * est.volume)
 
 
-def _soft_weight(trace: Trace, env: PoissonEnvironment, height: float) -> float:
-    p = trace.params
-    functional = path_functional(
-        [trace.samples(j) for j in range(trace.n_snapshots)],
-        env,
-        p.a,
-        height,
-        dt=p.dt,
-        dx=p.J / p.M,
-    )
-    return math.exp(-functional)
-
-
-def _soft(trace: Trace, seed: int, r: int, height: float) -> float:
-    p = trace.params
-    env = environment_for_cloud(
-        trace.cloud(), p.nu, p.a, streams.substream(seed, streams.ENV, r)
-    )
-    return _soft_weight(trace, env, height)
-
-
-def _quenched(
-    trace: Trace, seed: int, r: int, env: PoissonEnvironment, height: float | None
+def _soft(
+    trace: Trace, seed: int, r: int, env: PoissonEnvironment | None, height: float
 ) -> float:
-    if height is None:
-        return float(survive_hard_once(trace.cloud(), env, trace.params.a, require_cover=False))
-    return _soft_weight(trace, env, height)
+    """exp(-path functional) against `env`, or, when `env` is None, against
+    traps drawn from (ENV, r) around the cloud."""
+    p = trace.params
+    if env is None:
+        env = environment_for_cloud(
+            trace.cloud(), p.nu, p.a, streams.substream(seed, streams.ENV, r)
+        )
+    samples = [trace.samples(j) for j in range(trace.n_snapshots)]
+    return math.exp(-path_functional(samples, env, p.a, height, dt=p.dt, dx=p.J / p.M))
+
 
 def _replica_batch(args) -> np.ndarray:
     """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk."""
@@ -179,7 +162,7 @@ def n_workers(requested: int | None = None) -> int:
             requested = int(env_val)
         except ValueError:
             raise ValueError(f"STRING_SAUSAGE_THREADS={env_val!r} is not an integer") from None
-    if not isinstance(requested, int) or requested < 1:
+    if isinstance(requested, bool) or not isinstance(requested, int) or requested < 1:
         raise ValueError(f"worker count must be an integer >= 1, got {requested!r}")
     return requested
 
@@ -203,6 +186,28 @@ def _run_batches(
     return np.concatenate(parts)
 
 
+def _estimate(
+    weight, extra: tuple, method: str, params: ModelParams, n_rep: int, seed: int,
+    workers: int | None,
+) -> SurvivalEstimate:
+    """The one estimator body: the mean of the replica weights
+    `weight(trace, seed, r, *extra)` over r = 0..n_rep-1, with the binomial
+    stderr for the indicator methods and the sample stderr otherwise."""
+    if n_rep < 100:
+        raise ValueError("need n_rep >= 100")
+    w = n_workers(workers)
+    if params.T == 0:
+        # empty time integral: the survival weight is exp(-0) for every path
+        return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
+    weights = _run_batches(weight, params, seed, extra, n_rep, w)
+    p = float(np.mean(weights))
+    if method in INDICATOR_METHODS:
+        stderr = math.sqrt(p * (1.0 - p) / n_rep)
+    else:
+        stderr = float(np.std(weights, ddof=1) / math.sqrt(n_rep))
+    return SurvivalEstimate(min(p, 1.0), stderr, n_rep, method, params)
+
+
 def annealed_hard(
     params: ModelParams,
     n_rep: int,
@@ -218,19 +223,10 @@ def annealed_hard(
     exp(-nu * sausage volume) over noise replicas via the Poisson identity.
     Both estimate the same quantity.
     """
-    if n_rep < 100:
-        raise ValueError("need n_rep >= 100")
     if method not in ("hard_direct", "hard_via_volume"):
         raise ValueError(f"unknown method {method!r}")
-    if params.T == 0:
-        # empty time integral: the survival weight is exp(-0) for every path
-        return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
-    w = n_workers(workers)
-    if method == "hard_direct":
-        hits = _run_batches(_hard_direct, params, seed, (), n_rep, w)
-        return _indicator_stats(hits, "hard_direct", params)
-    weights = _run_batches(_hard_volume, params, seed, (n_mc,), n_rep, w)
-    return _weight_stats(weights, "hard_via_volume", params)
+    weight, extra = (_hard, (None,)) if method == "hard_direct" else (_hard_volume, (n_mc,))
+    return _estimate(weight, extra, method, params, n_rep, seed, workers)
 
 
 def annealed_soft(
@@ -244,13 +240,7 @@ def annealed_soft(
     indicator potential of height `height` on the balls B(xi, params.a)."""
     if height < 0:
         raise ValueError("soft indicator height must be >= 0")
-    if n_rep < 100:
-        raise ValueError("need n_rep >= 100")
-    if params.T == 0:
-        return SurvivalEstimate(1.0, 0.0, n_rep, "soft_weight", params)
-    w = n_workers(workers)
-    weights = _run_batches(_soft, params, seed, (height,), n_rep, w)
-    return _weight_stats(weights, "soft_weight", params)
+    return _estimate(_soft, (None, height), "soft_weight", params, n_rep, seed, workers)
 
 
 def quenched(
@@ -273,17 +263,9 @@ def quenched(
         raise ValueError(f"environment has dimension {env.box.d}, the string d={params.d}")
     if height is not None and height < 0:
         raise ValueError("soft indicator height must be >= 0")
-    if n_rep < 100:
-        raise ValueError("need n_rep >= 100")
-    hard = height is None
-    method = "quenched_hard" if hard else "quenched_soft"
-    if params.T == 0:
-        return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
-    w = n_workers(workers)
-    out = _run_batches(_quenched, params, seed, (env, height), n_rep, w)
-    if hard:
-        return _indicator_stats(out, method, params)
-    return _weight_stats(out, method, params)
+    if height is None:
+        return _estimate(_hard, (env,), "quenched_hard", params, n_rep, seed, workers)
+    return _estimate(_soft, (env, height), "quenched_soft", params, n_rep, seed, workers)
 
 
 @dataclass(frozen=True)

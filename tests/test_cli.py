@@ -75,6 +75,24 @@ def test_bad_model_params_exit_2(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--T", "inf"], "T must be finite"),
+        (["--dt", "inf"], "dt must be finite"),
+        (["--dt", "5", "--T", "1"], "rounds to no step"),
+        (["--eps-tail", "nan"], "eps_tail must be finite"),
+        (["--J", "nan"], "J must be finite"),
+        (["--nu", "inf"], "nu must be finite"),
+    ],
+    ids=["T_inf", "dt_inf", "horizon_below_one_step", "eps_tail_nan", "J_nan", "nu_inf"],
+)
+def test_non_finite_model_values_exit_2(argv, cause, capsys):
+    code = main(["survival", "--hard", "--n", "100", "--seed", "1", "--threads", "1", *argv])
+    assert code == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+
+
 def write_env(path):
     env = PoissonEnvironment(np.array([[0.5, 0.5]]), Box(np.zeros(2), np.ones(2)), 1.0)
     path.write_text(env.to_json())
@@ -94,11 +112,17 @@ def write_env(path):
         (["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"], None),
         (["--hard", "--height", "2", "--n", "100", "--threads", "1"], None),
         (["--n", "100", "--threads", "1", "--env", "TMP_DIR"], None),
+        # the worker count is checked before the exact T = 0 estimate returns
+        (["--hard", "--T", "0", "--n", "100", "--threads", "0"], None),
+        (["--via-volume", "--T", "0", "--n", "100", "--threads", "0"], None),
+        (["--soft", "--T", "0", "--n", "100", "--threads", "0"], None),
+        (["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"], None),
     ],
     ids=[
         "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
         "soft_via_volume", "quenched_via_volume", "negative_height", "quenched_negative_height_T_zero",
-        "height_without_soft", "env_is_directory",
+        "height_without_soft", "env_is_directory", "zero_threads_T_zero_hard",
+        "zero_threads_T_zero_via_volume", "zero_threads_T_zero_soft", "zero_threads_T_zero_env",
     ],
 )
 def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
@@ -284,11 +308,16 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
     assert code == EXIT_CONFIG
     code, _ = run_cli(["run", "--config", str(tmp_path)], capsys)
     assert code == EXIT_CONFIG
-    for threads in ('"two"', "1.5"):
+    for threads in ('"two"', "1.5", "true"):
         cfg.write_text(f"seed = 1\nn_replicas = 100\nthreads = {threads}\n")
         code, _ = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG, threads
-    for line in ("seed = [1]", 'seed = 1\nn_replicas = {"a": 1}', "seed = 1\nK = [16]"):
+    for line in (
+        "seed = [1]", 'seed = 1\nn_replicas = {"a": 1}', "seed = 1\nK = [16]",
+        # fractional or boolean values for integer keys are not truncated
+        "seed = 1.7", "seed = true", "seed = 1\nn_replicas = 100.9", "seed = 1\nK = 16.8",
+        "seed = 1\nd = true", "seed = 1\nM = 64.5", "seed = 1\nexperiment = sausage\nn_mc = [2000]",
+    ):
         cfg.write_text(line + "\n")
         code, _ = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == EXIT_CONFIG, line

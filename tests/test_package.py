@@ -40,38 +40,69 @@ def test_library_modules_use_every_import():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def fft_callers(source: str) -> list[str]:
-    """Functions (module level: `<module>`) that reach `np.fft` / `numpy.fft`."""
+def callers(source: str, hit) -> list[str]:
+    """Functions (module level: `<module>`) holding a node for which `hit` is true."""
     tree = ast.parse(source)
-    callers = []
+    found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "fft"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("np", "numpy")
-        ) or (isinstance(node, ast.ImportFrom) and node.module and "fft" in node.module.split(".")):
-            callers.append(where)
+        if hit(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, "<module>")
-    return callers
+    return found
+
+
+def reaches_fft(node) -> bool:
+    """The node names `np.fft` / `numpy.fft` or imports from an fft module."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ) or (isinstance(node, ast.ImportFrom) and node.module and "fft" in node.module.split("."))
+
+
+def builds_estimate(node) -> bool:
+    """The node calls `SurvivalEstimate(...)`."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "SurvivalEstimate"
+        or getattr(node.func, "attr", None) == "SurvivalEstimate"
+    )
 
 
 def test_fft_check_sees_a_second_caller():
     source = "import numpy as np\ndef a(x):\n    return np.fft.rfft(x)\ndef b(x):\n    return np.fft.irfft(x)\n"
-    assert fft_callers(source) == ["a", "b"]
+    assert callers(source, reaches_fft) == ["a", "b"]
 
 
 def test_only_grid_values_reaches_the_fft():
     # one field-evaluation path: coefficients reach the grid through spectral.grid_values
-    callers = {
+    reached = {
         (f.stem, name)
         for f in sorted(ROOT.glob("src/string_sausage/*.py"))
-        for name in fft_callers(f.read_text(encoding="utf-8"))
+        for name in callers(f.read_text(encoding="utf-8"), reaches_fft)
     }
-    assert callers == {("spectral", "grid_values")}
+    assert reached == {("spectral", "grid_values")}
+
+
+def test_estimate_check_sees_a_second_builder():
+    source = (
+        "def a(p):\n    return SurvivalEstimate(1.0, 0.0, 100, 'm', p)\n"
+        "def b(p):\n    return survival.SurvivalEstimate(1.0, 0.0, 100, 'm', p)\n"
+    )
+    assert callers(source, builds_estimate) == ["a", "b"]
+
+
+def test_only_the_estimator_body_builds_an_estimate():
+    # one estimator body: every SurvivalEstimate comes out of survival._estimate
+    builders = {
+        (f.stem, name)
+        for f in sorted(ROOT.glob("src/string_sausage/*.py"))
+        for name in callers(f.read_text(encoding="utf-8"), builds_estimate)
+    }
+    assert builders == {("survival", "_estimate")}

@@ -1,3 +1,5 @@
+import collections
+import importlib
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from string_sausage.geometry import PointCloud, bounding_box
 from string_sausage.rng import ENV, substream
-from string_sausage.simulate import simulate
+from string_sausage.simulate import Trace, simulate
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
     ResolutionError,
@@ -213,3 +215,50 @@ def test_indicator_interval_is_wilson():
     # weighted means keep the normal interval
     weighted = SurvivalEstimate(0.5, 0.01, 100, "hard_via_volume", p)
     assert weighted.ci95() == pytest.approx((0.5 - 0.0196, 0.5 + 0.0196))
+
+
+# Per estimator path, the `survival` module names a replica calls once, and
+# whether it builds the trace's cloud.  The benchmark's tracer wraps these
+# names in the module namespace, so each call must go through it.
+TRACED_NAMES = (
+    "simulate", "environment_for_cloud", "sample_environment", "any_contact",
+    "path_functional", "sausage_volume_hit_or_miss",
+)
+TRACED_USE = {
+    "hard_direct": ({"simulate", "environment_for_cloud", "sample_environment", "any_contact"}, True),
+    "hard_via_volume": ({"simulate", "sausage_volume_hit_or_miss"}, True),
+    "annealed_soft": ({"simulate", "environment_for_cloud", "sample_environment", "path_functional"},
+                      True),
+    "quenched_hard": ({"simulate", "any_contact"}, True),
+    "quenched_soft": ({"simulate", "path_functional"}, False),
+}
+
+
+@pytest.mark.parametrize("path", list(TRACED_USE))
+def test_replicas_call_the_traced_names(path, monkeypatch):
+    module = importlib.import_module("string_sausage.survival")
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(Trace, "cloud", counting("cloud", Trace.cloud))
+    p = params(nu=0.5)
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
+    if path in ("hard_direct", "hard_via_volume"):
+        module.annealed_hard(p, 100, seed=17, method=path, n_mc=1000, workers=1)
+    elif path == "annealed_soft":
+        module.annealed_soft(p, 1.0, 100, seed=17, workers=1)
+    else:
+        height = 1.0 if path == "quenched_soft" else None
+        module.quenched(p, env, 100, seed=17, height=height, workers=1)
+    used, builds_cloud = TRACED_USE[path]
+    assert {name: calls[name] for name in TRACED_NAMES} == {
+        name: 100 if name in used else 0 for name in TRACED_NAMES
+    }
+    assert calls["cloud"] == (100 if builds_cloud else 0)
