@@ -7,7 +7,7 @@ is given, appends rows under the stable schema
     experiment,d,J,nu,a,T,method,estimate,stderr,n,seed,resolution_tag
 
 Numbers are written with full round-trip precision (repr).  Exit codes:
-0 success, 2 configuration error, 3 hard resolution-guard failure.
+0 success, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .simulate import brownian_path, simulate
 from .spectral import ModelParams, sample_stationary_field
 from .statistics import range_of
 from .survival import (
-    ResolutionError,
     annealed_hard,
     annealed_soft,
     environment_for_cloud,
@@ -70,7 +69,6 @@ CSV_HEADER = [
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_RESOLUTION = 3
 
 
 # model defaults shared by the subcommand flags and `run` configs
@@ -558,9 +556,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ResolutionError as exc:
-        print(f"resolution guard failure: {exc}", file=sys.stderr)
-        return EXIT_RESOLUTION
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,10 +34,6 @@ ENV_PAD_MARGIN = 0.5
 INDICATOR_METHODS = ("hard_direct", "quenched_hard")
 
 
-class ResolutionError(ValueError):
-    """Hard resolution failure: the realized trap box cannot cover the trajectory."""
-
-
 @dataclass(frozen=True)
 class SurvivalEstimate:
     p_hat: float
@@ -97,28 +93,14 @@ def environment_for_cloud(
     return sample_environment(bounding_box(cloud, a + ENV_PAD_MARGIN), nu, rng)
 
 
-def survive_hard_once(
-    cloud: PointCloud, env: PoissonEnvironment, a: float, require_cover: bool = True
-) -> bool:
-    """True iff no sampled string point is within distance a of any trap."""
-    if require_cover:
-        padded = bounding_box(cloud, a)
-        if np.any(padded.lower < env.box.lower) or np.any(padded.upper > env.box.upper):
-            raise ResolutionError(
-                "environment box does not cover the padded trajectory box; "
-                "the restricted trap law would be wrong"
-            )
-    return not any_contact(cloud.points, env, a)
-
-
 def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> float:
-    """Contact indicator against `env`, or, when `env` is None, against traps
-    drawn from (ENV, r) around the cloud, whose cover is then enforced."""
+    """Survival indicator against `env`, or, when `env` is None, against traps
+    drawn from (ENV, r) in the cloud's box padded by a + ENV_PAD_MARGIN,
+    which covers every trap that can touch the cloud."""
     cloud, p = trace.cloud(), trace.params
-    annealed = env is None
-    if annealed:
+    if env is None:
         env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(seed, streams.ENV, r))
-    return float(survive_hard_once(cloud, env, p.a, require_cover=annealed))
+    return float(not any_contact(cloud.points, env, p.a))
 
 
 def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:

@@ -99,28 +99,57 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     return PoissonEnvironment(points, box, nu)
 
 
+# (trap, point) pairs per broadcast block of `contact_counts`
+PAIR_BLOCK = 1 << 16
+
+
+def _contact_blocks(points, env: PoissonEnvironment, a: float, block: int):
+    """Closed-ball contact masks of shape (traps, points), `block` traps at a
+    time, over the traps that some point can reach.
+
+    A trap is culled when, in some coordinate j, its gap to the points' box,
+    fl(lo_j - x_j) below it or fl(x_j - hi_j) above it, is positive and
+    gap * gap > a * a.  Rounding is monotone, so every point's squared
+    distance is at least that squared gap and the cull drops no contact.
+    The squared distance sums the coordinates' squared differences column by
+    column, left to right, which in d <= 3 is bit-equal to
+    `((points - x) ** 2).sum(axis=1)`.
+    """
+    cols = np.atleast_2d(np.asarray(points, float)).T.copy()  # contiguous columns
+    if len(cols) != env.box.d:
+        raise ValueError(f"points have dimension {len(cols)}, the traps d={env.box.d}")
+    a2 = a * a
+    keep = np.ones(env.n_points, dtype=bool)
+    for col, x in zip(cols, env.points.T):
+        gap = np.maximum(col.min() - x, x - col.max())
+        keep &= (gap <= 0) | (gap * gap <= a2)
+    reach = env.points[keep].T[:, :, None]
+    for k in range(0, reach.shape[1], block):
+        traps = reach[:, k : k + block]
+        dist2 = (cols[0] - traps[0]) ** 2
+        for col, x in zip(cols[1:], traps[1:]):
+            dist2 += (col - x) ** 2
+        yield dist2 <= a2
+
+
 def contact_counts(points: np.ndarray, env: PoissonEnvironment, a: float) -> np.ndarray:
     """Number of traps within (closed) distance a of each query point.
 
-    Computed trap-by-trap against the full query array; exact, and fast at
-    the trap counts a padded trajectory box produces.
+    Exact: only traps no point can reach are culled (see `_contact_blocks`),
+    and the rest are tested against every point, about PAIR_BLOCK pairs at a
+    time.
     """
-    pts = np.atleast_2d(np.asarray(points, float))
-    counts = np.zeros(pts.shape[0], dtype=np.int64)
-    for xi in env.points:
-        dist2 = ((pts - xi[None, :]) ** 2).sum(axis=1)
-        counts += dist2 <= a * a
+    counts = np.zeros(np.atleast_2d(points).shape[0], dtype=np.int64)
+    block = max(1, PAIR_BLOCK // max(counts.size, 1))
+    for hits in _contact_blocks(points, env, a, block):
+        counts += hits.sum(axis=0)
     return counts
 
 
 def any_contact(points: np.ndarray, env: PoissonEnvironment, a: float) -> bool:
-    """True iff some query point lies within distance a of some trap."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    for xi in env.points:
-        dist2 = ((pts - xi[None, :]) ** 2).sum(axis=1)
-        if np.any(dist2 <= a * a):
-            return True
-    return False
+    """True iff some query point lies within distance a of some trap; stops
+    at the first reachable trap in contact."""
+    return any(hits.any() for hits in _contact_blocks(points, env, a, 1))
 
 
 def path_functional(

@@ -15,7 +15,8 @@ from string_sausage.geometry import (
     wiener_sausage_volume,
 )
 from string_sausage.rng import MC, substream
-from string_sausage.simulate import brownian_path
+from string_sausage.simulate import brownian_path, simulate
+from string_sausage.spectral import ModelParams
 
 
 def test_point_cloud_validation():
@@ -38,6 +39,33 @@ def test_bounding_box_examples():
     np.testing.assert_allclose(tight.upper, grown.upper)
     with pytest.raises(ValueError):
         bounding_box(cloud, -1.0)
+
+
+def test_bounding_box_is_the_axis_min_and_max():
+    for d in (1, 2, 3):
+        rng = substream(13, MC, d)
+        for pad in (0.0, 0.3, 0.8):
+            pts = rng.normal(size=(500, d)) * rng.uniform(0.1, 10.0, size=d)
+            box = bounding_box(PointCloud(pts), pad)
+            np.testing.assert_array_equal(box.lower, pts.min(axis=0) - pad)
+            np.testing.assert_array_equal(box.upper, pts.max(axis=0) + pad)
+
+
+def test_hit_or_miss_matches_brute_force_nearest_distance():
+    # the same uniform samples, classified by a scan over every cloud point
+    for T, replica in ((1.0, 0), (1.0, 1), (4.0, 0), (4.0, 1)):
+        p = ModelParams(d=2, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
+        cloud = simulate(p, 23, replica=replica).cloud()
+        est = sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(23, MC, replica))
+        box = bounding_box(cloud, p.a)
+        samples = box.sample_uniform(2000, substream(23, MC, replica))
+        bound2 = (p.a * (1 + 1e-12)) ** 2
+        hits = 0
+        for chunk in np.array_split(samples, 10):
+            dist2 = sum((chunk[:, j, None] - cloud.points[None, :, j]) ** 2 for j in range(2))
+            hits += int((dist2.min(axis=1) <= bound2).sum())
+        assert 0 < hits < 2000
+        assert est.volume == box.volume * (hits / 2000)
 
 
 def test_hit_or_miss_single_disk():

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from string_sausage.geometry import PointCloud, bounding_box
+from string_sausage.geometry import bounding_box
 from string_sausage.rng import ENV, substream
 from string_sausage.simulate import Trace, simulate
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
-    ResolutionError,
     SurvivalEstimate,
     annealed_hard,
     annealed_soft,
@@ -18,7 +17,6 @@ from string_sausage.survival import (
     quenched,
     scaled_unit_params,
     scaling_check,
-    survive_hard_once,
 )
 from string_sausage.traps import Box, PoissonEnvironment, sample_environment
 
@@ -34,20 +32,14 @@ def make_env(points, lo, hi, nu=1.0):
     return PoissonEnvironment(np.asarray(points, float), box, nu)
 
 
-def test_survive_hard_once_contact():
-    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    env_far = make_env([[3.0, 3.0]], [-2, -2], [4, 4])
+def test_quenched_hard_contact():
+    # every replica starts as the zero string, so a trap within a of the
+    # origin kills it at time 0, and a trap far from any path never does
+    p = params()
+    env_far = make_env([[40.0, 40.0]], [-50, -50], [50, 50])
     env_near = make_env([[0.1, 0.0]], [-2, -2], [4, 4])
-    assert survive_hard_once(cloud, env_far, a=0.3)
-    assert not survive_hard_once(cloud, env_near, a=0.3)
-
-
-def test_survive_hard_once_coverage_guard():
-    cloud = PointCloud(np.array([[0.0, 0.0], [5.0, 0.0]]))
-    env = make_env([[0.5, 0.5]], [-1, -1], [1, 1])
-    with pytest.raises(ResolutionError):
-        survive_hard_once(cloud, env, a=0.3)
-    assert not survive_hard_once(cloud, env, a=0.8, require_cover=False)
+    assert quenched(p, env_far, 100, seed=3, workers=1).p_hat == 1.0
+    assert quenched(p, env_near, 100, seed=3, workers=1).p_hat == 0.0
 
 
 def test_environment_for_cloud_covers_padded_box():

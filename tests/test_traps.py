@@ -7,6 +7,7 @@ from string_sausage.rng import ENV, substream
 from string_sausage.simulate import simulate
 from string_sausage.spectral import FieldSamples, ModelParams
 from string_sausage.traps import (
+    PAIR_BLOCK,
     Box,
     PoissonEnvironment,
     any_contact,
@@ -76,19 +77,48 @@ def test_potential_hard_and_soft():
     assert contact_counts(np.array([0.3, 0.0]), env, a)[0] == 1
 
 
+def assert_kernels_agree_with_brute_force(queries, env, a):
+    """The (query, trap) contact matrix, after checking both kernels against it."""
+    contacts = ((queries[:, None, :] - env.points[None, :, :]) ** 2).sum(axis=2) <= a * a
+    np.testing.assert_array_equal(contact_counts(queries, env, a), contacts.sum(axis=1))
+    assert any_contact(queries, env, a) == bool(contacts.any())
+    return contacts
+
+
 def test_contact_counts_brute_force():
-    rng = substream(4, ENV, 0)
-    traps = rng.uniform(-1, 1, size=(40, 2))
-    box = Box(np.full(2, -1.0), np.full(2, 1.0))
-    env = PoissonEnvironment(traps, box, 1.0)
-    queries = rng.uniform(-1, 1, size=(100, 2))
-    a = 0.25
-    got = contact_counts(queries, env, a)
-    brute = (
-        ((queries[:, None, :] - traps[None, :, :]) ** 2).sum(axis=2) <= a * a
-    ).sum(axis=1)
-    np.testing.assert_array_equal(got, brute)
-    assert any_contact(queries, env, a) == bool(brute.sum() > 0)
+    # queries in a sub-box, so the reach cull drops some traps, and enough
+    # of them that the reachable traps span several blocks
+    for d in (1, 2, 3):
+        rng = substream(4, ENV, d)
+        traps = rng.uniform(-1, 1, size=(150, d))
+        env = PoissonEnvironment(traps, Box(np.full(d, -1.0), np.full(d, 1.0)), 1.0)
+        queries = rng.uniform(-0.5, 0.5, size=(2000, d))
+        touched = assert_kernels_agree_with_brute_force(queries, env, 0.25).any(axis=0)
+        assert PAIR_BLOCK // 2000 < touched.sum() < 150
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_contact_kernel_edge_cases(d):
+    box = Box(np.full(d, -4.0), np.full(d, 4.0))
+    a = 0.3
+    axis = np.eye(d)[:1]
+
+    def counts(queries, traps):
+        env = PoissonEnvironment(traps, box, 1.0)
+        return assert_kernels_agree_with_brute_force(queries, env, a).sum(axis=1).tolist()
+
+    # a point at distance exactly a: the closed-ball tie is a contact
+    assert counts(a * axis, np.zeros((1, d))) == [1]
+    # a trap whose gap to the points' box is exactly a along one axis is kept
+    queries = np.vstack([np.zeros((1, d)), np.ones((1, d))])
+    assert counts(queries, -a * axis) == [1, 0]
+    # every trap out of reach: beyond a in some coordinate
+    assert counts(queries, np.vstack([np.full((1, d), 2.0), -1.5 * axis])) == [0, 0]
+    # an empty field
+    assert counts(queries, np.empty((0, d))) == [0, 0]
+    # points of another dimension than the traps
+    with pytest.raises(ValueError, match="dimension"):
+        contact_counts(np.zeros((2, d + 1)), PoissonEnvironment(np.zeros((1, d)), box, 1.0), a)
 
 
 def test_path_functional_counts_occupation():
