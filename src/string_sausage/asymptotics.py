@@ -25,7 +25,7 @@ from .spectral import (
     variance_series,
     zero_state,
 )
-from .statistics import PathRecord, range_of
+from .statistics import PathRecord, range_of, squared_norms
 
 
 def unit_ball_volume(d: int) -> float:
@@ -480,8 +480,8 @@ def confinement_stats(
         hold = evolve(params, start, s_max / n_sub, gen, n_sub)[1:]
         dev = grid_values(params, hold) - base
         com = (hold[:, :, 0] - start[:, 0]) / math.sqrt(params.J)
-        hit_f[r] = np.sqrt((dev ** 2).sum(axis=2)).max() <= a / 16.0
-        hit_x[r] = np.sqrt((com ** 2).sum(axis=1)).max() <= a / 16.0
+        hit_f[r] = np.sqrt(squared_norms(dev)).max() <= a / 16.0
+        hit_x[r] = np.sqrt(squared_norms(com)).max() <= a / 16.0
     return ConfinementReport(
         t,
         s_max,

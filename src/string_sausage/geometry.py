@@ -4,6 +4,18 @@ Every estimator measures the union of radius-r balls around the SAMPLED
 cloud, which is a subset of the continuum sausage; the sampling moduli
 sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
 them).
+
+Hit-or-miss decides most samples exactly on a cell raster of the padded
+box, before any kd-tree query.  A sample sharing a fine cell (side
+r/sqrt(d) (1 - 1e-9), diagonal below r) with a cloud point is a sure hit; a
+sample with no cloud point within one coarse cell (side r (1 + 1e-9), no
+smaller than the query bound r (1 + 1e-12)) on every axis is a sure miss.
+The tree holds only the cloud points within one coarse cell of the other
+samples and decides those alone, so the hit count is the one a tree over
+the whole cloud gives.  The 1e-9 margins exceed the rounding of a cell
+index on an axis of fewer than about 1.5e6 cells, which MAX_RASTER_CELLS
+ensures; past that cap no raster is built and every sample goes to a tree
+over the whole cloud.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from scipy.spatial import cKDTree
 from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
+MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,62 @@ def bounding_box(cloud: PointCloud, pad: float = 0.0) -> Box:
     return Box(lo - tiny, hi + tiny)
 
 
+def _cell_index(x: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> np.ndarray:
+    """Flat C-order index, in a raster of `shape` cells of side `side` from
+    `lo`, of the cell holding each row of x (every row >= lo)."""
+    flat = np.zeros(x.shape[0], np.intp)
+    for j, n in enumerate(shape):
+        flat *= n
+        flat += ((x[:, j] - lo[j]) / side).astype(np.intp)
+    return flat
+
+
+def _near(cells: np.ndarray, shape: tuple) -> np.ndarray:
+    """Flat raster of `shape`, True in every cell within one cell on every
+    axis (the 3^d neighbourhood) of a cell listed in `cells`.
+
+    Each axis is grown by shifting the flat raster one stride either way; a
+    shift past the end of an axis wraps into a neighbouring row and marks
+    one more cell, which only widens the set.
+    """
+    near = np.zeros(math.prod(shape), bool)
+    near[cells] = True
+    stride = 1
+    for n in reversed(shape):
+        grown = near.copy()
+        grown[stride:] |= near[:-stride]
+        grown[:-stride] |= near[stride:]
+        near = grown
+        stride *= n
+    return near
+
+
+def _raster_prepass(
+    points: np.ndarray, samples: np.ndarray, box: Box, radius: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(sure hits, the samples the tree decides, the cloud points it needs)."""
+    extent = (box.upper - box.lower).tolist()
+    fine = radius / math.sqrt(len(extent)) * (1 - 1e-9)
+    if not math.prod(e / fine + 2 for e in extent) <= MAX_RASTER_CELLS:
+        return 0, samples, points
+    shape = tuple(int(e / fine) + 2 for e in extent)
+    occupied = np.zeros(math.prod(shape), bool)
+    occupied[_cell_index(points, box.lower, fine, shape)] = True
+    # np.compress takes rows about 10x faster than a boolean index here
+    rest = np.compress(~occupied[_cell_index(samples, box.lower, fine, shape)], samples, axis=0)
+    coarse = radius * (1 + 1e-9)
+    shape = tuple(int(e / coarse) + 2 for e in extent)
+    point_cells = _cell_index(points, box.lower, coarse, shape)
+    cells = _cell_index(rest, box.lower, coarse, shape)
+    reached = _near(point_cells, shape)[cells]  # the others are sure misses
+    near = _near(cells[reached], shape)[point_cells]
+    return (
+        len(samples) - len(rest),
+        np.compress(reached, rest, axis=0),
+        np.compress(near, points, axis=0),
+    )
+
+
 def sausage_volume_hit_or_miss(
     cloud: PointCloud, radius: float, n_mc: int, rng: np.random.Generator
 ) -> SausageEstimate:
@@ -69,19 +138,21 @@ def sausage_volume_hit_or_miss(
 
     Uniform samples in the padded bounding box are classified by nearest
     cloud distance; the estimate is unbiased for the sampled-cloud sausage
-    with the exact binomial standard error.  The tree is built unbalanced
-    and uncompacted, which about halves its build; nearest distances do not
-    depend on the tree's shape.
+    with the exact binomial standard error.  The raster pre-pass (module
+    docstring) settles the sure hits and misses; a tree over the nearby
+    points decides the rest.  It is built unbalanced and uncompacted, which
+    about halves its build; nearest distances do not depend on its shape.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     box = bounding_box(cloud, radius)
-    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
     samples = box.sample_uniform(n_mc, rng)
-    dist, _ = tree.query(samples, k=1, distance_upper_bound=radius * (1 + 1e-12))
-    p_hat = float(np.mean(np.isfinite(dist)))
+    n_sure, rest, near = _raster_prepass(cloud.points, samples, box, radius)
+    tree = cKDTree(near, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(rest, k=1, distance_upper_bound=radius * (1 + 1e-12))
+    p_hat = (n_sure + int(np.isfinite(dist).sum())) / n_mc
     vol = box.volume * p_hat
     stderr = box.volume * math.sqrt(p_hat * (1.0 - p_hat) / n_mc)
     return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")

@@ -17,7 +17,7 @@ from .spectral import (
     grid_values,
     zero_state,
 )
-from .statistics import PathRecord
+from .statistics import PathRecord, squared_norms
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,10 @@ class Trace:
         """Field values (n+1, M, d) on the evaluation grid, via batched inverse FFT."""
         return grid_values(self.params, self.coeffs)
 
-    def samples(self, i: int) -> FieldSamples:
-        return FieldSamples(self.params.grid(), self.values[i])
+    def snapshots(self) -> list[FieldSamples]:
+        """One FieldSamples per time, all sharing one grid array."""
+        grid = self.params.grid()
+        return [FieldSamples(grid, v) for v in self.values]
 
     def cloud(self) -> PointCloud:
         """All space-time samples flattened into one point cloud in R^d."""
@@ -49,7 +51,7 @@ class Trace:
     def path_record(self) -> PathRecord:
         X = self.coeffs[:, :, 0] / math.sqrt(self.params.J)
         dev = self.values - X[:, None, :]
-        R = np.sqrt((dev ** 2).sum(axis=2)).max(axis=1)
+        R = np.sqrt(squared_norms(dev)).max(axis=1)
         return PathRecord(self.times, X, R)
 
 

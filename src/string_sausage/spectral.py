@@ -119,12 +119,12 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     """Field values (..., M, d) on the uniform grid from coefficients
     (..., d, 2K+1), via inverse FFT over any leading batch axes."""
     M, K, J = params.M, params.K, params.J
-    spec = np.zeros(coeffs.shape[:-2] + (M // 2 + 1, params.d), dtype=complex)
-    spec[..., 0, :] = coeffs[..., 0] / math.sqrt(J)
-    bk = coeffs[..., 1 : K + 1]
-    ck = coeffs[..., K + 1 :]
-    spec[..., 1 : K + 1, :] = np.swapaxes(bk - 1j * ck, -1, -2) / math.sqrt(2.0 * J)
-    return np.fft.irfft(spec * M, n=M, axis=-2)
+    # transform along the last, contiguous axis, then transpose once
+    spec = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    spec[..., 0] = coeffs[..., 0] / math.sqrt(J)
+    spec[..., 1 : K + 1] = (coeffs[..., 1 : K + 1] - 1j * coeffs[..., K + 1 :]) / math.sqrt(2.0 * J)
+    spec *= M
+    return np.ascontiguousarray(np.swapaxes(np.fft.irfft(spec, n=M, axis=-1), -1, -2))
 
 
 def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,8 +170,9 @@ def evolve(
     noise = sd * rng.standard_normal((steps, p.d, 2 * p.K + 1))
     path = np.empty((steps + 1,) + coeffs.shape)
     path[0] = coeffs
-    for i in range(steps):
-        path[i + 1] = path[i] * decay + noise[i]
+    for prev, nxt, noise_i in zip(path, path[1:], noise):
+        np.multiply(prev, decay, out=nxt)
+        np.add(nxt, noise_i, out=nxt)
     return path
 
 

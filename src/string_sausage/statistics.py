@@ -30,6 +30,16 @@ class PathRecord:
             raise ValueError("radius must be nonnegative")
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis, summed column by column
+    left to right: bit-equal to (x ** 2).sum(axis=-1) for a last axis of at
+    most 3, and several times faster than that short-axis reduction."""
+    out = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] ** 2
+    return out
+
+
 def _diameter(points: np.ndarray) -> float:
     """Exact diameter of a finite point set."""
     n, d = points.shape
@@ -46,9 +56,12 @@ def _diameter(points: np.ndarray) -> float:
         n = points.shape[0]
     best = 0.0
     chunk = 512
+    cols = points.T
     for i in range(0, n, chunk):
-        diff = points[i : i + chunk, None, :] - points[None, :, :]
-        best = max(best, float(np.sqrt((diff ** 2).sum(axis=2)).max()))
+        dist2 = (cols[0, i : i + chunk, None] - cols[0]) ** 2
+        for c in cols[1:]:
+            dist2 += (c[i : i + chunk, None] - c) ** 2
+        best = max(best, float(np.sqrt(dist2.max())))
     return best
 
 

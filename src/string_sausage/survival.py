@@ -121,8 +121,7 @@ def _soft(
         env = environment_for_cloud(
             trace.cloud(), p.nu, p.a, streams.substream(seed, streams.ENV, r)
         )
-    samples = [trace.samples(j) for j in range(trace.n_snapshots)]
-    return math.exp(-path_functional(samples, env, p.a, height, dt=p.dt, dx=p.J / p.M))
+    return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
 def _replica_batch(args) -> np.ndarray:

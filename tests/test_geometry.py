@@ -1,10 +1,15 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from string_sausage import geometry
 from string_sausage.geometry import (
+    MAX_RASTER_CELLS,
     PointCloud,
     ResolutionWarning,
     bounding_box,
@@ -51,6 +56,58 @@ def test_bounding_box_is_the_axis_min_and_max():
             np.testing.assert_array_equal(box.upper, pts.max(axis=0) + pad)
 
 
+class _Fixed:
+    """Generator stand-in whose uniform draw returns the given samples."""
+
+    def __init__(self, samples):
+        self.samples = np.asarray(samples, float)
+
+    def uniform(self, lo, hi, size):
+        assert size == self.samples.shape
+        assert np.all((self.samples >= lo) & (self.samples <= hi))
+        return self.samples
+
+
+class _LoggedTree:
+    """cKDTree stand-in that logs its point count and each query's sample count."""
+
+    log: list = []
+
+    def __init__(self, points, **kwargs):
+        self.log.append(len(points))
+        self.tree = cKDTree(points, **kwargs)
+
+    def query(self, x, **kwargs):
+        self.log.append(len(x))
+        return self.tree.query(x, **kwargs)
+
+
+@pytest.fixture
+def tree_log(monkeypatch):
+    monkeypatch.setattr(_LoggedTree, "log", [])
+    monkeypatch.setattr(geometry, "cKDTree", _LoggedTree)
+    return _LoggedTree.log
+
+
+def brute_hits(points, samples, radius) -> int:
+    """Samples within the query bound of some point, by a full distance scan."""
+    bound2 = (radius * (1 + 1e-12)) ** 2
+    hits = 0
+    for chunk in np.array_split(samples, 1 + len(samples) * len(points) // 2_000_000):
+        dist2 = sum((chunk[:, j, None] - points[None, :, j]) ** 2 for j in range(points.shape[1]))
+        hits += int((dist2.min(axis=1) <= bound2).sum())
+    return hits
+
+
+def check_hits(points, samples, radius) -> int:
+    """Hit-or-miss over the given samples gives the brute-force hit count."""
+    cloud = PointCloud(points)
+    est = sausage_volume_hit_or_miss(cloud, radius, len(samples), _Fixed(samples))
+    hits = brute_hits(cloud.points, np.asarray(samples, float), radius)
+    assert est.volume == bounding_box(cloud, radius).volume * (hits / len(samples))
+    return hits
+
+
 def test_hit_or_miss_matches_brute_force_nearest_distance():
     # the same uniform samples, classified by a scan over every cloud point
     for T, replica in ((1.0, 0), (1.0, 1), (4.0, 0), (4.0, 1)):
@@ -58,14 +115,138 @@ def test_hit_or_miss_matches_brute_force_nearest_distance():
         cloud = simulate(p, 23, replica=replica).cloud()
         est = sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(23, MC, replica))
         box = bounding_box(cloud, p.a)
-        samples = box.sample_uniform(2000, substream(23, MC, replica))
-        bound2 = (p.a * (1 + 1e-12)) ** 2
-        hits = 0
-        for chunk in np.array_split(samples, 10):
-            dist2 = sum((chunk[:, j, None] - cloud.points[None, :, j]) ** 2 for j in range(2))
-            hits += int((dist2.min(axis=1) <= bound2).sum())
+        hits = brute_hits(cloud.points, box.sample_uniform(2000, substream(23, MC, replica)), p.a)
         assert 0 < hits < 2000
         assert est.volume == box.volume * (hits / 2000)
+
+
+@pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prepass_matches_brute_force_on_strings(d, T, tree_log):
+    p = ModelParams(d=d, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
+    cloud = simulate(p, 29, replica=d).cloud()
+    samples = bounding_box(cloud, p.a).sample_uniform(2000, substream(29, MC, d))
+    assert check_hits(cloud.points, samples, p.a) > 0  # all 2000 in d=1
+    built, queried = tree_log
+    # the raster settles part of the samples; the tree holds only nearby points
+    assert 0 < queried < 2000 and built <= len(cloud.points)
+
+
+def _offsets(d):
+    """Unit vectors towards the 3^d - 1 neighbours of a cell."""
+    u = np.array([v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)], float)
+    return u / np.sqrt((u ** 2).sum(axis=1))[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prepass_cell_edges(d, tree_log):
+    # points on and 0.01 a either side of fine- and coarse-cell corners, each
+    # with samples at 0.99 a, a and a (1 + 2e-12) towards every neighbouring
+    # cell; the origin anchors the raster at lo = -a
+    a = 0.3
+    fine, coarse = a / math.sqrt(d) * (1 - 1e-9), a * (1 + 1e-9)
+    signs = [np.ones(d), -np.ones(d), (-1.0) ** np.arange(d), np.zeros(d)]
+    points, samples = [np.zeros(d)], []
+    for i, (side, sign) in enumerate(itertools.product((fine, coarse), signs)):
+        corner = np.full(d, -a + 4 * (i + 1) * side)
+        q = corner + 0.01 * a * sign
+        points.append(q)
+        samples += [q, corner]
+        samples += [q + r * u for r in (0.99 * a, a, a * (1 + 2e-12)) for u in _offsets(d)]
+    points.append(np.full(d, 40.0 * a))  # room above the last point
+    box = bounding_box(PointCloud(np.array(points)), a)
+    fill = box.sample_uniform(1200 - len(samples), substream(30, MC, d))
+    hits = check_hits(np.array(points), np.vstack(samples + [fill]), a)
+    assert hits >= 8 * (2 + 2 * len(_offsets(d)))
+    assert tree_log[1] > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prepass_fine_cell_diagonal_is_below_the_bound(d):
+    # b = a (1 + 1e-12) / sqrt(d) is the side whose diagonal is the query
+    # bound.  For a side w = b + g, q sits g/4 above the corner 2w and s g/4
+    # below the corner 3w on every axis, so a fine raster of side w' in
+    # (w - g/12, w + g/8] puts them in one cell although they are
+    # sqrt(d) (b + g/2) apart, a miss; g runs over 1e-13 b .. 1e-4 b.  The
+    # origin anchors the raster at lo = -a and a far point makes room above s.
+    a = 0.3
+    b = a * (1 + 1e-12) / math.sqrt(d)
+    for g in b * 1e-13 * 1.2 ** np.arange(115):
+        w = b + g
+        q = np.full(d, -a + 2 * w + g / 4)
+        s = np.full(d, -a + 3 * w - g / 4)
+        cloud = np.array([np.zeros(d), q, np.full(d, 10 * a)])
+        assert check_hits(cloud, np.tile(s, (1000, 1)), a) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prepass_coarse_cell_covers_the_bound(d):
+    # s lies l = a (1 + 9e-13) from q along axis 0, inside the query bound
+    # a (1 + 1e-12): a hit.  For a side w = l - g, q sits g/2 below the corner
+    # 2w and s g/2 above the corner 3w, so a coarse raster of side w' in
+    # (w - g/4, w + g/6] puts them two cells apart; g runs over
+    # 1e-13 a .. 1e-4 a, which includes a side of exactly a.
+    a = 0.3
+    ell = a * (1 + 9e-13)
+    for g in a * 1e-13 * 1.2 ** np.arange(115):
+        q = np.zeros(d)
+        q[0] = -a + 2 * (ell - g) - g / 2
+        s = q.copy()
+        s[0] += ell
+        cloud = np.array([np.zeros(d), q, np.full(d, 10 * a)])
+        assert check_hits(cloud, np.tile(s, (1000, 1)), a) == 1000
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prepass_single_point_cloud(d):
+    # radius 0.5 about the origin: the axis samples at +-0.5 lie exactly on the sphere
+    axis = np.vstack([np.eye(d) * 0.5, -np.eye(d) * 0.5])
+    fill = substream(31, MC, d).uniform(-0.5, 0.5, size=(1000, d))
+    hits = check_hits(np.zeros((1, d)), np.vstack([axis, fill]), 0.5)
+    assert hits >= 2 * d
+
+
+def test_prepass_every_sample_sure(tree_log):
+    # each sample is a cloud point, so it shares that point's fine cell
+    pts = substream(32, MC, 0).uniform(0.0, 5.0, size=(1000, 2))
+    assert check_hits(pts, pts, 0.3) == 1000
+    assert tree_log == [0, 0]
+
+
+def test_prepass_no_sample_sure(tree_log):
+    # points 3a apart; every sample lies 0.75a-0.95a from one, outside its
+    # fine cell (side 0.71a) and within its coarse reach
+    a = 0.3
+    pts = 3 * a * np.array(list(itertools.product(range(10), range(10))), float)
+    rng = substream(33, MC, 0)
+    angle = rng.uniform(0, 2 * math.pi, 1000)
+    r = a * rng.uniform(0.75, 0.95, 1000)
+    samples = pts[rng.integers(0, len(pts), 1000)] + r[:, None] * np.column_stack(
+        [np.cos(angle), np.sin(angle)]
+    )
+    assert check_hits(pts, samples, a) == 1000
+    assert tree_log == [len(pts), 1000]
+
+
+def test_prepass_raster_guard(tree_log):
+    # radius 0.01 in a box of side ~2.9 in d=3: ~1.3e8 fine cells, past the
+    # cap, so no raster is built and the tree holds the whole cloud
+    a = 0.01
+    rng = substream(34, MC, 0)
+    pts = rng.uniform(0.0, 2.9, size=(2000, 3))
+    box = bounding_box(PointCloud(pts), a)
+    assert np.prod((box.upper - box.lower) / (a / math.sqrt(3))) > 100 * MAX_RASTER_CELLS
+    samples = np.vstack([pts[:500] + rng.uniform(-a, a, (500, 3)) / 2, box.sample_uniform(500, rng)])
+    tracemalloc.start()
+    try:
+        est = sausage_volume_hit_or_miss(PointCloud(pts), a, 1000, _Fixed(samples))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_RASTER_CELLS  # bytes: far below one raster past the cap
+    assert tree_log == [2000, 1000]
+    hits = brute_hits(pts, samples, a)
+    assert hits >= 500 and est.volume == box.volume * (hits / 1000)
 
 
 def test_hit_or_miss_single_disk():

@@ -11,6 +11,7 @@ from string_sausage.statistics import (
     PathRecord,
     independence_test,
     range_of,
+    squared_norms,
 )
 
 
@@ -38,6 +39,24 @@ def test_range_of_matches_brute_force():
         diff = pts[:, None, :] - pts[None, :, :]
         brute = float(np.sqrt((diff ** 2).sum(axis=2)).max())
         assert abs(range_of(pts) - brute) < 1e-12
+
+
+def test_squared_norms_equal_the_axis_sum():
+    # the column-wise sum replaces (x ** 2).sum(axis=-1) bit for bit, and so
+    # do the diameter scan and the path radius built on it
+    rng = substream(31, AUX, 0)
+    for d in (1, 2, 3):
+        for shape in ((500, d), (9, 64, d)):
+            x = rng.normal(size=shape) * rng.uniform(0.01, 100.0, size=d)
+            np.testing.assert_array_equal(squared_norms(x), (x ** 2).sum(axis=-1))
+        pts = rng.standard_normal((300, d))
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert range_of(pts) == float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        trace = simulate(ModelParams(d=d, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3), seed=d)
+        dev = trace.values - trace.path_record().X[:, None, :]
+        np.testing.assert_array_equal(
+            trace.path_record().R, np.sqrt((dev ** 2).sum(axis=2)).max(axis=1)
+        )
 
 
 def test_range_of_1d_is_max_minus_min():

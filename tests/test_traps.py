@@ -142,8 +142,7 @@ def test_path_functional_equals_per_snapshot_counts():
     dx = p.J / p.M
     per_snapshot = sum(int(contact_counts(v, env, a).sum()) for v in trace.values)
     assert per_snapshot > 0
-    snapshots = [trace.samples(j) for j in range(trace.n_snapshots)]
-    assert path_functional(snapshots, env, a, height, p.dt, dx) == height * p.dt * dx * per_snapshot
+    assert path_functional(trace.snapshots(), env, a, height, p.dt, dx) == height * p.dt * dx * per_snapshot
 
 
 def test_environment_json_round_trip():
