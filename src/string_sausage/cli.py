@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +75,15 @@ EXIT_CONFIG = 2
 # model defaults shared by the subcommand flags and `run` configs
 MODEL_DEFAULTS = {
     "d": 2, "J": 1.0, "nu": 1.0, "a": 0.3, "K": 16, "M": 64, "dt": 0.02, "T": 1.0, "eps_tail": 2e-3,
+}
+# replica and hit-or-miss sample counts shared by the subcommand flags and `run` configs
+N_REPLICAS = 200
+N_MC = 20000
+
+# the keys a `run` config may set for each experiment; any other key is a config error
+RUN_KEYS = {
+    "survival": {"experiment", "seed", "n_replicas", "threads", "method", *MODEL_DEFAULTS},
+    "sausage": {"experiment", "seed", "n_mc", *MODEL_DEFAULTS},
 }
 
 
@@ -179,28 +189,26 @@ def cmd_simulate(args) -> int:
 
 def cmd_sausage(args) -> int:
     p = params_from(args)
-    rows = []
-    summary = {"command": "sausage", "resolution_tag": resolution_tag(p)}
-    if args.method in ("hit_or_miss", "voxel"):
+    if args.voxel_size is not None and args.method != "voxel":
+        raise ValueError("--voxel-size applies to --method voxel only")
+    if args.n_mc is not None and args.method == "voxel":
+        raise ValueError("--n-mc applies to --method hit_or_miss and wiener only")
+    n_mc = N_MC if args.n_mc is None else args.n_mc
+    if args.method == "wiener":
+        path = brownian_path(p.d, p.T, p.dt, args.seed, replica=args.replica)
+        est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(args.seed, streams.MC, 0))
+    else:
         cloud = simulate(p, args.seed, replica=args.replica).cloud()
         if args.method == "hit_or_miss":
             est = sausage_volume_hit_or_miss(
-                cloud, p.a, args.n_mc, streams.substream(args.seed, streams.MC, 0)
+                cloud, p.a, n_mc, streams.substream(args.seed, streams.MC, 0)
             )
         else:
             voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
             est = sausage_volume_voxel(cloud, p.a, voxel)
-    elif args.method == "wiener":
-        path = brownian_path(p.d, p.T, p.dt, args.seed, replica=args.replica)
-        est = wiener_sausage_volume(
-            path, p.a, args.n_mc, streams.substream(args.seed, streams.MC, 0)
-        )
-    else:
-        raise ValueError(f"unknown sausage method {args.method!r}")
-    summary.update(volume=est.volume, stderr=est.stderr, method=est.method, n=est.n_samples)
-    rows.append(row("sausage", p, f"{args.method}", est.volume, est.stderr, est.n_samples, args.seed))
-    write_rows(args.csv, rows)
-    emit(summary)
+    write_rows(args.csv, [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)])
+    emit({"command": "sausage", "method": args.method, "n": est.n_samples,
+          "resolution_tag": resolution_tag(p), "stderr": est.stderr, "volume": est.volume})
     return EXIT_OK
 
 
@@ -372,10 +380,11 @@ def cmd_fit(args) -> int:
             "n": len(Ts),
         }
     )
-    if args.csv:
-        p = ModelParams(d=1, T=max(Ts))
-        write_rows(args.csv, [row("fit", p, "gamma_hat", fit.gamma_hat, fit.gamma_stderr,
-                                  len(Ts), 0)])
+    # the fit input carries no model: its row leaves the model columns empty
+    write_rows(args.csv, [dict.fromkeys(CSV_HEADER, "") | {
+        "experiment": "fit", "T": max(Ts), "method": "gamma_hat", "estimate": fit.gamma_hat,
+        "stderr": fit.gamma_stderr, "n": len(Ts), "seed": 0,
+    }])
     return EXIT_OK
 
 
@@ -384,31 +393,14 @@ def cmd_fit(args) -> int:
 
 
 def parse_config(path: str) -> dict:
-    """JSON object, or flat `key = value` lines with JSON-parsed values."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON config: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValueError("config must be a JSON object")
-        return obj
-    config: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        value = value.strip()
-        try:
-            config[key.strip()] = json.loads(value)
-        except json.JSONDecodeError:
-            config[key.strip()] = value
-    return config
+    """The `run` config: one JSON object."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON config: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("config must be a JSON object")
+    return obj
 
 
 def _as_list(v):
@@ -428,13 +420,15 @@ def _convert(name: str, value, kind: type):
 
 
 def run_config(config: dict) -> tuple[list[dict], dict]:
+    experiment = config.get("experiment", "survival")
+    if not isinstance(experiment, str) or experiment not in RUN_KEYS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    unread = sorted(set(config) - RUN_KEYS[experiment])
+    if unread:
+        raise ValueError(f"config key(s) {', '.join(unread)} not read by experiment {experiment!r}")
     if "seed" not in config:
         raise ValueError("config must set `seed` explicitly")
     seed = _convert("seed", config["seed"], int)
-    experiment = config.get("experiment", "survival")
-    n_rep = _convert("n_replicas", config.get("n_replicas", 200), int)
-    workers = config.get("threads")
-    method = config.get("method", "hard_direct")
     sweeps = {
         name: [_convert(name, v, float) for v in _as_list(config.get(name, MODEL_DEFAULTS[name]))]
         for name in ("T", "J", "nu", "a")
@@ -446,28 +440,27 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         name: _convert(name, config.get(name, MODEL_DEFAULTS[name]), type(MODEL_DEFAULTS[name]))
         for name in ("d", "K", "M", "dt", "eps_tail")
     }
-    rows = []
-    idx = 0
-    for T in sweeps["T"]:
-        for J in sweeps["J"]:
-            for nu in sweeps["nu"]:
-                for a in sweeps["a"]:
-                    p = ModelParams(J=J, nu=nu, a=a, T=T, **base)
-                    if experiment == "survival":
-                        est = annealed_hard(p, n_rep, seed + idx, method=method, workers=workers)
-                        rows.append(row("survival", p, est.method, est.p_hat, est.stderr,
-                                        est.n_replicas, seed + idx))
-                    elif experiment == "sausage":
-                        cloud = simulate(p, seed + idx, replica=0).cloud()
-                        est = sausage_volume_hit_or_miss(
-                            cloud, p.a, _convert("n_mc", config.get("n_mc", 20000), int),
-                            streams.substream(seed + idx, streams.MC, 0),
-                        )
-                        rows.append(row("sausage", p, est.method, est.volume, est.stderr,
-                                        est.n_samples, seed + idx))
-                    else:
-                        raise ValueError(f"unknown experiment {experiment!r}")
-                    idx += 1
+    if experiment == "survival":
+        n_rep = _convert("n_replicas", config.get("n_replicas", N_REPLICAS), int)
+        workers = config.get("threads")
+        method = config.get("method", "hard_direct")
+
+        def estimate(p: ModelParams, point_seed: int) -> dict:
+            est = annealed_hard(p, n_rep, point_seed, method=method, workers=workers)
+            return row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, point_seed)
+    else:
+        n_mc = _convert("n_mc", config.get("n_mc", N_MC), int)
+
+        def estimate(p: ModelParams, point_seed: int) -> dict:
+            cloud = simulate(p, point_seed, replica=0).cloud()
+            est = sausage_volume_hit_or_miss(
+                cloud, p.a, n_mc, streams.substream(point_seed, streams.MC, 0)
+            )
+            return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
+    rows = [
+        estimate(ModelParams(T=T, J=J, nu=nu, a=a, **base), seed + idx)
+        for idx, (T, J, nu, a) in enumerate(itertools.product(*sweeps.values()))
+    ]
     summary = {
         "command": "run",
         "experiment": experiment,
@@ -478,13 +471,8 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
 
 
 def cmd_run(args) -> int:
-    config = parse_config(args.config)
-    rows, summary = run_config(config)
-    out_csv = args.csv or config.get("csv")
-    write_rows(out_csv, rows)
-    out_json = config.get("json_summary")
-    if out_json:
-        Path(out_json).write_text(json.dumps(summary, sort_keys=True), encoding="utf-8")
+    rows, summary = run_config(parse_config(args.config))
+    write_rows(args.csv, rows)
     emit(summary)
     return EXIT_OK
 
@@ -510,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(sp)
     sp.add_argument("--replica", type=int, default=0)
     sp.add_argument("--method", choices=["hit_or_miss", "voxel", "wiener"], default="hit_or_miss")
-    sp.add_argument("--n-mc", type=int, default=20000)
+    sp.add_argument("--n-mc", type=int, default=None,
+                    help=f"samples for hit_or_miss and wiener (default {N_MC})")
     sp.add_argument("--voxel-size", type=float, default=None)
     sp.set_defaults(fn=cmd_sausage)
 
@@ -520,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--soft", action="store_true", default=False)
     sp.add_argument("--height", type=float, default=None, help="soft indicator height (default 1)")
     sp.add_argument("--via-volume", action="store_true", help="use the Poisson-identity estimator")
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=int, default=N_REPLICAS)
     sp.add_argument("--env", type=str, default=None, help="fixed environment JSON (quenched)")
     sp.add_argument("--save-env", type=str, default=None, help="sample and save an environment JSON")
     sp.set_defaults(fn=cmd_survival)
@@ -528,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scaling-check", help="compare survival at J with its unit-J image")
     add_model_args(sp)
     sp.add_argument("--via-volume", action="store_true")
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=int, default=N_REPLICAS)
     sp.set_defaults(fn=cmd_scaling_check)
 
     sp = sub.add_parser("diagnostics", help="inequality, series, and stopping-chain diagnostics")

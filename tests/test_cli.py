@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from string_sausage.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_OK,
+    build_parser,
     main,
     parse_config,
     run_config,
@@ -218,6 +220,29 @@ def test_sausage_subcommand(capsys):
     assert rec["volume"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--voxel-size", "0.01"], "--voxel-size applies"),
+        (["--method", "wiener", "--voxel-size", "0.01"], "--voxel-size applies"),
+        (["--method", "voxel", "--n-mc", "5"], "--n-mc applies"),
+    ],
+    ids=["voxel_size_with_hit_or_miss", "voxel_size_with_wiener", "n_mc_with_voxel"],
+)
+def test_sausage_ignored_flag_exit_2(argv, cause, capsys):
+    assert main(["sausage", "--T", "0.2", "--seed", "7", *argv]) == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+
+
+def test_sausage_wiener_reports_its_method(capsys, tmp_path):
+    csv_path = tmp_path / "out.csv"
+    code, out = run_cli(["sausage", "--T", "0.2", "--dt", "0.0001", "--seed", "7", "--method", "wiener",
+                         "--n-mc", "2000", "--csv", str(csv_path)], capsys)
+    assert code == EXIT_OK
+    [rec] = csv.DictReader(csv_path.read_text().splitlines())
+    assert last_json(out)["method"] == rec["method"] == "wiener"
+
+
 def test_fit_subcommand(capsys, tmp_path):
     data = tmp_path / "fit.csv"
     rows = ["T,neg_log_S"] + [f"{T},{7.0 * T ** 0.5}" for T in (1, 2, 4, 8, 16)]
@@ -226,6 +251,19 @@ def test_fit_subcommand(capsys, tmp_path):
     assert code == EXIT_OK
     rec = last_json(out)
     assert abs(rec["gamma_hat"] - 0.5) < 1e-9
+
+
+def test_fit_csv_row_carries_no_model(capsys, tmp_path):
+    # horizons below one default step: the row must not be built from a default model
+    data, out_csv = tmp_path / "fit.csv", tmp_path / "rows.csv"
+    Ts = (0.0004, 0.001, 0.002, 0.004)
+    data.write_text("\n".join(["T,neg_log_S"] + [f"{T},{3.0 * T ** 0.5}" for T in Ts]) + "\n")
+    code, out = run_cli(["fit", "--input", str(data), "--csv", str(out_csv)], capsys)
+    assert code == EXIT_OK
+    assert abs(last_json(out)["gamma_hat"] - 0.5) < 1e-9
+    [rec] = csv.DictReader(out_csv.read_text().splitlines())
+    assert (rec["experiment"], rec["method"], rec["T"], rec["n"]) == ("fit", "gamma_hat", "0.004", "4")
+    assert [rec[k] for k in ("d", "J", "nu", "a", "resolution_tag")] == [""] * 5
 
 
 def test_fit_bad_columns_exit_2(capsys, tmp_path):
@@ -243,14 +281,16 @@ def test_fit_blank_stderr_exit_2(capsys, tmp_path):
     assert "blank stderr" in capsys.readouterr().err
 
 
-def test_parse_config_flat_and_json(tmp_path):
-    flat = tmp_path / "c.cfg"
-    flat.write_text("experiment = survival\nseed = 5\nT = [1.0, 2.0]\n# comment\n")
-    cfg = parse_config(str(flat))
-    assert cfg == {"experiment": "survival", "seed": 5, "T": [1.0, 2.0]}
+def test_parse_config_flat_and_json(capsys, tmp_path):
+    cfg = {"experiment": "survival", "seed": 5, "T": [1.0, 2.0]}
     js = tmp_path / "c.json"
     js.write_text(json.dumps(cfg))
     assert parse_config(str(js)) == cfg
+    # the flat `key = value` form is not a config format
+    flat = tmp_path / "c.cfg"
+    flat.write_text("experiment = survival\nseed = 5\nT = [1.0, 2.0]\n")
+    assert main(["run", "--config", str(flat)]) == EXIT_CONFIG
+    assert "bad JSON config" in capsys.readouterr().err
 
 
 def test_run_config_sweep_cardinality():
@@ -270,16 +310,21 @@ def test_run_config_zero_intensity_all_survive():
 
 
 def test_run_config_defaults_match_survival_flags(capsys, tmp_path):
-    """A `run` config with only a seed models the same string as bare `survival` flags."""
+    """A `run` config with only a seed gives the row of bare `survival` flags."""
     flags_csv, run_csv = tmp_path / "flags.csv", tmp_path / "run.csv"
-    code, _ = run_cli(["survival", "--seed", "1", "--n", "100", "--threads", "1",
-                       "--csv", str(flags_csv)], capsys)
+    code, _ = run_cli(["survival", "--seed", "1", "--threads", "1", "--csv", str(flags_csv)], capsys)
     assert code == EXIT_OK
-    rows, _ = run_config({"seed": 1})
+    rows, _ = run_config({"seed": 1, "threads": 1})
     write_rows(str(run_csv), rows)
-    [flags], [run] = (list(csv.DictReader(p.read_text().splitlines())) for p in (flags_csv, run_csv))
-    for col in ("d", "J", "nu", "a", "T", "resolution_tag"):
-        assert run[col] == flags[col], col
+    assert run_csv.read_text() == flags_csv.read_text()
+
+
+def test_run_config_defaults_match_sausage_flags(capsys):
+    """A sausage `run` config with only a seed gives the volume of bare `sausage` flags."""
+    code, out = run_cli(["sausage", "--seed", "1"], capsys)
+    assert code == EXIT_OK
+    [rec], _ = run_config({"experiment": "sausage", "seed": 1})
+    assert (rec["estimate"], rec["stderr"], rec["n"]) == tuple(last_json(out)[k] for k in ("volume", "stderr", "n"))
 
 
 def test_run_config_requires_seed():
@@ -288,8 +333,8 @@ def test_run_config_requires_seed():
 
 
 def test_run_twice_identical_csv(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("experiment = survival\nseed = 11\nn_replicas = 100\nthreads = 1\nT = [0.5]\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "survival", "seed": 11, "n_replicas": 100, "threads": 1, "T": [0.5]}))
     outs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
@@ -299,28 +344,64 @@ def test_run_twice_identical_csv(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def run_config_file(cfg, config, capsys):
+    cfg.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg)])
+    return code, capsys.readouterr().err
+
+
 def test_run_bad_config_exit_2(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("experiment = warp\nseed = 1\n")
-    code, _ = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == EXIT_CONFIG
-    code, _ = run_cli(["run", "--config", str(tmp_path / "missing.cfg")], capsys)
+    cfg = tmp_path / "bad.json"
+    code, err = run_config_file(cfg, {"experiment": "warp", "seed": 1}, capsys)
+    assert code == EXIT_CONFIG and "warp" in err
+    code, _ = run_cli(["run", "--config", str(tmp_path / "missing.json")], capsys)
     assert code == EXIT_CONFIG
     code, _ = run_cli(["run", "--config", str(tmp_path)], capsys)
     assert code == EXIT_CONFIG
-    for threads in ('"two"', "1.5", "true"):
-        cfg.write_text(f"seed = 1\nn_replicas = 100\nthreads = {threads}\n")
-        code, _ = run_cli(["run", "--config", str(cfg)], capsys)
-        assert code == EXIT_CONFIG, threads
-    for line in (
-        "seed = [1]", 'seed = 1\nn_replicas = {"a": 1}', "seed = 1\nK = [16]",
+    for threads in ("two", 1.5, True):
+        code, err = run_config_file(cfg, {"seed": 1, "n_replicas": 100, "threads": threads}, capsys)
+        assert code == EXIT_CONFIG and "worker count" in err, threads
+    for config, key in (
+        ({"seed": [1]}, "seed"), ({"seed": 1, "n_replicas": {"a": 1}}, "n_replicas"),
+        ({"seed": 1, "K": [16]}, "K"),
         # fractional or boolean values for integer keys are not truncated
-        "seed = 1.7", "seed = true", "seed = 1\nn_replicas = 100.9", "seed = 1\nK = 16.8",
-        "seed = 1\nd = true", "seed = 1\nM = 64.5", "seed = 1\nexperiment = sausage\nn_mc = [2000]",
+        ({"seed": 1.7}, "seed"), ({"seed": True}, "seed"), ({"seed": 1, "n_replicas": 100.9}, "n_replicas"),
+        ({"seed": 1, "K": 16.8}, "K"), ({"seed": 1, "d": True}, "d"), ({"seed": 1, "M": 64.5}, "M"),
+        ({"seed": 1, "experiment": "sausage", "n_mc": [2000]}, "n_mc"),
     ):
-        cfg.write_text(line + "\n")
-        code, _ = run_cli(["run", "--config", str(cfg)], capsys)
-        assert code == EXIT_CONFIG, line
+        code, err = run_config_file(cfg, config, capsys)
+        assert code == EXIT_CONFIG and f"config value {key} =" in err, config
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"seed": 3, "n_replica": 100}, "n_replica"),
+        ({"seed": 3, "csv": "out.csv"}, "csv"),
+        ({"seed": 3, "json_summary": "summary.json"}, "json_summary"),
+        ({"seed": 3, "n_mc": 5}, "n_mc"),
+        ({"experiment": "sausage", "seed": 3, "threads": 1}, "threads"),
+        ({"experiment": "sausage", "seed": 3, "method": "hard_via_volume"}, "method"),
+    ],
+    ids=["typo_n_replica", "csv", "json_summary", "n_mc_under_survival", "threads_under_sausage",
+         "method_under_sausage"],
+)
+def test_run_config_unread_key_exit_2(config, key, capsys, tmp_path):
+    code, err = run_config_file(tmp_path / "c.json", config, capsys)
+    assert code == EXIT_CONFIG
+    assert f"config key(s) {key} not read" in err
+
+
+def test_readme_command_lines_parse():
+    """Every `string-sausage` line of the README's command-line block parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("string-sausage ")]
+    assert len(lines) == 8
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0], line
 
 
 def test_quenched_roundtrip_via_env_file(capsys, tmp_path):
