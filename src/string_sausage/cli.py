@@ -244,6 +244,8 @@ def cmd_survival(args) -> int:
             "n": est.n_replicas,
             "seed": args.seed,
             "resolution_tag": resolution_tag(p),
+            "ess": est.ess,
+            "max_weight_share": est.max_weight_share,
         }
     )
     write_rows(
@@ -380,10 +382,10 @@ def cmd_fit(args) -> int:
             "n": len(Ts),
         }
     )
-    # the fit input carries no model: its row leaves the model columns empty
+    # the fit input carries no model or seed: its row leaves those columns empty
     write_rows(args.csv, [dict.fromkeys(CSV_HEADER, "") | {
         "experiment": "fit", "T": max(Ts), "method": "gamma_hat", "estimate": fit.gamma_hat,
-        "stderr": fit.gamma_stderr, "n": len(Ts), "seed": 0,
+        "stderr": fit.gamma_stderr, "n": len(Ts),
     }])
     return EXIT_OK
 

@@ -5,21 +5,34 @@ cloud, which is a subset of the continuum sausage; the sampling moduli
 sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
 them).
 
-Hit-or-miss decides most samples exactly on a cell raster of the padded
-box, before any kd-tree query.  A sample sharing a fine cell (side
-r/sqrt(d) (1 - 1e-9), diagonal below r) with a cloud point is a sure hit; a
-sample with no cloud point within one coarse cell (side r (1 + 1e-9), no
-smaller than the query bound r (1 + 1e-12)) on every axis is a sure miss.
-The tree holds only the cloud points within one coarse cell of the other
-samples and decides those alone, so the hit count is the one a tree over
-the whole cloud gives.  The 1e-9 margins exceed the rounding of a cell
-index on an axis of fewer than about 1.5e6 cells, which MAX_RASTER_CELLS
-ensures; past that cap no raster is built and every sample goes to a tree
-over the whole cloud.
+Hit-or-miss decides most samples exactly on one cell raster of the padded
+box, before any kd-tree query.  Its cells have side
+s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d].  Two cells delta apart hold
+no point pair farther apart than s sqrt(sum_j (|delta_j| + 1)^2) and none
+nearer than s sqrt(sum_j max(|delta_j| - 1, 0)^2).  A sample is therefore a
+sure hit when a cloud point lies in its hit stencil, the offsets with
+sum_j (|delta_j| + 1)^2 <= k^2 d, whose pairs are all closer than r.  It is
+a sure miss when no cloud point lies in its reach stencil, the offsets with
+sum_j max(|delta_j| - 1, 0)^2 <= k^2 d: a pair within the query bound
+r (1 + 1e-12) has that integer sum below k^2 d (1 + 3e-9), so at most
+k^2 d.  The reach spans ceil(r (1 + 1e-12) / s) cells on an axis.  Both
+tests are dilations of the occupied cells by flat shifts of the raster.  A
+shift past the end of an axis wraps into a neighbouring row: in reach that
+only widens the set, and for hits the raster keeps as many empty cells
+above the data on every axis as the hit stencil spans, so no hit shift
+lands on data.  The tree holds only the cloud points within reach of the
+other samples and decides those alone, so the hit count is the one a tree
+over the whole cloud gives.  The 1e-9 margin exceeds the rounding of a
+cell index on an axis of fewer than about 1.5e6 cells, which
+MAX_RASTER_CELLS ensures.  Past that cap the raster is built at a lower k;
+past it at k = 1 no raster is built and every sample goes to a tree over
+the whole cloud.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +44,7 @@ from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
 MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
+RASTER_K = {1: 3, 2: 4}  # hit-or-miss raster cells per r/sqrt(d) (measured); 1 above d=2
 
 
 @dataclass(frozen=True)
@@ -78,31 +92,74 @@ def bounding_box(cloud: PointCloud, pad: float = 0.0) -> Box:
 def _cell_index(x: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> np.ndarray:
     """Flat C-order index, in a raster of `shape` cells of side `side` from
     `lo`, of the cell holding each row of x (every row >= lo)."""
-    flat = np.zeros(x.shape[0], np.intp)
-    for j, n in enumerate(shape):
-        flat *= n
-        flat += ((x[:, j] - lo[j]) / side).astype(np.intp)
+    cols = x.T
+    flat = ((cols[0] - lo[0]) / side).astype(np.intp)
+    for j in range(1, len(shape)):
+        flat *= shape[j]
+        flat += ((cols[j] - lo[j]) / side).astype(np.intp)
     return flat
 
 
-def _near(cells: np.ndarray, shape: tuple) -> np.ndarray:
-    """Flat raster of `shape`, True in every cell within one cell on every
-    axis (the 3^d neighbourhood) of a cell listed in `cells`.
+@functools.cache
+def _stencils(d: int, k: int) -> tuple[frozenset, frozenset]:
+    """The hit and the reach stencil on cells of side r/(k sqrt(d)) (1 - 1e-9)
+    (module docstring): the cell offsets delta with
+    sum_j (|delta_j| + 1)^2 <= k^2 d and with sum_j max(|delta_j| - 1, 0)^2 <= k^2 d."""
+    m = int(k * math.sqrt(d)) + 1
+    span = list(itertools.product(range(-m, m + 1), repeat=d))
+    return tuple(
+        frozenset(o for o in span if sum(max(abs(x) + gap, 0) ** 2 for x in o) <= k * k * d)
+        for gap in (1, -1)
+    )
 
-    Each axis is grown by shifting the flat raster one stride either way; a
-    shift past the end of an axis wraps into a neighbouring row and marks
-    one more cell, which only widens the set.
+
+@functools.cache
+def _split(stencil: frozenset) -> tuple[tuple, tuple]:
+    """The pairs (prefix, half-width of the stencil along the last axis), and
+    for each distinct half-width h the prefixes whose half-width is h or more."""
+    half = {}
+    for o in stencil:
+        half[o[:-1]] = max(half.get(o[:-1], 0), abs(o[-1]))
+    return tuple(half.items()), tuple(
+        (h, frozenset(p for p, g in half.items() if g >= h)) for h in sorted(set(half.values()))
+    )
+
+
+def _dilate(raster: np.ndarray, strides: list, *stencils: frozenset) -> list[np.ndarray]:
+    """The flat raster, with axis strides `strides`, dilated by each stencil.
+
+    A stencil holds, with each offset, every offset nearer zero on an axis.
+    The raster is grown along its last axis once per half-width.  On two
+    axes a stencil then ORs one flat shift of those rows per prefix; on more
+    it dilates the rows of each half-width by the prefixes that reach it.
+    A shift past the end of an axis wraps into a neighbouring row.
     """
-    near = np.zeros(math.prod(shape), bool)
-    near[cells] = True
-    stride = 1
-    for n in reversed(shape):
-        grown = near.copy()
-        grown[stride:] |= near[:-stride]
-        grown[:-stride] |= near[stride:]
-        near = grown
-        stride *= n
-    return near
+    splits = [_split(stencil) for stencil in stencils]
+    n, step = len(raster), strides[-1]
+    rows = [raster]
+    for b in range(1, max(h for half, _ in splits for _, h in half) + 1):
+        row = rows[-1].copy()
+        row[b * step :] |= raster[: -b * step]
+        row[: -b * step] |= raster[b * step :]
+        rows.append(row)
+    grown = []
+    for half, subs in splits:
+        if len(strides) == 1:
+            [((), h)] = half
+            grown.append(rows[h])
+            continue
+        out = np.zeros_like(raster)
+        if len(strides) == 2:
+            for (a,), h in half:
+                shift = a * strides[0]
+                lo, hi = max(shift, 0), min(n, n + shift)
+                if lo < hi:
+                    out[lo:hi] |= rows[h][lo - shift : hi - shift]
+        else:
+            for h, prefixes in subs:
+                out |= _dilate(rows[h], strides[:-1], prefixes)[0]
+        grown.append(out)
+    return grown
 
 
 def _raster_prepass(
@@ -110,25 +167,45 @@ def _raster_prepass(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """(sure hits, the samples the tree decides, the cloud points it needs)."""
     extent = (box.upper - box.lower).tolist()
-    fine = radius / math.sqrt(len(extent)) * (1 - 1e-9)
-    if not math.prod(e / fine + 2 for e in extent) <= MAX_RASTER_CELLS:
+    d = len(extent)
+    for k in range(RASTER_K.get(d, 1), 0, -1):
+        side = radius / (k * math.sqrt(d)) * (1 - 1e-9)
+        hit, reach = _stencils(d, k)
+        # empty cells above the data on every axis, as many as the hit
+        # stencil spans on one (the last): no hit shift wraps into data
+        pad = max(h for _, h in _split(hit)[0])
+        shape = tuple(int(e / side) + 2 + pad for e in extent)
+        if math.prod(shape) <= MAX_RASTER_CELLS:
+            break
+    else:
         return 0, samples, points
-    shape = tuple(int(e / fine) + 2 for e in extent)
+    point_cells = _cell_index(points, box.lower, side, shape)
+    cells = _cell_index(samples, box.lower, side, shape)
     occupied = np.zeros(math.prod(shape), bool)
-    occupied[_cell_index(points, box.lower, fine, shape)] = True
+    occupied[point_cells] = True
+    strides = [math.prod(shape[j + 1 :]) for j in range(d)]
+    sure, reached = (g[cells] for g in _dilate(occupied, strides, hit, reach))
+    shell = reached & ~sure  # the samples out of reach are sure misses
+    marked = np.zeros_like(occupied)
+    marked[cells[shell]] = True
+    [near] = _dilate(marked, strides, reach)
     # np.compress takes rows about 10x faster than a boolean index here
-    rest = np.compress(~occupied[_cell_index(samples, box.lower, fine, shape)], samples, axis=0)
-    coarse = radius * (1 + 1e-9)
-    shape = tuple(int(e / coarse) + 2 for e in extent)
-    point_cells = _cell_index(points, box.lower, coarse, shape)
-    cells = _cell_index(rest, box.lower, coarse, shape)
-    reached = _near(point_cells, shape)[cells]  # the others are sure misses
-    near = _near(cells[reached], shape)[point_cells]
     return (
-        len(samples) - len(rest),
-        np.compress(reached, rest, axis=0),
-        np.compress(near, points, axis=0),
+        int(np.count_nonzero(sure)),
+        np.compress(shell, samples, axis=0),
+        np.compress(near[point_cells], points, axis=0),
     )
+
+
+def _hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float) -> int:
+    """Number of samples within r (1 + 1e-12) of a point: the raster pre-pass
+    (module docstring) settles most of them, a tree over the nearby points
+    the rest.  It is built unbalanced and uncompacted, which about halves
+    its build; nearest distances do not depend on its shape."""
+    n_sure, rest, near = _raster_prepass(points, samples, box, radius)
+    tree = cKDTree(near, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(rest, k=1, distance_upper_bound=radius * (1 + 1e-12))
+    return n_sure + int(np.isfinite(dist).sum())
 
 
 def sausage_volume_hit_or_miss(
@@ -137,22 +214,15 @@ def sausage_volume_hit_or_miss(
     """Hit-or-miss Monte Carlo volume of the union of balls around the cloud.
 
     Uniform samples in the padded bounding box are classified by nearest
-    cloud distance; the estimate is unbiased for the sampled-cloud sausage
-    with the exact binomial standard error.  The raster pre-pass (module
-    docstring) settles the sure hits and misses; a tree over the nearby
-    points decides the rest.  It is built unbalanced and uncompacted, which
-    about halves its build; nearest distances do not depend on its shape.
+    cloud distance (`_hits`); the estimate is unbiased for the
+    sampled-cloud sausage with the exact binomial standard error.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     box = bounding_box(cloud, radius)
-    samples = box.sample_uniform(n_mc, rng)
-    n_sure, rest, near = _raster_prepass(cloud.points, samples, box, radius)
-    tree = cKDTree(near, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(rest, k=1, distance_upper_bound=radius * (1 + 1e-12))
-    p_hat = (n_sure + int(np.isfinite(dist).sum())) / n_mc
+    p_hat = _hits(cloud.points, box.sample_uniform(n_mc, rng), box, radius) / n_mc
     vol = box.volume * p_hat
     stderr = box.volume * math.sqrt(p_hat * (1.0 - p_hat) / n_mc)
     return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")

@@ -36,11 +36,16 @@ INDICATOR_METHODS = ("hard_direct", "quenched_hard")
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
+    """`ess` = (sum w)^2 / sum w^2 and `max_weight_share` = max w / sum w of
+    the replica weights w (both 0 when every weight is 0)."""
+
     p_hat: float
     stderr: float
     n_replicas: int
     method: str
     params: ModelParams
+    ess: float = 0.0
+    max_weight_share: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.p_hat <= 1.0 + 1e-12:
@@ -179,14 +184,19 @@ def _estimate(
     w = n_workers(workers)
     if params.T == 0:
         # empty time integral: the survival weight is exp(-0) for every path
-        return SurvivalEstimate(1.0, 0.0, n_rep, method, params)
+        return SurvivalEstimate(1.0, 0.0, n_rep, method, params, float(n_rep), 1.0 / n_rep)
     weights = _run_batches(weight, params, seed, extra, n_rep, w)
     p = float(np.mean(weights))
     if method in INDICATOR_METHODS:
         stderr = math.sqrt(p * (1.0 - p) / n_rep)
     else:
         stderr = float(np.std(weights, ddof=1) / math.sqrt(n_rep))
-    return SurvivalEstimate(min(p, 1.0), stderr, n_rep, method, params)
+    total, square = float(weights.sum()), float((weights * weights).sum())
+    return SurvivalEstimate(
+        min(p, 1.0), stderr, n_rep, method, params,
+        total * total / square if square > 0 else 0.0,
+        float(weights.max()) / total if total > 0 else 0.0,
+    )
 
 
 def annealed_hard(

@@ -40,7 +40,8 @@ class Box:
         return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
 
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.d))
+        # bit-equal to rng.uniform(lower, upper, (n, d)), without its argument checks
+        return self.lower + (self.upper - self.lower) * rng.random((n, self.d))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,22 @@ def test_survival_subcommand(capsys, tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("flags", [["--hard"], ["--via-volume"], ["--soft"], ["--env", "ENV"]])
+def test_survival_json_is_worker_invariant(flags, capsys, tmp_path):
+    env = tmp_path / "env.json"
+    env.write_text(PoissonEnvironment(np.array([[0.8, 0.0]]), Box([-3, -3], [3, 3]), 1.0).to_json())
+    flags = [str(env) if f == "ENV" else f for f in flags]
+    outs = []
+    for threads in ("1", "2"):
+        code, out = run_cli(["survival", *flags, "--nu", "0.2", "--T", "0.5", "--n", "100",
+                             "--seed", "3", "--threads", threads], capsys)
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    rec = last_json(outs[0])
+    assert 0 < rec["ess"] <= 100 and 0 < rec["max_weight_share"] <= 1
+
+
 def test_unknown_subcommand_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "string_sausage.cli", "frobnicate"],
@@ -263,7 +279,7 @@ def test_fit_csv_row_carries_no_model(capsys, tmp_path):
     assert abs(last_json(out)["gamma_hat"] - 0.5) < 1e-9
     [rec] = csv.DictReader(out_csv.read_text().splitlines())
     assert (rec["experiment"], rec["method"], rec["T"], rec["n"]) == ("fit", "gamma_hat", "0.004", "4")
-    assert [rec[k] for k in ("d", "J", "nu", "a", "resolution_tag")] == [""] * 5
+    assert [rec[k] for k in ("d", "J", "nu", "a", "seed", "resolution_tag")] == [""] * 6
 
 
 def test_fit_bad_columns_exit_2(capsys, tmp_path):

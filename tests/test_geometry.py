@@ -22,6 +22,7 @@ from string_sausage.geometry import (
 from string_sausage.rng import MC, substream
 from string_sausage.simulate import brownian_path, simulate
 from string_sausage.spectral import ModelParams
+from string_sausage.traps import Box
 
 
 def test_point_cloud_validation():
@@ -56,18 +57,6 @@ def test_bounding_box_is_the_axis_min_and_max():
             np.testing.assert_array_equal(box.upper, pts.max(axis=0) + pad)
 
 
-class _Fixed:
-    """Generator stand-in whose uniform draw returns the given samples."""
-
-    def __init__(self, samples):
-        self.samples = np.asarray(samples, float)
-
-    def uniform(self, lo, hi, size):
-        assert size == self.samples.shape
-        assert np.all((self.samples >= lo) & (self.samples <= hi))
-        return self.samples
-
-
 class _LoggedTree:
     """cKDTree stand-in that logs its point count and each query's sample count."""
 
@@ -99,13 +88,20 @@ def brute_hits(points, samples, radius) -> int:
     return hits
 
 
-def check_hits(points, samples, radius) -> int:
-    """Hit-or-miss over the given samples gives the brute-force hit count."""
-    cloud = PointCloud(points)
-    est = sausage_volume_hit_or_miss(cloud, radius, len(samples), _Fixed(samples))
-    hits = brute_hits(cloud.points, np.asarray(samples, float), radius)
-    assert est.volume == bounding_box(cloud, radius).volume * (hits / len(samples))
+def check_hits(points, samples, radius, box=None) -> int:
+    """The pre-pass and tree give the brute-force hit count of the given
+    samples, in `box` or else the cloud's box padded by the radius."""
+    points, samples = np.asarray(points, float), np.asarray(samples, float)
+    box = bounding_box(PointCloud(points), radius) if box is None else box
+    hits = geometry._hits(points, samples, box, radius)
+    assert hits == brute_hits(points, samples, radius)
     return hits
+
+
+def _side(d, k=None):
+    """The raster's cell side at radius 1 and k = RASTER_K (or the given k)."""
+    k = geometry.RASTER_K.get(d, 1) if k is None else k
+    return 1 / (k * math.sqrt(d)) * (1 - 1e-9)
 
 
 def test_hit_or_miss_matches_brute_force_nearest_distance():
@@ -132,6 +128,80 @@ def test_prepass_matches_brute_force_on_strings(d, T, tree_log):
     assert 0 < queried < 2000 and built <= len(cloud.points)
 
 
+def test_sample_uniform_is_bit_equal_to_uniform():
+    for d in (1, 2, 3):
+        rng = substream(35, MC, d)
+        for _ in range(20):
+            lo = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4)
+            box = Box(lo, lo + rng.uniform(1e-6, 1e3, size=d))
+            seed = int(rng.integers(1 << 30))
+            drawn = box.sample_uniform(500, substream(seed, MC, 0))
+            np.testing.assert_array_equal(
+                drawn, substream(seed, MC, 0).uniform(box.lower, box.upper, size=(500, d))
+            )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stencils_hold_exactly_the_sure_offsets(d):
+    # every hit offset's farthest cell pair is closer than r; every offset whose
+    # nearest cell pair lies within the query bound is within reach, whose span
+    # on an axis is ceil(bound / side) cells
+    bound = 1 + 1e-12
+    for k in range(1, geometry.RASTER_K.get(d, 1) + 2):
+        side = _side(d, k)
+        hit, reach = geometry._stencils(d, k)
+        assert hit <= reach and (0,) * d in hit
+        far = np.array([[abs(x) + 1 for x in o] for o in hit], float) * side
+        assert np.sqrt((far ** 2).sum(axis=1)).max() < 1
+        w = math.ceil(bound / side)
+        assert max(max(o) for o in reach) == w
+        for o in itertools.product(range(-w - 2, w + 3), repeat=d):
+            near = np.array([max(abs(x) - 1, 0) for x in o]) * side
+            assert (o in reach) == (math.sqrt((near ** 2).sum()) <= bound), o
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dilate_is_the_stencil_dilation(d):
+    # flat shifts against a dilation by each offset on the index grid: equal
+    # for hits on every cell holding data (pad empty cells above it on each
+    # axis), and a superset for the reach, whose shifts may wrap
+    rng = substream(36, MC, d)
+    for k in range(1, geometry.RASTER_K.get(d, 1) + 1):
+        hit, reach = geometry._stencils(d, k)
+        pad = max(max(o) for o in hit)
+        shape = tuple(int(x) for x in rng.integers(8, 14, size=d) + pad)
+        grid = np.zeros(shape, bool)
+        inner = tuple(slice(0, n - pad) for n in shape)
+        grid[inner] = rng.random(tuple(n - pad for n in shape)) < 0.05
+        strides = [math.prod(shape[j + 1 :]) for j in range(d)]
+        got_hit, got_reach = (g.reshape(shape) for g in geometry._dilate(grid.ravel(), strides, hit, reach))
+        for stencil, got in ((hit, got_hit), (reach, got_reach)):
+            want = np.zeros(shape, bool)
+            for idx in zip(*np.nonzero(grid)):
+                for o in stencil:
+                    cell = tuple(i + x for i, x in zip(idx, o))
+                    if all(0 <= c < n for c, n in zip(cell, shape)):
+                        want[cell] = True
+            assert np.all(got[want])
+            if stencil is hit:
+                np.testing.assert_array_equal(got[inner], want[inner])
+
+
+def test_prepass_hit_shift_does_not_wrap_into_the_next_row():
+    # a box that leaves no room above the data: a point at the top of a row
+    # of the last axis and samples at the bottom of the next rows (and the
+    # mirror case) are about 3 apart, misses all; a flat shift past the row
+    # end would mark them sure hits
+    a = 0.3
+    box = Box([0.0, 0.0], [3.0, 3.0])
+    side = a * _side(2)
+    rows = 1.5 + side * np.arange(-6, 7)
+    for point, edge in (([1.5, 3.0], 0.0), ([1.5, 0.0], 3.0)):
+        cols = abs(edge - side * np.arange(8) / 2)  # from the opposite edge inwards
+        samples = np.array(list(itertools.product(rows, cols)))
+        assert check_hits([point], samples, a, box) == 0
+
+
 def _offsets(d):
     """Unit vectors towards the 3^d - 1 neighbours of a cell."""
     u = np.array([v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)], float)
@@ -140,20 +210,20 @@ def _offsets(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_prepass_cell_edges(d, tree_log):
-    # points on and 0.01 a either side of fine- and coarse-cell corners, each
-    # with samples at 0.99 a, a and a (1 + 2e-12) towards every neighbouring
-    # cell; the origin anchors the raster at lo = -a
+    # points on and 0.01 a either side of cell corners, each with samples at
+    # 0.99 a, a and a (1 + 2e-12) towards every neighbouring cell; the origin
+    # anchors the raster at lo = -a
     a = 0.3
-    fine, coarse = a / math.sqrt(d) * (1 - 1e-9), a * (1 + 1e-9)
+    side = a * _side(d)
     signs = [np.ones(d), -np.ones(d), (-1.0) ** np.arange(d), np.zeros(d)]
     points, samples = [np.zeros(d)], []
-    for i, (side, sign) in enumerate(itertools.product((fine, coarse), signs)):
-        corner = np.full(d, -a + 4 * (i + 1) * side)
+    for i, sign in enumerate(signs * 2):
+        corner = np.full(d, -a + (16 * (i + 1) + i % 3) * side)
         q = corner + 0.01 * a * sign
         points.append(q)
         samples += [q, corner]
         samples += [q + r * u for r in (0.99 * a, a, a * (1 + 2e-12)) for u in _offsets(d)]
-    points.append(np.full(d, 40.0 * a))  # room above the last point
+    points.append(np.full(d, -a + 150 * side))  # room above the last point
     box = bounding_box(PointCloud(np.array(points)), a)
     fill = box.sample_uniform(1200 - len(samples), substream(30, MC, d))
     hits = check_hits(np.array(points), np.vstack(samples + [fill]), a)
@@ -163,38 +233,41 @@ def test_prepass_cell_edges(d, tree_log):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_prepass_fine_cell_diagonal_is_below_the_bound(d):
-    # b = a (1 + 1e-12) / sqrt(d) is the side whose diagonal is the query
-    # bound.  For a side w = b + g, q sits g/4 above the corner 2w and s g/4
-    # below the corner 3w on every axis, so a fine raster of side w' in
-    # (w - g/12, w + g/8] puts them in one cell although they are
-    # sqrt(d) (b + g/2) apart, a miss; g runs over 1e-13 b .. 1e-4 b.  The
-    # origin anchors the raster at lo = -a and a far point makes room above s.
+    # the hit stencil holds the offset k - 1 on every axis, whose farthest
+    # pair is k sqrt(d) sides apart; b = a (1 + 1e-12) / (k sqrt(d)) is the
+    # side that puts that pair at the query bound.  For a side w = b + g, q
+    # sits g/4 above the corner 2w and s g/4 below the corner (2 + k) w on
+    # every axis, so a raster of side w' in (w - g/(8 + 4k), w + g/8] from 0
+    # puts them k - 1 cells apart on every axis although they are
+    # sqrt(d) (k b + (k - 1/2) g) apart, a miss; g runs over 1e-13 b .. 1e-4 b
+    # in steps of 1.1, which leave no side between the windows.
     a = 0.3
-    b = a * (1 + 1e-12) / math.sqrt(d)
-    for g in b * 1e-13 * 1.2 ** np.arange(115):
+    k = geometry.RASTER_K.get(d, 1)
+    b = a * (1 + 1e-12) / (k * math.sqrt(d))
+    box = Box(np.zeros(d), np.full(d, 10 * a))
+    for g in b * 1e-13 * 1.1 ** np.arange(218):
         w = b + g
-        q = np.full(d, -a + 2 * w + g / 4)
-        s = np.full(d, -a + 3 * w - g / 4)
-        cloud = np.array([np.zeros(d), q, np.full(d, 10 * a)])
-        assert check_hits(cloud, np.tile(s, (1000, 1)), a) == 0
+        q = np.full(d, 2 * w + g / 4)
+        s = np.full(d, (2 + k) * w - g / 4)
+        assert check_hits([q], np.tile(s, (1000, 1)), a, box) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_prepass_coarse_cell_covers_the_bound(d):
-    # s lies l = a (1 + 9e-13) from q along axis 0, inside the query bound
-    # a (1 + 1e-12): a hit.  For a side w = l - g, q sits g/2 below the corner
-    # 2w and s g/2 above the corner 3w, so a coarse raster of side w' in
-    # (w - g/4, w + g/6] puts them two cells apart; g runs over
-    # 1e-13 a .. 1e-4 a, which includes a side of exactly a.
+def test_prepass_reach_covers_the_bound(d):
+    # s lies l = a (1 + 9e-13) from q along axis 0 or along the diagonal,
+    # inside the query bound a (1 + 1e-12): a hit.  q sits g below the
+    # corner 2w of the raster's own side w from 0, so for g below about
+    # 1e-9 a the pair is ceil(l / w) cells apart along axis 0, or k + 1 on
+    # every axis, the edge of reach; g runs over 1e-13 a .. 1e-4 a.
     a = 0.3
+    side = a * _side(d)
     ell = a * (1 + 9e-13)
+    box = Box(np.zeros(d), np.full(d, 10 * a))
     for g in a * 1e-13 * 1.2 ** np.arange(115):
-        q = np.zeros(d)
-        q[0] = -a + 2 * (ell - g) - g / 2
-        s = q.copy()
-        s[0] += ell
-        cloud = np.array([np.zeros(d), q, np.full(d, 10 * a)])
-        assert check_hits(cloud, np.tile(s, (1000, 1)), a) == 1000
+        for u in (np.eye(d)[0], np.ones(d) / math.sqrt(d)):
+            q = np.full(d, 2 * side - g)
+            s = q + ell * u
+            assert check_hits([q], np.tile(s, (1000, 1)), a, box) == 1000
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -207,20 +280,20 @@ def test_prepass_single_point_cloud(d):
 
 
 def test_prepass_every_sample_sure(tree_log):
-    # each sample is a cloud point, so it shares that point's fine cell
+    # each sample is a cloud point, so it shares that point's cell
     pts = substream(32, MC, 0).uniform(0.0, 5.0, size=(1000, 2))
     assert check_hits(pts, pts, 0.3) == 1000
     assert tree_log == [0, 0]
 
 
 def test_prepass_no_sample_sure(tree_log):
-    # points 3a apart; every sample lies 0.75a-0.95a from one, outside its
-    # fine cell (side 0.71a) and within its coarse reach
+    # points 3a apart; every sample lies within 5e-10 a inside the radius of
+    # one, farther than any pair of cells in the hit stencil, and in reach
     a = 0.3
     pts = 3 * a * np.array(list(itertools.product(range(10), range(10))), float)
     rng = substream(33, MC, 0)
     angle = rng.uniform(0, 2 * math.pi, 1000)
-    r = a * rng.uniform(0.75, 0.95, 1000)
+    r = a * (1 - rng.uniform(1e-11, 5e-10, 1000))
     samples = pts[rng.integers(0, len(pts), 1000)] + r[:, None] * np.column_stack(
         [np.cos(angle), np.sin(angle)]
     )
@@ -228,25 +301,48 @@ def test_prepass_no_sample_sure(tree_log):
     assert tree_log == [len(pts), 1000]
 
 
+def _peak_bytes(fn):
+    """fn(), and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_prepass_raster_guard(tree_log):
-    # radius 0.01 in a box of side ~2.9 in d=3: ~1.3e8 fine cells, past the
-    # cap, so no raster is built and the tree holds the whole cloud
+    # radius 0.01 in a box of side ~2.9 in d=3: ~1.3e8 cells at k = 1, past
+    # the cap, so no raster is built and the tree holds the whole cloud
     a = 0.01
     rng = substream(34, MC, 0)
     pts = rng.uniform(0.0, 2.9, size=(2000, 3))
     box = bounding_box(PointCloud(pts), a)
-    assert np.prod((box.upper - box.lower) / (a / math.sqrt(3))) > 100 * MAX_RASTER_CELLS
+    assert np.prod((box.upper - box.lower) / (a * _side(3, 1))) > 100 * MAX_RASTER_CELLS
     samples = np.vstack([pts[:500] + rng.uniform(-a, a, (500, 3)) / 2, box.sample_uniform(500, rng)])
-    tracemalloc.start()
-    try:
-        est = sausage_volume_hit_or_miss(PointCloud(pts), a, 1000, _Fixed(samples))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
     assert peak < MAX_RASTER_CELLS  # bytes: far below one raster past the cap
     assert tree_log == [2000, 1000]
-    hits = brute_hits(pts, samples, a)
-    assert hits >= 500 and est.volume == box.volume * (hits / 1000)
+    assert hits == brute_hits(pts, samples, a) >= 500
+
+
+def test_prepass_lowers_k_to_fit_the_cap(tree_log):
+    # radius 0.01 along a curve in a box of side ~5 in d=2: ~8e6 cells at
+    # k = RASTER_K, past the cap, and ~5e5 at k = 1, so the raster is built at
+    # a lower k, in a few rasters of memory, and the tree sees the shell only
+    a = 0.01
+    t = np.linspace(0.0, 1.0, 4000)
+    pts = np.column_stack([5.0 * t, 2.5 + 2.5 * np.sin(2 * math.pi * t)])
+    box = bounding_box(PointCloud(pts), a)
+    extent = box.upper - box.lower
+    assert np.prod(extent / (a * _side(2, geometry.RASTER_K[2]))) > 4 * MAX_RASTER_CELLS
+    assert np.prod(extent / (a * _side(2, 1)) + 2) < MAX_RASTER_CELLS
+    rng = substream(37, MC, 0)
+    samples = np.vstack([pts[::4] + rng.uniform(-a, a, (1000, 2)), box.sample_uniform(1000, rng)])
+    hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
+    assert peak < 12 * MAX_RASTER_CELLS  # bytes: a few bool rasters at the cap
+    built, queried = tree_log
+    assert built < len(pts) and queried < len(samples)
+    assert hits == brute_hits(pts, samples, a)
 
 
 def test_hit_or_miss_single_disk():

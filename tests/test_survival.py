@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from string_sausage import survival
 from string_sausage.geometry import bounding_box
 from string_sausage.rng import ENV, substream
 from string_sausage.simulate import Trace, simulate
@@ -158,6 +159,25 @@ def test_every_estimator_is_worker_invariant(path):
     serial, parallel = estimate(1), estimate(2)
     assert serial.stderr > 0  # a constant weight would pass vacuously
     assert (serial.p_hat, serial.stderr) == (parallel.p_hat, parallel.stderr)
+    assert (serial.ess, serial.max_weight_share) == (parallel.ess, parallel.max_weight_share)
+
+
+def _known_weight(trace, seed, r, kind):
+    return {"ramp": r + 1.0, "one_in_four": float(r % 4 == 0), "zero": 0.0}[kind]
+
+
+def test_weight_diagnostics_on_known_weights():
+    p = params()
+    ramp = survival._estimate(_known_weight, ("ramp",), "w", p, 100, 1, 1)
+    assert ramp.ess == pytest.approx(5050.0 ** 2 / 338350.0, rel=1e-15)  # sum k, sum k^2
+    assert ramp.max_weight_share == pytest.approx(100.0 / 5050.0, rel=1e-15)
+    quarter = survival._estimate(_known_weight, ("one_in_four",), "hard_direct", p, 100, 1, 1)
+    assert (quarter.p_hat, quarter.ess, quarter.max_weight_share) == (0.25, 25.0, 1 / 25)
+    zero = survival._estimate(_known_weight, ("zero",), "hard_direct", p, 100, 1, 1)
+    assert (zero.p_hat, zero.ess, zero.max_weight_share) == (0.0, 0.0, 0.0)
+    # at T = 0 every weight is exp(-0) = 1
+    flat = annealed_hard(params(T=0.0), 120, seed=1, workers=1)
+    assert (flat.ess, flat.max_weight_share) == (120.0, 1 / 120)
 
 
 def test_parallel_merge_is_order_independent():
