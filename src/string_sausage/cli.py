@@ -135,13 +135,21 @@ def emit(obj) -> None:
 # argument plumbing
 
 
+def master_seed(value) -> int:
+    """A master seed: an integer in [0, 2**64)."""
+    seed = int(value)
+    if not 0 <= seed < streams.SEED_LIMIT:
+        raise ValueError(f"seed {seed} must lie in [0, 2**64)")
+    return seed
+
+
 def add_model_args(sp: argparse.ArgumentParser) -> None:
     for name, default in MODEL_DEFAULTS.items():
         sp.add_argument(
             "--" + name.replace("_", "-"), type=type(default), default=default,
             help="accepted neglected stationary variance per mode coefficient" if name == "eps_tail" else None,
         )
-    sp.add_argument("--seed", type=int, required=True, help="master seed (no wall-clock default)")
+    sp.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (no wall-clock default)")
     sp.add_argument("--csv", type=str, default=None, help="append result rows to this CSV file")
     sp.add_argument("--threads", type=int, default=None, help="worker count (default: cores, or STRING_SAUSAGE_THREADS)")
 
@@ -430,7 +438,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         raise ValueError(f"config key(s) {', '.join(unread)} not read by experiment {experiment!r}")
     if "seed" not in config:
         raise ValueError("config must set `seed` explicitly")
-    seed = _convert("seed", config["seed"], int)
+    seed = master_seed(_convert("seed", config["seed"], int))
     sweeps = {
         name: [_convert(name, v, float) for v in _as_list(config.get(name, MODEL_DEFAULTS[name]))]
         for name in ("T", "J", "nu", "a")
@@ -546,6 +554,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            master_seed(args.seed)
         return args.fn(args)
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,11 +6,12 @@ sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
 them).
 
 Hit-or-miss decides most samples exactly on one cell raster of the padded
-box, before any kd-tree query.  Its cells have side
-s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d].  Two cells delta apart hold
-no point pair farther apart than s sqrt(sum_j (|delta_j| + 1)^2) and none
-nearer than s sqrt(sum_j max(|delta_j| - 1, 0)^2).  A sample is therefore a
-sure hit when a cloud point lies in its hit stencil, the offsets with
+box, and the rest by an exact query over the cloud points near them.  The
+raster's cells have side s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d].
+Two cells delta apart hold no point pair farther apart than
+s sqrt(sum_j (|delta_j| + 1)^2) and none nearer than
+s sqrt(sum_j max(|delta_j| - 1, 0)^2).  A sample is therefore a sure hit
+when a cloud point lies in its hit stencil, the offsets with
 sum_j (|delta_j| + 1)^2 <= k^2 d, whose pairs are all closer than r.  It is
 a sure miss when no cloud point lies in its reach stencil, the offsets with
 sum_j max(|delta_j| - 1, 0)^2 <= k^2 d: a pair within the query bound
@@ -20,13 +21,21 @@ tests are dilations of the occupied cells by flat shifts of the raster.  A
 shift past the end of an axis wraps into a neighbouring row: in reach that
 only widens the set, and for hits the raster keeps as many empty cells
 above the data on every axis as the hit stencil spans, so no hit shift
-lands on data.  The tree holds only the cloud points within reach of the
-other samples and decides those alone, so the hit count is the one a tree
-over the whole cloud gives.  The 1e-9 margin exceeds the rounding of a
-cell index on an axis of fewer than about 1.5e6 cells, which
-MAX_RASTER_CELLS ensures.  Past that cap the raster is built at a lower k;
-past it at k = 1 no raster is built and every sample goes to a tree over
-the whole cloud.
+lands on data.  The 1e-9 margin exceeds the rounding of a cell index on an
+axis of fewer than about 1.5e6 cells, which MAX_RASTER_CELLS ensures.  Past
+that cap the raster is built at a lower k; past it at k = 1 no raster is
+built and the exact stage decides every sample.
+
+The exact stage holds only the cloud points within reach of the samples
+left undecided, so the hit count is the one a scan over the whole cloud
+gives.  It is a fixed-radius cell query (Bentley, Stanat & Williams 1977):
+the points go on a grid of side at least the bound times (1 + 1e-9), with
+at most 2^20 cells on an axis, so a pair within the bound lies at most one
+cell apart on every axis despite rounding.  The points are sorted by flat
+cell key; each sample takes one key range per neighbouring row, three
+cells wide, and its candidates' squared differences are summed column by
+column, as a full distance scan sums them, and compared with the squared
+bound.  The candidate pairs go in batches of EXACT_BATCH values per array.
 """
 
 from __future__ import annotations
@@ -38,12 +47,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
 MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
+# values per working array of the hit-or-miss exact stage: 64 kB stays in
+# cache and below glibc's 128 kB mmap threshold, so no batch faults in pages
+EXACT_BATCH = 1 << 13
 RASTER_K = {1: 3, 2: 4}  # hit-or-miss raster cells per r/sqrt(d) (measured); 1 above d=2
 
 
@@ -165,7 +176,7 @@ def _dilate(raster: np.ndarray, strides: list, *stencils: frozenset) -> list[np.
 def _raster_prepass(
     points: np.ndarray, samples: np.ndarray, box: Box, radius: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(sure hits, the samples the tree decides, the cloud points it needs)."""
+    """(sure hits, the samples the exact stage decides, the cloud points it needs)."""
     extent = (box.upper - box.lower).tolist()
     d = len(extent)
     for k in range(RASTER_K.get(d, 1), 0, -1):
@@ -197,15 +208,87 @@ def _raster_prepass(
     )
 
 
+@functools.cache
+def _neighbour_rows(d: int) -> np.ndarray:
+    """The offsets in {-1, 0, 1}^(d-1), one row per neighbouring row of a
+    cell along the first d - 1 axes."""
+    return np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), np.intp).reshape(3 ** (d - 1), d - 1)
+
+
+def _padded(x: np.ndarray, width: int) -> np.ndarray:
+    """x with zero columns appended up to `width` columns."""
+    if x.shape[1] == width:
+        return x
+    out = np.zeros((len(x), width))
+    out[:, : x.shape[1]] = x
+    return out
+
+
+def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float) -> int:
+    """Number of samples within r (1 + 1e-12) of a point, by the exact cell
+    query (module docstring); every row of both arrays lies in `box`."""
+    if len(points) == 0 or len(samples) == 0:
+        return 0
+    bound = radius * (1 + 1e-12)
+    extent = (box.upper - box.lower).tolist()
+    d = len(extent)
+    side = max(bound * (1 + 1e-9), max(extent) / (1 << 20))
+    shape = [int(e / side) + 4 for e in extent]
+    while math.prod(shape) >= 1 << 62:  # flat keys must fit int64 (only past d = 3)
+        side *= 2
+        shape = [int(e / side) + 4 for e in extent]
+    strides = np.array([math.prod(shape[j + 1 :]) for j in range(d)], np.intp)
+    shift = int(strides.sum())  # every index up by one: no neighbour falls below 0 or wraps
+
+    def cell_keys(x):
+        return ((x - box.lower) / side).astype(np.intp) @ strides + shift
+
+    keys = cell_keys(points)
+    order = np.argsort(keys)
+    keys = keys[order]
+    sample_keys = cell_keys(samples)
+    # rows padded to 8, 16 or 32 bytes, which numpy gathers in one copy each
+    width = 1 << (d - 1).bit_length()
+    points, samples = _padded(points.take(order, axis=0), width), _padded(samples, width)
+    rows = _neighbour_rows(d) @ strides[:-1] - 1  # the first of each row's three cells
+    # a table of each cell's first point, unless binary searches cost less
+    n_cells, n_find = math.prod(shape), 2 * len(samples) * len(rows)
+    if n_cells <= min(16 * n_find, MAX_RASTER_CELLS):
+        first = np.zeros(n_cells + 1, np.intp)  # first[c]: the points in cells below c
+        np.cumsum(np.bincount(keys, minlength=n_cells), out=first[1:])
+        find = first.take
+    else:
+        find = keys.searchsorted
+    hit = np.zeros(len(samples), bool)
+    block, batch = max(1, 2 * EXACT_BATCH // len(rows)), EXACT_BATCH // width
+    for s0 in range(0, len(samples), block):
+        lo = sample_keys[s0 : s0 + block, None] + rows
+        start = find(lo).ravel()
+        count = find(lo + 3).ravel() - start
+        ends = count.cumsum()
+        offset = start + count - ends  # point index less pair index, per key range
+        # batches of key ranges, at most `batch` pairs past the first range
+        cuts = [0, *np.searchsorted(ends, np.arange(batch, ends[-1], batch), "right"), len(count)]
+        for a, b in zip(cuts, cuts[1:]):
+            if a == b:
+                continue
+            c = count[a:b]
+            point = np.arange(ends[a] - c[0], ends[b - 1]) + offset[a:b].repeat(c)
+            sample = (np.arange(a + s0 * len(rows), b + s0 * len(rows)) // len(rows)).repeat(c)
+            sq = samples.take(sample, axis=0) - points.take(point, axis=0)
+            sq *= sq
+            dist2 = sq[:, 0]
+            for j in range(1, d):
+                dist2 = dist2 + sq[:, j]
+            hit[sample[dist2 <= bound ** 2]] = True
+    return int(np.count_nonzero(hit))
+
+
 def _hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float) -> int:
     """Number of samples within r (1 + 1e-12) of a point: the raster pre-pass
-    (module docstring) settles most of them, a tree over the nearby points
-    the rest.  It is built unbalanced and uncompacted, which about halves
-    its build; nearest distances do not depend on its shape."""
+    (module docstring) settles most of them, the exact stage the rest."""
     n_sure, rest, near = _raster_prepass(points, samples, box, radius)
-    tree = cKDTree(near, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(rest, k=1, distance_upper_bound=radius * (1 + 1e-12))
-    return n_sure + int(np.isfinite(dist).sum())
+    return n_sure + _shell_hits(near, rest, box, radius)
 
 
 def sausage_volume_hit_or_miss(
@@ -241,6 +324,8 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
     axes = [box.lower[i] + (np.arange(counts[i]) + 0.5) * voxel_size for i in range(cloud.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
+    from scipy.spatial import cKDTree  # loaded on first use: no other estimator needs scipy
+
     tree = cKDTree(cloud.points)
     n_in = 0
     chunk = 2_000_000

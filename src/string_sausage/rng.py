@@ -19,8 +19,9 @@ results.  Each logical unit owns one stream:
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds and stream path components lie in [0, SEED_LIMIT)
 
 # Stream tags.  Each estimator draws from its own tag so that adding draws
 # to one component never perturbs another.
@@ -30,21 +31,21 @@ MC = 3
 AUX = 5
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
+def substream(master_seed: int, *path: int) -> Generator:
     """Return the Generator for a counter-derived stream.
 
-    ``path`` is up to three non-negative integers (e.g. tag, replica,
-    level).  The path occupies the high words of the Philox counter; the low
-    word is left at zero, giving each stream 2**64 blocks of headroom
-    before it could run into a sibling.
+    ``master_seed`` and the up to three ``path`` integers (e.g. tag,
+    replica, level) lie in [0, 2**64).  The path occupies the high words of
+    the Philox counter; the low word is left at zero, giving each stream
+    2**64 blocks of headroom before it could run into a sibling.  Counter
+    and key are handed to Philox as uint64 arrays: from a list, numpy would
+    cast words of 2**63 and above through float64.
     """
     if len(path) > 3:
         raise ValueError("stream path may have at most 3 components")
-    counter = [0, 0, 0, 0]
-    for i, p in enumerate(path):
-        p = int(p)
-        if p < 0:
-            raise ValueError("stream path components must be non-negative")
-        counter[i + 1] = p & _MASK64
-    key = [int(master_seed) & _MASK64, len(path)]
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    words = [int(master_seed), *map(int, path)]
+    if not all(0 <= w < SEED_LIMIT for w in words):
+        raise ValueError(f"seed and stream path components must lie in [0, 2**64), got {words}")
+    counter = np.array([0, *words[1:]] + [0] * (3 - len(path)), np.uint64)
+    key = np.array([words[0], len(path)], np.uint64)
+    return Generator(Philox(counter=counter, key=key))

@@ -66,7 +66,10 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
     """
     n = params.n_steps
     gen = streams.substream(seed, streams.NOISE, replica)
-    coeffs = evolve(params, zero_state(params), params.dt, gen, n)
+    try:
+        coeffs = evolve(params, zero_state(params), params.dt, gen, n)
+    except MemoryError:
+        raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
     return Trace(params, np.arange(n + 1) * params.dt, coeffs)
 
 

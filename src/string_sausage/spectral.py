@@ -25,8 +25,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily: load it with this module, not in the first transform
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) = sum_{k >= 0} 1/(x + k)^2 for x >= 1: the recurrence
+    psi'(x) = 1/x^2 + psi'(x + 1) up to x >= 20, then the asymptotic series
+    1/x + 1/(2x^2) + sum_j B_2j / x^(2j+1) through B_12, whose next term is
+    below 1e-19 there."""
+    n = max(0, math.ceil(20 - x))
+    y = x + n
+    u = 1.0 / (y * y)
+    bernoulli = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2 .. B_12
+    series = 0.0
+    for b in reversed(bernoulli):
+        series = b + u * series
+    value = 1 / y + u / 2 + series * u / y
+    for k in reversed(range(n)):  # smallest terms first
+        value += 1.0 / (x + k) ** 2
+    return value
 
 
 def mode_rates(K: int) -> np.ndarray:
@@ -85,10 +104,7 @@ class ModelParams:
 
     def tail_variance(self) -> float:
         """Stationary variance neglected per real mode coefficient, sum_{k>K} 1/(4 pi^2 k^2)."""
-        # polygamma(1, K+1) = sum_{k > K} 1/k^2
-        from scipy.special import polygamma
-
-        return float(polygamma(1, self.K + 1)) / (4.0 * math.pi ** 2)
+        return _trigamma(self.K + 1) / (4.0 * math.pi ** 2)
 
     def grid(self) -> np.ndarray:
         """M equally spaced points on [0, J)."""
@@ -124,7 +140,7 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     spec[..., 0] = coeffs[..., 0] / math.sqrt(J)
     spec[..., 1 : K + 1] = (coeffs[..., 1 : K + 1] - 1j * coeffs[..., K + 1 :]) / math.sqrt(2.0 * J)
     spec *= M
-    return np.ascontiguousarray(np.swapaxes(np.fft.irfft(spec, n=M, axis=-1), -1, -2))
+    return np.ascontiguousarray(np.swapaxes(numpy.fft.irfft(spec, n=M, axis=-1), -1, -2))
 
 
 def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -100,8 +100,10 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     return PoissonEnvironment(points, box, nu)
 
 
-# (trap, point) pairs per broadcast block of `contact_counts`
-PAIR_BLOCK = 1 << 16
+# (trap, point) pairs per broadcast block of `contact_counts`: 64 kB float
+# arrays stay below glibc's 128 kB mmap threshold, so the blocks of every
+# path reuse heap pages instead of faulting in fresh ones
+PAIR_BLOCK = 1 << 13
 
 
 def _contact_blocks(points, env: PoissonEnvironment, a: float, block: int):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -83,6 +84,29 @@ def test_missing_seed_exit_2():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2", str(1 << 64)])
+def test_seed_outside_64_bits_exit_2(seed, capsys):
+    # checked before any work: at T=0 the estimate draws no stream at all
+    assert main(["survival", "--hard", "--T", "0", "--n", "100", "--seed", seed, "--threads", "1"]) == EXIT_CONFIG
+    assert f"seed {seed} must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_unallocatable_path_exit_2():
+    # 1e9 steps need about 490 GiB of noise; the child's address space is
+    # capped at 8 GiB, so the allocation fails at once on any machine
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
+        "from string_sausage.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["survival", "--hard", "--T", "1", "--n", "100", "--seed", "1", "--dt", "1e-9", "--threads", "1"]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "config error: a path of 1000000000 steps" in proc.stderr
 
 
 def test_bad_model_params_exit_2(capsys):
@@ -387,6 +411,13 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
     ):
         code, err = run_config_file(cfg, config, capsys)
         assert code == EXIT_CONFIG and f"config value {key} =" in err, config
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_run_seed_outside_64_bits_exit_2(seed, capsys, tmp_path):
+    config = {"seed": seed, "n_replicas": 100, "threads": 1, "T": 0.25}
+    code, err = run_config_file(tmp_path / "c.json", config, capsys)
+    assert code == EXIT_CONFIG and f"seed {seed} must lie in [0, 2**64)" in err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from string_sausage import geometry
 from string_sausage.geometry import (
@@ -57,25 +56,19 @@ def test_bounding_box_is_the_axis_min_and_max():
             np.testing.assert_array_equal(box.upper, pts.max(axis=0) + pad)
 
 
-class _LoggedTree:
-    """cKDTree stand-in that logs its point count and each query's sample count."""
-
-    log: list = []
-
-    def __init__(self, points, **kwargs):
-        self.log.append(len(points))
-        self.tree = cKDTree(points, **kwargs)
-
-    def query(self, x, **kwargs):
-        self.log.append(len(x))
-        return self.tree.query(x, **kwargs)
-
-
 @pytest.fixture
-def tree_log(monkeypatch):
-    monkeypatch.setattr(_LoggedTree, "log", [])
-    monkeypatch.setattr(geometry, "cKDTree", _LoggedTree)
-    return _LoggedTree.log
+def exact_log(monkeypatch):
+    """The exact stage's inputs, per call: the points it holds, then the
+    samples it decides."""
+    log = []
+    shell_hits = geometry._shell_hits
+
+    def logged(points, samples, box, radius):
+        log.extend([len(points), len(samples)])
+        return shell_hits(points, samples, box, radius)
+
+    monkeypatch.setattr(geometry, "_shell_hits", logged)
+    return log
 
 
 def brute_hits(points, samples, radius) -> int:
@@ -89,7 +82,7 @@ def brute_hits(points, samples, radius) -> int:
 
 
 def check_hits(points, samples, radius, box=None) -> int:
-    """The pre-pass and tree give the brute-force hit count of the given
+    """The pre-pass and exact stage give the brute-force hit count of the given
     samples, in `box` or else the cloud's box padded by the radius."""
     points, samples = np.asarray(points, float), np.asarray(samples, float)
     box = bounding_box(PointCloud(points), radius) if box is None else box
@@ -118,13 +111,13 @@ def test_hit_or_miss_matches_brute_force_nearest_distance():
 
 @pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_prepass_matches_brute_force_on_strings(d, T, tree_log):
+def test_prepass_matches_brute_force_on_strings(d, T, exact_log):
     p = ModelParams(d=d, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
     cloud = simulate(p, 29, replica=d).cloud()
     samples = bounding_box(cloud, p.a).sample_uniform(2000, substream(29, MC, d))
     assert check_hits(cloud.points, samples, p.a) > 0  # all 2000 in d=1
-    built, queried = tree_log
-    # the raster settles part of the samples; the tree holds only nearby points
+    built, queried = exact_log
+    # the raster settles part of the samples; the exact stage holds only nearby points
     assert 0 < queried < 2000 and built <= len(cloud.points)
 
 
@@ -209,7 +202,7 @@ def _offsets(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_prepass_cell_edges(d, tree_log):
+def test_prepass_cell_edges(d, exact_log):
     # points on and 0.01 a either side of cell corners, each with samples at
     # 0.99 a, a and a (1 + 2e-12) towards every neighbouring cell; the origin
     # anchors the raster at lo = -a
@@ -228,7 +221,7 @@ def test_prepass_cell_edges(d, tree_log):
     fill = box.sample_uniform(1200 - len(samples), substream(30, MC, d))
     hits = check_hits(np.array(points), np.vstack(samples + [fill]), a)
     assert hits >= 8 * (2 + 2 * len(_offsets(d)))
-    assert tree_log[1] > 0
+    assert exact_log[1] > 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -279,14 +272,30 @@ def test_prepass_single_point_cloud(d):
     assert hits >= 2 * d
 
 
-def test_prepass_every_sample_sure(tree_log):
+def test_exact_stage_dense_and_wide():
+    # the exact stage alone against a full scan: a dense d=3 cluster whose
+    # key ranges exceed a batch of pairs, with samples over several blocks;
+    # then two clusters 1e7 radii apart, past 2^20 cells of the bound on an axis
+    rng = substream(38, MC, 0)
+    pts = rng.normal(size=(8000, 3)) * 0.1
+    box = bounding_box(PointCloud(pts), 0.2)
+    samples = box.sample_uniform(4000, rng)
+    assert geometry._shell_hits(pts, samples, box, 0.2) == brute_hits(pts, samples, 0.2)
+    a = 1e-3
+    pts = np.vstack([rng.normal(size=(200, 2)) * 3 * a, rng.normal(size=(200, 2)) * 3 * a + 1e7 * a])
+    box = bounding_box(PointCloud(pts), a)
+    samples = np.vstack([pts[::2] + rng.uniform(-a, a, (200, 2)), box.sample_uniform(200, rng)])
+    assert geometry._shell_hits(pts, samples, box, a) == brute_hits(pts, samples, a) >= 100
+
+
+def test_prepass_every_sample_sure(exact_log):
     # each sample is a cloud point, so it shares that point's cell
     pts = substream(32, MC, 0).uniform(0.0, 5.0, size=(1000, 2))
     assert check_hits(pts, pts, 0.3) == 1000
-    assert tree_log == [0, 0]
+    assert exact_log == [0, 0]
 
 
-def test_prepass_no_sample_sure(tree_log):
+def test_prepass_no_sample_sure(exact_log):
     # points 3a apart; every sample lies within 5e-10 a inside the radius of
     # one, farther than any pair of cells in the hit stencil, and in reach
     a = 0.3
@@ -298,7 +307,7 @@ def test_prepass_no_sample_sure(tree_log):
         [np.cos(angle), np.sin(angle)]
     )
     assert check_hits(pts, samples, a) == 1000
-    assert tree_log == [len(pts), 1000]
+    assert exact_log == [len(pts), 1000]
 
 
 def _peak_bytes(fn):
@@ -310,9 +319,9 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_prepass_raster_guard(tree_log):
+def test_prepass_raster_guard(exact_log):
     # radius 0.01 in a box of side ~2.9 in d=3: ~1.3e8 cells at k = 1, past
-    # the cap, so no raster is built and the tree holds the whole cloud
+    # the cap, so no raster is built and the exact stage holds the whole cloud
     a = 0.01
     rng = substream(34, MC, 0)
     pts = rng.uniform(0.0, 2.9, size=(2000, 3))
@@ -321,14 +330,14 @@ def test_prepass_raster_guard(tree_log):
     samples = np.vstack([pts[:500] + rng.uniform(-a, a, (500, 3)) / 2, box.sample_uniform(500, rng)])
     hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
     assert peak < MAX_RASTER_CELLS  # bytes: far below one raster past the cap
-    assert tree_log == [2000, 1000]
+    assert exact_log == [2000, 1000]
     assert hits == brute_hits(pts, samples, a) >= 500
 
 
-def test_prepass_lowers_k_to_fit_the_cap(tree_log):
+def test_prepass_lowers_k_to_fit_the_cap(exact_log):
     # radius 0.01 along a curve in a box of side ~5 in d=2: ~8e6 cells at
     # k = RASTER_K, past the cap, and ~5e5 at k = 1, so the raster is built at
-    # a lower k, in a few rasters of memory, and the tree sees the shell only
+    # a lower k, in a few rasters of memory, and the exact stage sees the shell only
     a = 0.01
     t = np.linspace(0.0, 1.0, 4000)
     pts = np.column_stack([5.0 * t, 2.5 + 2.5 * np.sin(2 * math.pi * t)])
@@ -340,7 +349,7 @@ def test_prepass_lowers_k_to_fit_the_cap(tree_log):
     samples = np.vstack([pts[::4] + rng.uniform(-a, a, (1000, 2)), box.sample_uniform(1000, rng)])
     hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
     assert peak < 12 * MAX_RASTER_CELLS  # bytes: a few bool rasters at the cap
-    built, queried = tree_log
+    built, queried = exact_log
     assert built < len(pts) and queried < len(samples)
     assert hits == brute_hits(pts, samples, a)
 

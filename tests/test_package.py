@@ -1,5 +1,8 @@
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import string_sausage as ss
@@ -106,3 +109,47 @@ def test_only_the_estimator_body_builds_an_estimate():
         for name in callers(f.read_text(encoding="utf-8"), builds_estimate)
     }
     assert builders == {("survival", "_estimate")}
+
+
+# Runs in a fresh interpreter: imports the CLI, runs the four workload shapes
+# of the benchmark through `cli.main` and reports each exit code with the
+# scipy modules loaded so far.  With "blocked", every scipy import fails.
+WORKLOAD_SHAPES = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import string_sausage.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+
+model = ["--d", "2", "--K", "16", "--M", "64", "--dt", "0.05", "--a", "0.3", "--eps-tail", "2e-3",
+         "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"]
+shapes = {
+    "hard": ["survival", "--hard", *model],
+    "via_volume": ["survival", "--hard", "--via-volume", *model],
+    "soft_env": ["survival", "--soft", "--env", sys.argv[2], *model],
+    "run": ["run", "--config", sys.argv[3]],
+}
+report = {"import": scipy_loaded()}
+for name, argv in shapes.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        report[name] = [cli.main(argv), scipy_loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_workload_shapes_load_numpy_only(tmp_path):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"nu": 1.0, "box": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+                               "points": [[0.4, 0.1], [-0.5, 0.6], [1.2, -1.1]]}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"experiment": "survival", "method": "hard_via_volume", "seed": 5,
+                                 "n_replicas": 100, "T": [0.25], "d": 2, "K": 16, "M": 64,
+                                 "dt": 0.05, "a": 0.3, "eps_tail": 2e-3, "threads": 1}))
+    want = {"import": [], **{name: [0, []] for name in ("hard", "via_volume", "soft_env", "run")}}
+    for mode in ("open", "blocked"):
+        proc = subprocess.run([sys.executable, "-c", WORKLOAD_SHAPES, mode, str(env), str(sweep)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want, mode

@@ -37,6 +37,22 @@ def test_path_validation():
         substream(0, 1, 2, 3, 4)
     with pytest.raises(ValueError):
         substream(0, -1)
+    with pytest.raises(ValueError):
+        substream(0, 1 << 64)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            substream(seed, AUX, 0)
+
+
+def test_seeds_past_2_63_keep_their_own_streams():
+    # numpy casts a list holding words of 2**63 and above through float64:
+    # handed as lists, 2**64 - 1 would draw the noise of seed 0, and
+    # 2**63 + 5 that of 2**63
+    seeds = [0, 1 << 63, (1 << 63) + 5, (1 << 64) - 1]
+    draws = {substream(seed, NOISE, 3).standard_normal(4).tobytes() for seed in seeds}
+    assert len(draws) == len(seeds)
+    paths = [(NOISE, 0), (NOISE, 1 << 63), (NOISE, (1 << 64) - 1)]
+    assert len({substream(1, *path).standard_normal(4).tobytes() for path in paths}) == len(paths)
 
 
 def test_streams_are_statistically_plausible():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
@@ -50,6 +51,13 @@ def test_tail_variance_decreases_with_K():
     assert t64 < t8
     # closed-ish bound: sum_{k>K} 1/k^2 ~ 1/K
     assert abs(t64 - 1.0 / (4.0 * math.pi ** 2 * 64)) < 1e-4
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 16, 64, 256, 16383])
+def test_tail_variance_is_the_trigamma_tail(K):
+    # sum_{k>K} 1/k^2 = psi'(K+1), against scipy's polygamma
+    p = ModelParams(d=1, K=K, M=2 * K + 1, eps_tail=1.0)
+    assert p.tail_variance() == pytest.approx(float(polygamma(1, K + 1)) / (4 * math.pi ** 2), rel=1e-13, abs=0)
 
 
 def test_evaluate_matches_pointwise_formula():
