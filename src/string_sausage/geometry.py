@@ -312,11 +312,12 @@ def sausage_volume_hit_or_miss(
 
 
 def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) -> SausageEstimate:
-    """Deterministic voxel-center counting estimate of the same union of balls."""
+    """Deterministic voxel-center counting estimate of the same union of balls,
+    by `_hits` on a box that holds every centre, as its pre-pass needs."""
     if cloud.d > 3:
         raise ValueError("voxel estimator limited to d <= 3 (memory guard)")
-    if voxel_size > radius / 4:
-        raise ValueError("voxel_size must be <= radius/4")
+    if not 0 < voxel_size <= radius / 4 < math.inf:  # also rejects NaN and radius <= 0
+        raise ValueError("need a finite radius > 0 and 0 < voxel_size <= radius/4")
     box = bounding_box(cloud, radius + voxel_size)
     counts = np.ceil((box.upper - box.lower) / voxel_size).astype(int)
     if int(np.prod(counts)) > MAX_VOXELS:
@@ -324,14 +325,9 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
     axes = [box.lower[i] + (np.arange(counts[i]) + 0.5) * voxel_size for i in range(cloud.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
-    from scipy.spatial import cKDTree  # loaded on first use: no other estimator needs scipy
-
-    tree = cKDTree(cloud.points)
-    n_in = 0
-    chunk = 2_000_000
-    for i in range(0, centers.shape[0], chunk):
-        dist, _ = tree.query(centers[i : i + chunk], k=1, distance_upper_bound=radius * (1 + 1e-12))
-        n_in += int(np.isfinite(dist).sum())
+    grid = Box(box.lower, box.lower + counts * voxel_size)
+    chunk = 2_000_000  # the pre-pass allocates arrays per sample
+    n_in = sum(_hits(cloud.points, centers[i : i + chunk], grid, radius) for i in range(0, len(centers), chunk))
     vol = n_in * voxel_size ** cloud.d
     return SausageEstimate(vol, 0.0, centers.shape[0], "voxel")
 

@@ -41,28 +41,41 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _diameter(points: np.ndarray) -> float:
-    """Exact diameter of a finite point set."""
-    n, d = points.shape
-    if d == 1:
-        return float(points.max() - points.min())
-    if n > 64 and d <= 3:
-        # reduce to hull vertices before the pairwise scan
-        from scipy.spatial import ConvexHull, QhullError
+    """Exact diameter of a finite point set (after Malandain & Boissonnat 2002).
 
-        try:
-            points = points[ConvexHull(points).vertices]
-        except QhullError:
-            pass  # degenerate cloud; fall through to the full scan
-        n = points.shape[0]
-    best = 0.0
-    chunk = 512
-    cols = points.T
-    for i in range(0, n, chunk):
-        dist2 = (cols[0, i : i + chunk, None] - cols[0]) ** 2
-        for c in cols[1:]:
-            dist2 += (c[i : i + chunk, None] - c) ** 2
-        best = max(best, float(np.sqrt(dist2.max())))
-    return best
+    Double sweeps give a pair at distance L and its midpoint c.  A farther
+    pair has |p - c| + |q - c| > L, so only points with |p - c| >=
+    L - max |q - c| are scanned, in blocks of 128; a block of centre a and
+    reach r meets only the later points q with |q - a| > L - r, and L rises
+    with each larger pair.  Distances are summed column by column, so the
+    result is a full scan's; a slack of 1e-9 L covers the rounding.
+    """
+    if points.shape[1] == 1:
+        return float(points.max() - points.min())
+    cols = np.ascontiguousarray(points.T)
+    i, j, best = 0, 0, -1.0
+    while True:  # double sweeps, while the farthest point moves the pair apart
+        dist2 = squared_norms((cols - cols[:, j, None]).T)
+        k = int(dist2.argmax())
+        if dist2[k] <= best:
+            break
+        i, j, best = j, k, float(dist2[k])
+    rad = np.sqrt(squared_norms((cols - (cols[:, i, None] + cols[:, j, None]) / 2).T))
+    low, size = math.sqrt(best) * (1 - 1e-9), 128  # L less the slack; block rows
+    cand = np.compress(rad >= low - rad.max(), points, axis=0)
+    blocks = [cand[b : b + size] for b in range(0, len(cand), size)]
+    centres = np.array([(x.min(axis=0) + x.max(axis=0)) / 2 for x in blocks])
+    reach = np.array([np.sqrt(squared_norms(x - a).max()) for x, a in zip(blocks, centres)])
+    for g, block in enumerate(blocks):
+        near = np.sqrt(squared_norms(centres[g:] - centres[g])) + reach[g:] > low - reach[g]
+        rest = np.compress(near.repeat(size)[: len(cand) - g * size], cand[g * size :], axis=0)
+        rest = np.compress(np.sqrt(squared_norms(rest - centres[g])) > low - reach[g], rest, axis=0)
+        dist2 = (block[:, 0, None] - rest[:, 0]) ** 2
+        for a in range(1, block.shape[1]):
+            dist2 += (block[:, a, None] - rest[:, a]) ** 2
+        best = float(dist2.max(initial=best))
+        low = math.sqrt(best) * (1 - 1e-9)
+    return math.sqrt(best)
 
 
 def range_of(values) -> float:
@@ -74,8 +87,8 @@ def range_of(values) -> float:
     values = np.asarray(values, float)
     if values.ndim == 1:
         values = values[:, None]
-    if values.shape[0] == 0:
-        raise ValueError("range_of needs a nonempty sample")
+    if values.shape[0] == 0 or not np.isfinite(values).all():
+        raise ValueError("range_of needs a nonempty, finite sample")
     return _diameter(values)
 
 

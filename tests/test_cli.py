@@ -274,6 +274,13 @@ def test_sausage_ignored_flag_exit_2(argv, cause, capsys):
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("voxel", ["0", "-0.05", "nan"])
+def test_sausage_bad_voxel_size_exit_2(voxel, capsys):
+    argv = ["sausage", "--method", "voxel", "--voxel-size", voxel, "--d", "2", "--T", "0.2", "--seed", "1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "voxel_size" in capsys.readouterr().err
+
+
 def test_sausage_wiener_reports_its_method(capsys, tmp_path):
     csv_path = tmp_path / "out.csv"
     code, out = run_cli(["sausage", "--T", "0.2", "--dt", "0.0001", "--seed", "7", "--method", "wiener",

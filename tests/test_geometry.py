@@ -396,8 +396,41 @@ def test_voxel_monotone_in_radius():
 def test_voxel_validation():
     with pytest.raises(ValueError):
         sausage_volume_voxel(PointCloud(np.zeros((1, 4))), 0.5, 0.05)
-    with pytest.raises(ValueError):
-        sausage_volume_voxel(PointCloud(np.zeros((1, 2))), 0.5, 0.2)
+    # voxel sizes outside (0, r/4], NaN ones included, and radii not finite and > 0
+    for radius, voxel in [(0.5, 0.2), (0.5, 0.0), (0.5, -0.05), (0.5, math.nan), (0.5, math.inf),
+                          (0.0, 0.01), (-0.5, 0.01), (math.nan, 0.01), (math.inf, 0.01)]:
+        with pytest.raises(ValueError):
+            sausage_volume_voxel(PointCloud(np.zeros((1, 2))), radius, voxel)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_voxel_count_equals_a_kd_tree_count(d, monkeypatch):
+    # scipy's kd-tree is the oracle here only; the estimator counts through
+    # _hits, whose box must hold every centre, the row above the padded box too
+    from scipy.spatial import cKDTree
+
+    hits = geometry._hits
+
+    def checked(points, samples, box, radius):
+        assert box.contains(samples).all()
+        return hits(points, samples, box, radius)
+
+    monkeypatch.setattr(geometry, "_hits", checked)
+    above = 0
+    for T in (1.0, 4.0) if d < 3 else (1.0,):
+        p = ModelParams(d=d, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
+        cloud = simulate(p, 41, replica=d).cloud()
+        for voxel in (p.a / 4, p.a / 7) if d < 3 else (p.a / 4, p.a / 5):
+            box = bounding_box(cloud, p.a + voxel)
+            counts = np.ceil((box.upper - box.lower) / voxel).astype(int)
+            axes = [box.lower[j] + (np.arange(counts[j]) + 0.5) * voxel for j in range(d)]
+            centres = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            above += int(np.any(centres.max(axis=0) > box.upper))
+            dist, _ = cKDTree(cloud.points).query(centres, distance_upper_bound=p.a * (1 + 1e-12))
+            est = sausage_volume_voxel(cloud, p.a, voxel)
+            assert est.n_samples == len(centres)
+            assert est.volume == np.count_nonzero(np.isfinite(dist)) * voxel ** d
+    assert above > 0
 
 
 def test_hit_or_miss_vs_voxel_random_cloud():

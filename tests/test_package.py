@@ -112,8 +112,9 @@ def test_only_the_estimator_body_builds_an_estimate():
 
 
 # Runs in a fresh interpreter: imports the CLI, runs the four workload shapes
-# of the benchmark through `cli.main` and reports each exit code with the
-# scipy modules loaded so far.  With "blocked", every scipy import fails.
+# of the benchmark and the commands that reach the voxel estimator and the
+# diameter through `cli.main`, and reports each exit code with the scipy
+# modules loaded so far.  With "blocked", every scipy import fails.
 WORKLOAD_SHAPES = r"""
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
@@ -130,6 +131,9 @@ shapes = {
     "via_volume": ["survival", "--hard", "--via-volume", *model],
     "soft_env": ["survival", "--soft", "--env", sys.argv[2], *model],
     "run": ["run", "--config", sys.argv[3]],
+    "simulate": ["simulate", "--M", "256", "--K", "64", "--seed", "7"],
+    "voxel": ["sausage", "--method", "voxel", "--T", "0.25", "--seed", "5"],
+    "diagnostics": ["diagnostics", "--M", "256", "--K", "64", "--n-smoothing", "20", "--seed", "7"],
 }
 report = {"import": scipy_loaded()}
 for name, argv in shapes.items():
@@ -139,7 +143,7 @@ print(json.dumps(report))
 """
 
 
-def test_workload_shapes_load_numpy_only(tmp_path):
+def test_workload_shapes_and_cli_commands_load_numpy_only(tmp_path):
     env = tmp_path / "env.json"
     env.write_text(json.dumps({"nu": 1.0, "box": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
                                "points": [[0.4, 0.1], [-0.5, 0.6], [1.2, -1.1]]}))
@@ -147,7 +151,8 @@ def test_workload_shapes_load_numpy_only(tmp_path):
     sweep.write_text(json.dumps({"experiment": "survival", "method": "hard_via_volume", "seed": 5,
                                  "n_replicas": 100, "T": [0.25], "d": 2, "K": 16, "M": 64,
                                  "dt": 0.05, "a": 0.3, "eps_tail": 2e-3, "threads": 1}))
-    want = {"import": [], **{name: [0, []] for name in ("hard", "via_volume", "soft_env", "run")}}
+    shapes = ("hard", "via_volume", "soft_env", "run", "simulate", "voxel", "diagnostics")
+    want = {"import": [], **{name: [0, []] for name in shapes}}
     for mode in ("open", "blocked"):
         proc = subprocess.run([sys.executable, "-c", WORKLOAD_SHAPES, mode, str(env), str(sweep)],
                               capture_output=True, text=True)

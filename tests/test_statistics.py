@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from string_sausage.rng import AUX, substream
 from string_sausage.simulate import Trace, simulate
-from string_sausage.spectral import ModelParams
+from string_sausage.spectral import ModelParams, grid_values, sample_stationary_field
 from string_sausage.statistics import (
     IndependenceReport,
     PathRecord,
@@ -32,13 +33,47 @@ def test_radius_translation_invariant():
     np.testing.assert_allclose(moved.path_record().R, R, atol=1e-12)
 
 
+def brute_diameter(pts) -> float:
+    """The largest pair distance, squared differences summed column by column."""
+    best = 0.0
+    for block in np.array_split(pts, 1 + len(pts) // 256):
+        dist2 = sum((block[:, None, j] - pts[None, :, j]) ** 2 for j in range(pts.shape[1]))
+        best = max(best, float(dist2.max()))
+    return math.sqrt(best)
+
+
 def test_range_of_matches_brute_force():
+    # bit for bit, on Gaussian clouds and on stationary fields at M = 4096
     rng = substream(3, AUX, 0)
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         pts = rng.standard_normal((200, d))
-        diff = pts[:, None, :] - pts[None, :, :]
-        brute = float(np.sqrt((diff ** 2).sum(axis=2)).max())
-        assert abs(range_of(pts) - brute) < 1e-12
+        assert range_of(pts) == brute_diameter(pts)
+        if d > 1:
+            p = ModelParams(d=d, K=2047, M=4096, dt=0.1, T=1.0)
+            field = grid_values(p, sample_stationary_field(p, rng))
+            assert range_of(field) == brute_diameter(field)
+
+
+def test_range_of_degenerate_clouds():
+    rng = substream(5, AUX, 0)
+    t = rng.standard_normal(500)
+    line = np.column_stack([1.0 + t, -2.0 + 3.0 * t])  # collinear in d=2
+    plane = rng.standard_normal((500, 2)) @ np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 3.0]])  # coplanar in d=3
+    for pts in (line, plane):
+        assert range_of(pts) == brute_diameter(pts) > 0
+
+
+def test_range_of_identical_points_skips_the_pairwise_scan():
+    # no pair beats the double sweep's L = 0, so no block is scanned: memory
+    # stays far below one 64-row block of distances against every point
+    pts = np.tile([0.3, -1.7], (20_000, 1))
+    tracemalloc.start()
+    try:
+        assert range_of(pts) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(pts) * 8
 
 
 def test_squared_norms_equal_the_axis_sum():
@@ -75,6 +110,9 @@ def test_range_triangle_inequality():
 def test_range_of_validation():
     with pytest.raises(ValueError):
         range_of(np.empty((0, 2)))
+    for bad in (math.nan, math.inf):  # a NaN would keep the double sweep from settling
+        with pytest.raises(ValueError):
+            range_of(np.array([[0.0, 0.0], [1.0, bad], [2.0, 1.0]]))
 
 
 def test_path_record_validation():
