@@ -58,9 +58,7 @@ print(f"trap-free probability of the cleared ball: {cb.clearing_probability:.3e}
 
 # cross-check the closed form against a grid search
 alphas = np.linspace(0.05, 5.0, 20_000)
-A = 1.0 * cb.c_d * 2 ** 3
-B = 10.0 * 1.0
-grid_best = alphas[np.argmax([ss.clearing_exponent(al, A, B, 3) for al in alphas])]
+grid_best = alphas[np.argmax([ss.clearing_exponent(al, cb.A, cb.B, 3) for al in alphas])]
 print(f"grid-search maximizer: {grid_best:.4f} (closed form {cb.alpha_star:.4f})")
 
 # 5. confinement event frequencies behind the soft lower bound.  The events

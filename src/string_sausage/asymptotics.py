@@ -68,19 +68,6 @@ def tau_sequence(path: PathRecord, Lambda: float) -> np.ndarray:
     return np.asarray(taus)
 
 
-def tau_count_diagnostic(paths, Lambda: float, T: float, d: int) -> dict:
-    """Reported (not asserted) check of the separation-count lower bound
-    #(T) >= C_d T^{d/(d+2)} / Lambda^d with C_d = Gamma(d/2+1) / (16^d pi^{d/2})."""
-    C_d = math.gamma(d / 2.0 + 1.0) / (16.0 ** d * math.pi ** (d / 2.0))
-    bound = C_d * T ** (d / (d + 2.0)) / Lambda ** d
-    counts = np.array([max(0, tau_sequence(p, Lambda).shape[0] - 1) for p in paths])
-    return {
-        "bound": bound,
-        "counts": counts,
-        "fraction_above": float(np.mean(counts >= bound)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # chain parameters
 
@@ -344,10 +331,12 @@ def _check_chain_ordering(chain: StoppingChain) -> None:
 
 @dataclass(frozen=True)
 class ClearingBound:
+    """The maximizer and maximum of g(alpha) = -A alpha^d - B / alpha^2."""
+
     alpha_star: float
     exponent_value: float
-    c_d: float
-    log_C0: float
+    A: float
+    B: float
     clearing_probability: float
 
     def __post_init__(self):
@@ -384,7 +373,7 @@ def clearing_bound(
     B = T * (-logC0) / J ** 2
     alpha, value = maximize_clearing_exponent(A, B, d)
     prob = math.exp(-nu * c_d * (alpha + a) ** d)
-    return ClearingBound(alpha, value, c_d, logC0, prob)
+    return ClearingBound(alpha, value, A, B, prob)
 
 
 # ---------------------------------------------------------------------------

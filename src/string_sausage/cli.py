@@ -2,12 +2,9 @@
 
 Subcommands: simulate | sausage | survival | scaling-check | diagnostics |
 fit | run.  Every command prints a JSON summary to stdout and, when --csv
-is given, appends rows under the stable schema
-
-    experiment,d,J,nu,a,T,method,estimate,stderr,n,seed,resolution_tag
-
-Numbers are written with full round-trip precision (repr).  Exit codes:
-0 success, 2 configuration error.
+is given, appends rows under the stable schema `CSV_HEADER`.  Numbers are
+written with full round-trip precision (repr).  Exit codes: 0 success, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .asymptotics import (
 )
 from .geometry import (
     box_counting_dimension,
-    sausage_volume_hit_or_miss,
     sausage_volume_voxel,
     wiener_sausage_volume,
 )
@@ -49,24 +45,12 @@ from .survival import (
     annealed_soft,
     environment_for_cloud,
     quenched,
+    replica_volume,
     scaling_check,
 )
 from .traps import PoissonEnvironment
 
-CSV_HEADER = [
-    "experiment",
-    "d",
-    "J",
-    "nu",
-    "a",
-    "T",
-    "method",
-    "estimate",
-    "stderr",
-    "n",
-    "seed",
-    "resolution_tag",
-]
+CSV_HEADER = "experiment,d,J,nu,a,T,method,estimate,stderr,n,seed,resolution_tag".split(",")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,6 +63,9 @@ MODEL_DEFAULTS = {
 # replica and hit-or-miss sample counts shared by the subcommand flags and `run` configs
 N_REPLICAS = 200
 N_MC = 20000
+# `diagnostics` sample sizes: stationary fields per smoothing time, windows calibrating Lambda
+N_SMOOTHING = 100
+N_LAMBDA = 1000
 
 # the keys a `run` config may set for each experiment; any other key is a config error
 RUN_KEYS = {
@@ -111,20 +98,8 @@ def write_rows(path: str | None, rows: list[dict]) -> None:
 
 
 def row(experiment: str, p: ModelParams, method: str, estimate, stderr, n, seed) -> dict:
-    return {
-        "experiment": experiment,
-        "d": p.d,
-        "J": p.J,
-        "nu": p.nu,
-        "a": p.a,
-        "T": p.T,
-        "method": method,
-        "estimate": estimate,
-        "stderr": stderr,
-        "n": n,
-        "seed": seed,
-        "resolution_tag": resolution_tag(p),
-    }
+    values = (experiment, p.d, p.J, p.nu, p.a, p.T, method, estimate, stderr, n, seed, resolution_tag(p))
+    return dict(zip(CSV_HEADER, values))
 
 
 def emit(obj) -> None:
@@ -143,7 +118,8 @@ def master_seed(value) -> int:
     return seed
 
 
-def add_model_args(sp: argparse.ArgumentParser) -> None:
+def add_model_args(sp: argparse.ArgumentParser, threads: bool = False) -> None:
+    """The model flags, --seed and --csv; --threads only for the commands with a replica pool."""
     for name, default in MODEL_DEFAULTS.items():
         sp.add_argument(
             "--" + name.replace("_", "-"), type=type(default), default=default,
@@ -151,7 +127,9 @@ def add_model_args(sp: argparse.ArgumentParser) -> None:
         )
     sp.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (no wall-clock default)")
     sp.add_argument("--csv", type=str, default=None, help="append result rows to this CSV file")
-    sp.add_argument("--threads", type=int, default=None, help="worker count (default: cores, or STRING_SAUSAGE_THREADS)")
+    if threads:
+        sp.add_argument("--threads", type=int, default=None,
+                        help="worker count (default: cores, or STRING_SAUSAGE_THREADS)")
 
 
 def params_from(args) -> ModelParams:
@@ -202,18 +180,15 @@ def cmd_sausage(args) -> int:
     if args.n_mc is not None and args.method == "voxel":
         raise ValueError("--n-mc applies to --method hit_or_miss and wiener only")
     n_mc = N_MC if args.n_mc is None else args.n_mc
+    seed, r = args.seed, args.replica
     if args.method == "wiener":
-        path = brownian_path(p.d, p.T, p.dt, args.seed, replica=args.replica)
-        est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(args.seed, streams.MC, 0))
+        path = brownian_path(p.d, p.T, p.dt, seed, replica=r)
+        est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(seed, streams.MC, r))
+    elif args.method == "hit_or_miss":
+        est = replica_volume(simulate(p, seed, replica=r), seed, r, n_mc)
     else:
-        cloud = simulate(p, args.seed, replica=args.replica).cloud()
-        if args.method == "hit_or_miss":
-            est = sausage_volume_hit_or_miss(
-                cloud, p.a, n_mc, streams.substream(args.seed, streams.MC, 0)
-            )
-        else:
-            voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
-            est = sausage_volume_voxel(cloud, p.a, voxel)
+        voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
+        est = sausage_volume_voxel(simulate(p, seed, replica=r).cloud(), p.a, voxel)
     write_rows(args.csv, [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)])
     emit({"command": "sausage", "method": args.method, "n": est.n_samples,
           "resolution_tag": resolution_tag(p), "stderr": est.stderr, "volume": est.volume})
@@ -296,13 +271,13 @@ def cmd_diagnostics(args) -> int:
     # range-smoothing inequality on random band-limited inputs
     n_fail = 0
     for t in (1.0, 2.0):
-        for _ in range(args.n_smoothing):
+        for _ in range(N_SMOOTHING):
             f = sample_stationary_field(p, rng)
             if not range_smoothing_check(p, f, t).holds:
                 n_fail += 1
     summary["range_smoothing_failures"] = n_fail
     rows.append(row("diagnostics", p, "range_smoothing_failures", float(n_fail), 0.0,
-                    2 * args.n_smoothing, args.seed))
+                    2 * N_SMOOTHING, args.seed))
 
     # local-Brownian energy ratios
     pairs = [(0.0, 2.0 ** -m) for m in range(1, 8)]
@@ -322,9 +297,7 @@ def cmd_diagnostics(args) -> int:
     # clearing bound: closed form vs numeric maximization
     cb = clearing_bound(p.d, p.nu, p.a, p.J, max(p.T, 1.0), logC0=-1.0)
     alphas = np.linspace(cb.alpha_star * 0.5, cb.alpha_star * 1.5, 100001)
-    A = p.nu * p.J ** (p.d / 2.0) * cb.c_d * 2.0 ** p.d
-    B = max(p.T, 1.0) * 1.0 / p.J ** 2
-    numeric = float(np.max(clearing_exponent(alphas, A, B, p.d)))
+    numeric = float(np.max(clearing_exponent(alphas, cb.A, cb.B, p.d)))
     rel = abs(numeric - cb.exponent_value) / abs(cb.exponent_value)
     summary["clearing"] = {
         "alpha_star": cb.alpha_star,
@@ -338,7 +311,7 @@ def cmd_diagnostics(args) -> int:
     if args.chain:
         E = choose_E(p.d, p.a)
         L = chain_L(p.a, E)
-        Lambda = calibrate_lambda(p, L, n_rep=args.n_lambda, seed=args.seed + 1)
+        Lambda = calibrate_lambda(p, L, n_rep=N_LAMBDA, seed=args.seed + 1)
         horizon = max(p.T, 3.0 * L)
         chain_params = dataclasses.replace(p, T=horizon)
         trace = simulate(chain_params, args.seed, replica=0)
@@ -462,10 +435,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         n_mc = _convert("n_mc", config.get("n_mc", N_MC), int)
 
         def estimate(p: ModelParams, point_seed: int) -> dict:
-            cloud = simulate(p, point_seed, replica=0).cloud()
-            est = sausage_volume_hit_or_miss(
-                cloud, p.a, n_mc, streams.substream(point_seed, streams.MC, 0)
-            )
+            est = replica_volume(simulate(p, point_seed, replica=0), point_seed, 0, n_mc)
             return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
     rows = [
         estimate(ModelParams(T=T, J=J, nu=nu, a=a, **base), seed + idx)
@@ -514,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sausage)
 
     sp = sub.add_parser("survival", help="estimate annealed or quenched survival")
-    add_model_args(sp)
+    add_model_args(sp, threads=True)
     sp.add_argument("--hard", action="store_true", default=False)
     sp.add_argument("--soft", action="store_true", default=False)
     sp.add_argument("--height", type=float, default=None, help="soft indicator height (default 1)")
@@ -525,15 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_survival)
 
     sp = sub.add_parser("scaling-check", help="compare survival at J with its unit-J image")
-    add_model_args(sp)
+    add_model_args(sp, threads=True)
     sp.add_argument("--via-volume", action="store_true")
     sp.add_argument("--n", type=int, default=N_REPLICAS)
     sp.set_defaults(fn=cmd_scaling_check)
 
     sp = sub.add_parser("diagnostics", help="inequality, series, and stopping-chain diagnostics")
     add_model_args(sp)
-    sp.add_argument("--n-smoothing", type=int, default=100)
-    sp.add_argument("--n-lambda", type=int, default=1000)
     sp.add_argument("--chain", action="store_true", help="also build a stopping chain (slow)")
     sp.set_defaults(fn=cmd_diagnostics)
 

@@ -51,6 +51,7 @@ import numpy as np
 from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
+VOXEL_CHUNK = 2_000_000  # voxel centres built and counted at a time: the pre-pass allocates per sample
 MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
 # values per working array of the hit-or-miss exact stage: 64 kB stays in
 # cache and below glibc's 128 kB mmap threshold, so no batch faults in pages
@@ -300,8 +301,8 @@ def sausage_volume_hit_or_miss(
     cloud distance (`_hits`); the estimate is unbiased for the
     sampled-cloud sausage with the exact binomial standard error.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     box = bounding_box(cloud, radius)
@@ -320,16 +321,17 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
         raise ValueError("need a finite radius > 0 and 0 < voxel_size <= radius/4")
     box = bounding_box(cloud, radius + voxel_size)
     counts = np.ceil((box.upper - box.lower) / voxel_size).astype(int)
-    if int(np.prod(counts)) > MAX_VOXELS:
+    n_voxels, n_in = int(np.prod(counts)), 0
+    if n_voxels > MAX_VOXELS:
         raise ValueError("voxel grid too large; coarsen voxel_size or shrink the cloud")
     axes = [box.lower[i] + (np.arange(counts[i]) + 0.5) * voxel_size for i in range(cloud.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
     grid = Box(box.lower, box.lower + counts * voxel_size)
-    chunk = 2_000_000  # the pre-pass allocates arrays per sample
-    n_in = sum(_hits(cloud.points, centers[i : i + chunk], grid, radius) for i in range(0, len(centers), chunk))
-    vol = n_in * voxel_size ** cloud.d
-    return SausageEstimate(vol, 0.0, centers.shape[0], "voxel")
+    for start in range(0, n_voxels, VOXEL_CHUNK):
+        # the centres of the flat C-order indices [start, start + VOXEL_CHUNK)
+        index = np.unravel_index(np.arange(start, min(start + VOXEL_CHUNK, n_voxels)), tuple(counts))
+        centers = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+        n_in += _hits(cloud.points, centers, grid, radius)
+    return SausageEstimate(n_in * voxel_size ** cloud.d, 0.0, n_voxels, "voxel")
 
 
 class ResolutionWarning(UserWarning):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as streams
-from .geometry import PointCloud, bounding_box, sausage_volume_hit_or_miss
+from .geometry import PointCloud, SausageEstimate, bounding_box, sausage_volume_hit_or_miss
 from .simulate import Trace, simulate
 from .spectral import ModelParams
 from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
@@ -108,12 +108,15 @@ def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> fl
     return float(not any_contact(cloud.points, env, p.a))
 
 
-def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
-    p = trace.params
-    est = sausage_volume_hit_or_miss(
-        trace.cloud(), p.a, n_mc, streams.substream(seed, streams.MC, r)
+def replica_volume(trace: Trace, seed: int, r: int, n_mc: int) -> SausageEstimate:
+    """Hit-or-miss volume of replica r's radius-a sausage, from the samples (MC, r)."""
+    return sausage_volume_hit_or_miss(
+        trace.cloud(), trace.params.a, n_mc, streams.substream(seed, streams.MC, r)
     )
-    return math.exp(-p.nu * est.volume)
+
+
+def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
+    return math.exp(-trace.params.nu * replica_volume(trace, seed, r, n_mc).volume)
 
 
 def _soft(
@@ -229,8 +232,8 @@ def annealed_soft(
 ) -> SurvivalEstimate:
     """Annealed soft-obstacle survival: mean of exp(-path functional) for the
     indicator potential of height `height` on the balls B(xi, params.a)."""
-    if height < 0:
-        raise ValueError("soft indicator height must be >= 0")
+    if not 0 <= height < math.inf:
+        raise ValueError(f"soft indicator height must be finite and >= 0, got {height!r}")
     return _estimate(_soft, (None, height), "soft_weight", params, n_rep, seed, workers)
 
 
@@ -252,8 +255,8 @@ def quenched(
         raise ValueError("quenched estimation requires an explicit environment")
     if env.box.d != params.d:
         raise ValueError(f"environment has dimension {env.box.d}, the string d={params.d}")
-    if height is not None and height < 0:
-        raise ValueError("soft indicator height must be >= 0")
+    if height is not None and not 0 <= height < math.inf:
+        raise ValueError(f"soft indicator height must be finite and >= 0, got {height!r}")
     if height is None:
         return _estimate(_hard, (env,), "quenched_hard", params, n_rep, seed, workers)
     return _estimate(_soft, (env, height), "quenched_soft", params, n_rep, seed, workers)

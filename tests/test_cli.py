@@ -13,12 +13,17 @@ from string_sausage.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_OK,
+    MODEL_DEFAULTS,
     build_parser,
     main,
     parse_config,
     run_config,
     write_rows,
 )
+from string_sausage.geometry import sausage_volume_hit_or_miss
+from string_sausage.rng import MC, substream
+from string_sausage.simulate import simulate
+from string_sausage.spectral import ModelParams
 from string_sausage.traps import Box, PoissonEnvironment
 
 
@@ -153,6 +158,10 @@ def write_env(path):
         (["--soft", "--height", "-1", "--n", "100", "--threads", "1"], None),
         (["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"], None),
         (["--hard", "--height", "2", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "nan", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "inf", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "nan", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
+        (["--soft", "--height", "inf", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
         (["--n", "100", "--threads", "1", "--env", "TMP_DIR"], None),
         # the worker count is checked before the exact T = 0 estimate returns
         (["--hard", "--T", "0", "--n", "100", "--threads", "0"], None),
@@ -163,7 +172,8 @@ def write_env(path):
     ids=[
         "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
         "soft_via_volume", "quenched_via_volume", "negative_height", "quenched_negative_height_T_zero",
-        "height_without_soft", "env_is_directory", "zero_threads_T_zero_hard",
+        "height_without_soft", "nan_height", "inf_height", "quenched_nan_height",
+        "quenched_inf_height", "env_is_directory", "zero_threads_T_zero_hard",
         "zero_threads_T_zero_via_volume", "zero_threads_T_zero_soft", "zero_threads_T_zero_env",
     ],
 )
@@ -176,7 +186,10 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
     argv = [files.get(a, a) for a in argv]
     code = main(["survival", "--T", "0.5", "--seed", "1", *argv])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "--height" in argv:
+        assert "height" in err
 
 
 @pytest.mark.parametrize(
@@ -191,9 +204,12 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
         ('{"nu": [1], "box": {"lower": [0, 0], "upper": [1, 1]}, "points": [[0.5, 0.5]]}', [],
          "'nu' has the wrong type"),
         ('{"nu": 1, "box": 5, "points": [[0.5, 0.5]]}', [], "'box' has the wrong type"),
+        ('{"nu": 1, "box": {"lower": [NaN, 0], "upper": [1, 1]}, "points": []}', [], "must be finite"),
+        ('{"nu": 1, "box": {"lower": [0, 0], "upper": [Infinity, 1]}, "points": [[0.5, 0.5]]}', [],
+         "must be finite"),
     ],
     ids=["missing_key", "points_of_wrong_dimension", "box_dimension_differs_from_d",
-         "not_an_object", "nu_of_wrong_type", "box_of_wrong_type"],
+         "not_an_object", "nu_of_wrong_type", "box_of_wrong_type", "box_with_nan", "box_with_inf"],
 )
 def test_malformed_env_file_exit_2(text, argv, cause, capsys, tmp_path):
     env_file = tmp_path / "env.json"
@@ -227,8 +243,7 @@ def test_diagnostics_chain_reports_under_resolution(capsys):
     # above Lambda/10, so tau detection is under-resolved
     with pytest.warns(UserWarning, match="too coarse"):
         code, out = run_cli(
-            ["diagnostics", "--d", "2", "--a", "0.3", "--seed", "7", "--chain",
-             "--n-smoothing", "2", "--n-lambda", "50"],
+            ["diagnostics", "--d", "2", "--a", "0.3", "--seed", "7", "--chain"],
             capsys,
         )
     assert code == EXIT_OK
@@ -258,6 +273,36 @@ def test_sausage_subcommand(capsys):
     assert code == EXIT_OK
     rec = last_json(out)
     assert rec["volume"] > 0
+
+
+def test_sausage_replica_draws_its_own_samples(capsys):
+    # replica r's hit-or-miss samples come from (MC, r), as in replica r of `survival --via-volume`
+    code, out = run_cli(["sausage", "--T", "0.5", "--seed", "5", "--replica", "3", "--n-mc", "2000"], capsys)
+    assert code == EXIT_OK
+    p = ModelParams(**{**MODEL_DEFAULTS, "T": 0.5})
+    cloud = simulate(p, 5, replica=3).cloud()
+    volume = sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(5, MC, 3)).volume
+    assert last_json(out)["volume"] == volume
+    assert volume != sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(5, MC, 0)).volume
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--threads", "1"],
+        ["sausage", "--threads", "1"],
+        ["diagnostics", "--threads", "1"],
+        ["diagnostics", "--n-smoothing", "5"],
+        ["diagnostics", "--n-lambda", "5"],
+    ],
+    ids=["simulate_threads", "sausage_threads", "diagnostics_threads", "n_smoothing", "n_lambda"],
+)
+def test_flag_the_command_does_not_read_exit_2(argv, capsys):
+    # only survival and scaling-check run a replica pool; diagnostics' sample sizes are fixed
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -374,8 +374,9 @@ def test_hit_or_miss_disjoint_disks_and_union_semantics():
 
 def test_hit_or_miss_validation():
     cloud = PointCloud(np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        sausage_volume_hit_or_miss(cloud, 0.0, 2000, substream(0, MC, 0))
+    for radius in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            sausage_volume_hit_or_miss(cloud, radius, 2000, substream(0, MC, 0))
     with pytest.raises(ValueError):
         sausage_volume_hit_or_miss(cloud, 0.5, 500, substream(0, MC, 0))
 
@@ -431,6 +432,20 @@ def test_voxel_count_equals_a_kd_tree_count(d, monkeypatch):
             assert est.n_samples == len(centres)
             assert est.volume == np.count_nonzero(np.isfinite(dist)) * voxel ** d
     assert above > 0
+
+
+def test_voxel_memory_follows_the_chunk(monkeypatch):
+    # 139,590 centres in d=3: built in one chunk, then in chunks of 1024,
+    # which must count the same centres in a fraction of the memory
+    p = ModelParams(d=3, K=16, M=64, dt=0.05, T=1.0, eps_tail=2e-3)
+    cloud = simulate(p, 7).cloud()
+    whole, whole_peak = _peak_bytes(lambda: sausage_volume_voxel(cloud, p.a, p.a / 5))
+    assert whole.n_samples > 100 * 1024
+    monkeypatch.setattr(geometry, "VOXEL_CHUNK", 1024)
+    chunked, chunked_peak = _peak_bytes(lambda: sausage_volume_voxel(cloud, p.a, p.a / 5))
+    assert chunked == whole
+    # the centres of the whole grid alone would take 3.35 MB
+    assert chunked_peak < whole.n_samples * 3 * 8 / 2 < whole_peak / 3
 
 
 def test_hit_or_miss_vs_voxel_random_cloud():

@@ -133,7 +133,7 @@ shapes = {
     "run": ["run", "--config", sys.argv[3]],
     "simulate": ["simulate", "--M", "256", "--K", "64", "--seed", "7"],
     "voxel": ["sausage", "--method", "voxel", "--T", "0.25", "--seed", "5"],
-    "diagnostics": ["diagnostics", "--M", "256", "--K", "64", "--n-smoothing", "20", "--seed", "7"],
+    "diagnostics": ["diagnostics", "--M", "256", "--K", "64", "--seed", "7"],
 }
 report = {"import": scipy_loaded()}
 for name, argv in shapes.items():

@@ -25,6 +25,10 @@ def test_box_basics():
     assert not box.contains(np.array([[3.0, 0.0]]))[0]
     with pytest.raises(ValueError):
         Box(np.array([0.0]), np.array([0.0]))
+    # non-finite bounds: NaN passes the extent test, and inf would give an infinite volume
+    for lo, hi in [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            Box(np.array([0.0, lo]), np.array([1.0, hi]))
 
 
 def test_distance_queries_against_brute_force():
