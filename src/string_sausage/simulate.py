@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -15,27 +14,27 @@ from .spectral import (
     ModelParams,
     evolve,
     grid_values,
-    zero_state,
 )
 from .statistics import PathRecord, squared_norms
 
 
 @dataclass(frozen=True)
 class Trace:
-    """One trajectory at times 0, dt, ..., T: coeffs[i] is the string at times[i]."""
+    """One trajectory at times 0, dt, ..., T: coeffs[i] is the string at
+    times[i] and values[i] its field values (M, d) on the evaluation grid."""
 
     params: ModelParams
     times: np.ndarray
     coeffs: np.ndarray  # (n+1, d, 2K+1)
+    values: np.ndarray | None = None  # (n+1, M, d); grid_values(params, coeffs) when not given
+
+    def __post_init__(self):
+        if self.values is None:
+            object.__setattr__(self, "values", grid_values(self.params, self.coeffs))
 
     @property
     def n_snapshots(self) -> int:
         return self.times.shape[0]
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Field values (n+1, M, d) on the evaluation grid, via batched inverse FFT."""
-        return grid_values(self.params, self.coeffs)
 
     def snapshots(self) -> list[FieldSamples]:
         """One FieldSamples per time, all sharing one grid array."""
@@ -55,7 +54,13 @@ class Trace:
         return PathRecord(self.times, X, R)
 
 
-def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
+# The last block of replicas `simulate` evolved: ((params, seed), replicas,
+# read-only coefficients (B, n+1, d, 2K+1), read-only grid values (B, n+1, M, d)).
+_NO_BLOCK = (None, range(0), None, None)
+_last_block: tuple = _NO_BLOCK
+
+
+def simulate(params: ModelParams, seed: int, replica: int = 0, block: int = 1) -> Trace:
     """Run one replica from the zero string on the (dt, M) sampling grid with
     exact transitions.
 
@@ -63,14 +68,33 @@ def simulate(params: ModelParams, seed: int, replica: int = 0) -> Trace:
     (seed; NOISE, replica), step by step in time order, so traces are
     reproducible and independent across replicas.  (NOISE, replica, level)
     is left for refinement draws, which then never move the base path.
+
+    With `block` = B > 1 the trace is served from the last block evolved
+    when that block holds `replica`; otherwise replicas replica..replica+B-1
+    are evolved together, each from its own stream, and kept as that block.
+    Either way the trace is bit-equal to `simulate(params, seed, replica)`.
     """
-    n = params.n_steps
-    gen = streams.substream(seed, streams.NOISE, replica)
-    try:
-        coeffs = evolve(params, zero_state(params), params.dt, gen, n)
-    except MemoryError:
-        raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
-    return Trace(params, np.arange(n + 1) * params.dt, coeffs)
+    global _last_block
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block!r}")
+    key, n = (params, seed), params.n_steps
+    if block > 1 and _last_block[0] == key and replica in _last_block[1]:
+        _, replicas, coeffs, values = _last_block
+    else:
+        if block > 1:
+            _last_block = _NO_BLOCK  # free the last block before the next is built
+        replicas = range(replica, replica + block)
+        gens = [streams.substream(seed, streams.NOISE, r) for r in replicas]
+        try:
+            coeffs = evolve(params, np.zeros((block, params.d, 2 * params.K + 1)), params.dt, gens, n)
+            values = grid_values(params, coeffs)
+        except MemoryError:
+            raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
+        coeffs.flags.writeable = values.flags.writeable = False
+        if block > 1:
+            _last_block = (key, replicas, coeffs, values)
+    b = replica - replicas.start
+    return Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[b])
 
 
 def brownian_path(

@@ -82,6 +82,8 @@ class ModelParams:
             raise ValueError("dimension d must be >= 1")
         if self.J < 1:
             raise ValueError("circle length J must be >= 1")
+        if math.isinf(self.J * self.J):
+            raise ValueError(f"circle length J={self.J!r} is too large: J**2 overflows")
         if self.nu < 0:
             raise ValueError("trap intensity nu must be >= 0")
         if not 0 < self.a <= 1:
@@ -140,7 +142,9 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     spec[..., 0] = coeffs[..., 0] / math.sqrt(J)
     spec[..., 1 : K + 1] = (coeffs[..., 1 : K + 1] - 1j * coeffs[..., K + 1 :]) / math.sqrt(2.0 * J)
     spec *= M
-    return np.ascontiguousarray(np.swapaxes(numpy.fft.irfft(spec, n=M, axis=-1), -1, -2))
+    values = numpy.fft.irfft(spec, n=M, axis=-1)
+    del spec  # a block's spectrum is not held through the transposing copy
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
 
 
 def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -156,25 +160,32 @@ def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.nd
     return out / math.sqrt(p.J)
 
 
-def evolve(
-    params: ModelParams, coeffs: np.ndarray, delta: float, rng: np.random.Generator, steps: int = 1
-) -> np.ndarray:
+def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: int = 1) -> np.ndarray:
     """Advance the string with coefficients `coeffs` (d, 2K+1) `steps` times
     by `delta`, sampling the exact OU transition, and return the
     coefficients (steps+1, d, 2K+1): row 0 is `coeffs`, row i the string
     i delta later.
 
+    A block of B strings, `coeffs` (B, d, 2K+1) with a sequence of B
+    generators `rng`, returns (B, steps+1, d, 2K+1); string b draws only
+    from rng[b], so its path is bit-equal to evolving it alone.
+
     Mode 0 gains an independent N(0, delta) increment per coordinate and
     step; each retained mode k decays by exp(-lam_k delta / J^2) and gains
-    Gaussian noise with the exact transition variance.  All draws come from
-    one `standard_normal((steps, d, 2K+1))` call, so the path is bit-equal
-    to `steps` single-step calls on the same generator.
+    Gaussian noise with the exact transition variance.  Each string's draws
+    come from one `standard_normal` call of shape (steps, d, 2K+1), made
+    into its own rows of the path, so the path is bit-equal to `steps`
+    single-step calls on the same generator.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if delta <= 0 or steps < 0:
+        raise ValueError(f"need delta > 0 and steps >= 0, got {delta!r} and {steps!r}")
     p = params
-    if coeffs.shape != (p.d, 2 * p.K + 1):
+    block = coeffs.ndim == 3
+    start, gens = (coeffs, rng) if block else (coeffs[None], [rng])
+    if start.shape[1:] != (p.d, 2 * p.K + 1):
         raise ValueError(f"coeffs must have shape ({p.d}, {2 * p.K + 1})")
+    if len(gens) != len(start):
+        raise ValueError(f"a block of {len(start)} strings needs as many generators, got {len(gens)}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
     lam = mode_rates(p.K) / p.J ** 2
@@ -183,13 +194,19 @@ def evolve(
     # mode 0 (Brownian) takes a decay of exactly 1.0, so c * 1.0 + noise is c + noise
     decay = np.concatenate([[1.0], decay, decay])
     sd = np.concatenate([[math.sqrt(delta)], trans_sd, trans_sd])
-    noise = sd * rng.standard_normal((steps, p.d, 2 * p.K + 1))
-    path = np.empty((steps + 1,) + coeffs.shape)
-    path[0] = coeffs
-    for prev, nxt, noise_i in zip(path, path[1:], noise):
-        np.multiply(prev, decay, out=nxt)
-        np.add(nxt, noise_i, out=nxt)
-    return path
+    path = np.empty((len(start), steps + 1) + start.shape[1:])
+    path[:, 0] = start
+    # each string's rows 1.. first hold its scaled noise, to which each
+    # step adds the decayed previous row
+    for gen, rows in zip(gens, path):
+        gen.standard_normal(out=rows[1:])
+    path[:, 1:] *= sd
+    decayed = np.empty_like(start)
+    times = path.swapaxes(0, 1)
+    for prev, nxt in zip(times, times[1:]):
+        np.multiply(prev, decay, out=decayed)
+        np.add(nxt, decayed, out=nxt)
+    return path if block else path[0]
 
 
 def heat_convolve(params: ModelParams, coeffs: np.ndarray, delta: float) -> np.ndarray:

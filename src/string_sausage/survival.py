@@ -32,6 +32,13 @@ from .traps import PoissonEnvironment, any_contact, path_functional, sample_envi
 ENV_PAD_MARGIN = 0.5
 # methods whose replica weight is a survival indicator
 INDICATOR_METHODS = ("hard_direct", "quenched_hard")
+# Replicas evolved together share each step's and the transform's fixed cost.
+# A block's largest array, its complex spectrum (B, n+1, d, M/2+1), holds at
+# most BLOCK_BYTES, so every block array stays below glibc's default 128 kB
+# mmap threshold and reuses heap pages: twice the budget made about ten
+# fresh page faults per replica, or held 1 MB more.
+BLOCK_BYTES = 1 << 17
+MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -132,12 +139,22 @@ def _soft(
     return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
+def replica_block(params: ModelParams) -> int:
+    """Replicas `_replica_batch` evolves together: as many paths as keep the
+    block's spectrum within BLOCK_BYTES, at most MAX_BLOCK and at least one."""
+    spectrum = 16 * (params.n_steps + 1) * params.d * (params.M // 2 + 1)
+    return max(1, min(MAX_BLOCK, BLOCK_BYTES // spectrum))
+
+
 def _replica_batch(args) -> np.ndarray:
-    """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk."""
+    """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk of
+    consecutive replicas, whose paths are evolved `replica_block` at a time."""
     weight, params, seed, replicas, extra = args
+    size = replica_block(params)
     out = np.empty(len(replicas))
     for i, r in enumerate(replicas):
-        out[i] = weight(simulate(params, seed, replica=r), seed, r, *extra)
+        block = min(size, len(replicas) - i // size * size)
+        out[i] = weight(simulate(params, seed, replica=r, block=block), seed, r, *extra)
     return out
 
 

@@ -99,7 +99,12 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     if nu < 0:
         raise ValueError("intensity must be >= 0")
     n = int(rng.poisson(nu * box.volume))
-    points = box.sample_uniform(n, rng) if n else np.empty((0, box.d))
+    try:
+        points = box.sample_uniform(n, rng) if n else np.empty((0, box.d))
+    except MemoryError:
+        raise ValueError(
+            f"{n} traps (nu={nu!r} over a box of volume {box.volume:.4g}) do not fit in memory"
+        ) from None
     return PoissonEnvironment(points, box, nu)
 
 

@@ -98,20 +98,52 @@ def test_seed_outside_64_bits_exit_2(seed, capsys):
     assert f"seed {seed} must lie in [0, 2**64)" in capsys.readouterr().err
 
 
+# The CLI in a child whose address space is capped at 8 GiB, so an
+# allocation of hundreds of GiB fails at once on any machine.
+CAPPED_CHILD = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
+    "from string_sausage.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_capped(argv):
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
 def test_unallocatable_path_exit_2():
-    # 1e9 steps need about 490 GiB of noise; the child's address space is
-    # capped at 8 GiB, so the allocation fails at once on any machine
-    child = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))\n"
-        "from string_sausage.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
+    # 1e9 steps need about 490 GiB of noise
     argv = ["survival", "--hard", "--T", "1", "--n", "100", "--seed", "1", "--dt", "1e-9", "--threads", "1"]
-    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
-                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    proc = run_capped(argv)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error: a path of 1000000000 steps" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--soft", "--height", "1", "--threads", "1"], ["--soft", "--height", "1", "--threads", "2"],
+              ["--hard", "--threads", "1"]],
+    ids=["soft", "soft_pool", "hard"],
+)
+def test_unallocatable_traps_exit_2(flags):
+    # nu = 1e9 over a box of about 12 draws about 1.2e10 traps, 179 GiB
+    argv = ["survival", "--d", "2", "--K", "16", "--M", "64", "--dt", "0.05", "--T", "1", *flags,
+            "--n", "100", "--seed", "1", "--nu", "1e9"]
+    proc = run_capped(argv)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "traps (nu=1000000000.0 over a box of volume" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--J", "1e300", "--seed", "1"],
+     ["survival", "--hard", "--J", "1e200", "--n", "100", "--seed", "1", "--threads", "1"]],
+    ids=["simulate", "survival"],
+)
+def test_overflowing_circle_length_exit_2(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "J**2 overflows" in capsys.readouterr().err
 
 
 def test_bad_model_params_exit_2(capsys):

@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 
 from string_sausage import rng as streams
 from string_sausage.rng import NOISE, substream
 from string_sausage.simulate import Trace, brownian_path, simulate
 from string_sausage.spectral import ModelParams, evaluate_at, mode_rates
+from string_sausage.survival import replica_block
 
 
 def params(**kw):
@@ -57,6 +59,27 @@ def test_simulate_opens_one_stream(monkeypatch):
     tr = simulate(params(T=1.0), 5, replica=2)
     assert tr.n_snapshots == 11
     assert calls == [(5, NOISE, 2)]
+
+
+@pytest.mark.parametrize("T, blocked", [(0.5, True), (25.0, False)])
+def test_block_served_traces_equal_standalone(T, blocked, monkeypatch):
+    p = params(T=T)
+    size = replica_block(p)
+    assert (size > 1) == blocked
+    opened = []
+    original = streams.substream
+    # two blocks walked as `survival` walks a chunk, from an unaligned replica
+    for r in range(3, 3 + 2 * size):
+        monkeypatch.setattr(streams, "substream", lambda *a: opened.append(a[2]) or original(*a))
+        served = simulate(p, 31, replica=r, block=size)
+        monkeypatch.setattr(streams, "substream", original)
+        alone = simulate(p, 31, replica=r)
+        np.testing.assert_array_equal(served.coeffs, alone.coeffs)
+        np.testing.assert_array_equal(served.values, alone.values)
+        for array in (served.coeffs, served.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
+    assert opened == list(range(3, 3 + 2 * size))  # each stream once, in replica order
 
 
 def test_trace_values_match_pointwise_series():

@@ -111,6 +111,8 @@ def test_multi_step_evolve_equals_single_steps():
     np.testing.assert_array_equal(evolve(p, start, 0.05, rng, steps=0), start[None])
     with pytest.raises(ValueError):
         evolve(p, start, 0.05, rng, steps=-1)
+    with pytest.raises(ValueError, match="generators"):
+        evolve(p, np.stack([start, start]), 0.05, [rng])
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from string_sausage import rng as streams
 from string_sausage import survival
 from string_sausage.geometry import bounding_box
-from string_sausage.rng import ENV, substream
+from string_sausage.rng import ENV, NOISE, substream
 from string_sausage.simulate import Trace, simulate
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
@@ -160,6 +161,32 @@ def test_every_estimator_is_worker_invariant(path):
     assert serial.stderr > 0  # a constant weight would pass vacuously
     assert (serial.p_hat, serial.stderr) == (parallel.p_hat, parallel.stderr)
     assert (serial.ess, serial.max_weight_share) == (parallel.ess, parallel.max_weight_share)
+
+
+@pytest.mark.parametrize("path", ["hard_via_volume", "quenched_soft"])
+def test_estimates_do_not_depend_on_blocks_or_workers(path, monkeypatch):
+    # T=5 gives blocks of 4 replicas; 101 replicas at 3 workers give chunks of 9,
+    # so each chunk's blocks straddle the serial run's block boundaries
+    p = params(nu=0.5, T=5.0)
+    assert survival.replica_block(p) == 4
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
+
+    def estimate(workers):
+        if path == "hard_via_volume":
+            return annealed_hard(p, 101, seed=8, method=path, n_mc=1000, workers=workers)
+        return quenched(p, env, 101, seed=8, height=1.0, workers=workers)
+
+    opened = collections.Counter()
+    original = streams.substream
+    monkeypatch.setattr(streams, "substream", lambda *a: opened.update([a[1:]]) or original(*a))
+    serial = estimate(1)
+    monkeypatch.setattr(streams, "substream", original)
+    # every replica's path stream is opened once, none past the last replica
+    assert sorted(k for k in opened if k[0] == NOISE) == [(NOISE, r) for r in range(101)]
+    assert set(opened.values()) == {1}
+    parallel = estimate(3)
+    assert serial.stderr > 0
+    assert (serial.p_hat, serial.stderr, serial.ess) == (parallel.p_hat, parallel.stderr, parallel.ess)
 
 
 def _known_weight(trace, seed, r, kind):
