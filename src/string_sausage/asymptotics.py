@@ -394,21 +394,29 @@ def exponent_fit(Ts, neg_log_S, stderr=None) -> ExponentFit:
     """Weighted least squares of log(-log S) against log T.
 
     `stderr` (optional) are standard errors of -log S; weights follow by
-    the delta method.  Requires >= 4 horizons spanning >= 1 decade and
-    strictly positive -log S values.
+    the delta method.  Requires >= 4 finite, positive horizons spanning >= 1
+    decade, finite and strictly positive -log S values, and finite,
+    non-negative standard errors.
     """
     Ts = np.asarray(Ts, float)
     y_raw = np.asarray(neg_log_S, float)
     if Ts.shape[0] < 4:
         raise ValueError("need at least 4 horizon values")
+    if not np.all(np.isfinite(Ts) & (Ts > 0)):
+        raise ValueError(f"horizons T must be finite and > 0, got {Ts.tolist()}")
     if Ts.max() / Ts.min() < 10.0:
         raise ValueError("horizons must span at least 1 decade")
+    if not np.all(np.isfinite(y_raw)):
+        raise ValueError(f"-log S values must be finite (survival above 0), got {y_raw.tolist()}")
     if np.any(y_raw <= 0):
         raise ValueError("-log S values must be positive (survival CI excludes 1)")
     x = np.log(Ts)
     y = np.log(y_raw)
     if stderr is not None:
-        sig = np.asarray(stderr, float) / y_raw
+        se = np.asarray(stderr, float)
+        if not np.all(np.isfinite(se) & (se >= 0)):
+            raise ValueError(f"stderr values must be finite and >= 0, got {se.tolist()}")
+        sig = se / y_raw
         w = 1.0 / np.maximum(sig, 1e-12) ** 2
     else:
         w = np.ones_like(y)

@@ -55,9 +55,15 @@ class Trace:
 
 
 # The last block of replicas `simulate` evolved: ((params, seed), replicas,
-# read-only coefficients (B, n+1, d, 2K+1), read-only grid values (B, n+1, M, d)).
-_NO_BLOCK = (None, range(0), None, None)
+# read-only coefficients (B, n+1, d, 2K+1), the replicas of its last
+# transformed sub-block and their read-only grid values (b, n+1, M, d)).
+_NO_BLOCK = (None, range(0), None, range(0), None)
 _last_block: tuple = _NO_BLOCK
+# A block's grid values are transformed as many paths at a time as keep their
+# complex spectrum (b, n+1, d, M/2+1) within SPECTRUM_BYTES, so the spectrum
+# and the values stay near glibc's default 128 kB mmap threshold and reuse
+# heap pages.
+SPECTRUM_BYTES = 1 << 17
 
 
 def simulate(params: ModelParams, seed: int, replica: int = 0, block: int = 1) -> Trace:
@@ -72,29 +78,43 @@ def simulate(params: ModelParams, seed: int, replica: int = 0, block: int = 1) -
     With `block` = B > 1 the trace is served from the last block evolved
     when that block holds `replica`; otherwise replicas replica..replica+B-1
     are evolved together, each from its own stream, and kept as that block.
-    Either way the trace is bit-equal to `simulate(params, seed, replica)`.
+    Grid values are transformed for a sub-block of the block's paths from
+    `replica` on, sized by SPECTRUM_BYTES.  Either way the trace is bit-equal
+    to `simulate(params, seed, replica)`.
     """
     global _last_block
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block!r}")
     key, n = (params, seed), params.n_steps
-    if block > 1 and _last_block[0] == key and replica in _last_block[1]:
-        _, replicas, coeffs, values = _last_block
-    else:
-        if block > 1:
-            _last_block = _NO_BLOCK  # free the last block before the next is built
-        replicas = range(replica, replica + block)
-        gens = [streams.substream(seed, streams.NOISE, r) for r in replicas]
-        try:
+    _, replicas, coeffs, served, values = _NO_BLOCK
+    if block > 1:
+        if _last_block[0] == key and replica in _last_block[1]:
+            _, replicas, coeffs, served, values = _last_block
+        _last_block = _NO_BLOCK  # so that an array replaced below is freed first
+    try:
+        if replica not in replicas:
+            replicas = range(replica, replica + block)
+            gens = [streams.substream(seed, streams.NOISE, r) for r in replicas]
             coeffs = evolve(params, np.zeros((block, params.d, 2 * params.K + 1)), params.dt, gens, n)
-            values = grid_values(params, coeffs)
-        except MemoryError:
-            raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
-        coeffs.flags.writeable = values.flags.writeable = False
-        if block > 1:
-            _last_block = (key, replicas, coeffs, values)
-    b = replica - replicas.start
-    return Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[b])
+            coeffs.flags.writeable = False
+        b = replica - replicas.start
+        if replica not in served:
+            values = None  # free the last sub-block before the next is transformed
+            spectrum = 16 * (n + 1) * params.d * (params.M // 2 + 1)
+            served = range(replica, min(replicas.stop, replica + max(1, SPECTRUM_BYTES // spectrum)))
+            values = grid_values(params, coeffs[b : b + len(served)])
+            values.flags.writeable = False
+    except MemoryError:
+        raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
+    if block > 1:
+        _last_block = (key, replicas, coeffs, served, values)
+    return Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[replica - served.start])
+
+
+def release_block() -> None:
+    """Drop the block `simulate` keeps, once the replicas it holds are served."""
+    global _last_block
+    _last_block = _NO_BLOCK
 
 
 def brownian_path(

@@ -25,19 +25,18 @@ import numpy as np
 
 from . import rng as streams
 from .geometry import PointCloud, SausageEstimate, bounding_box, sausage_volume_hit_or_miss
-from .simulate import Trace, simulate
+from .simulate import Trace, release_block, simulate
 from .spectral import ModelParams
 from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
 
 ENV_PAD_MARGIN = 0.5
 # methods whose replica weight is a survival indicator
 INDICATOR_METHODS = ("hard_direct", "quenched_hard")
-# Replicas evolved together share each step's and the transform's fixed cost.
-# A block's largest array, its complex spectrum (B, n+1, d, M/2+1), holds at
-# most BLOCK_BYTES, so every block array stays below glibc's default 128 kB
-# mmap threshold and reuses heap pages: twice the budget made about ten
-# fresh page faults per replica, or held 1 MB more.
-BLOCK_BYTES = 1 << 17
+# Replicas evolved together share each step's fixed cost.  A block's path,
+# its coefficients (B, n+1, d, 2K+1), holds at most BLOCK_BYTES, so long
+# paths are evolved in blocks too; `simulate` transforms a block's grid values
+# a sub-block at a time, each spectrum within `simulate.SPECTRUM_BYTES`.
+BLOCK_BYTES = 1 << 20
 MAX_BLOCK = 64
 
 
@@ -141,9 +140,9 @@ def _soft(
 
 def replica_block(params: ModelParams) -> int:
     """Replicas `_replica_batch` evolves together: as many paths as keep the
-    block's spectrum within BLOCK_BYTES, at most MAX_BLOCK and at least one."""
-    spectrum = 16 * (params.n_steps + 1) * params.d * (params.M // 2 + 1)
-    return max(1, min(MAX_BLOCK, BLOCK_BYTES // spectrum))
+    block's coefficients within BLOCK_BYTES, at most MAX_BLOCK and at least one."""
+    path = 8 * (params.n_steps + 1) * params.d * (2 * params.K + 1)
+    return max(1, min(MAX_BLOCK, BLOCK_BYTES // path))
 
 
 def _replica_batch(args) -> np.ndarray:
@@ -152,9 +151,12 @@ def _replica_batch(args) -> np.ndarray:
     weight, params, seed, replicas, extra = args
     size = replica_block(params)
     out = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        block = min(size, len(replicas) - i // size * size)
-        out[i] = weight(simulate(params, seed, replica=r, block=block), seed, r, *extra)
+    try:
+        for i, r in enumerate(replicas):
+            block = min(size, len(replicas) - i // size * size)
+            out[i] = weight(simulate(params, seed, replica=r, block=block), seed, r, *extra)
+    finally:
+        release_block()
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -288,6 +289,20 @@ def test_exponent_fit_validation():
         exponent_fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])  # < 1 decade
     with pytest.raises(ValueError):
         exponent_fit([1.0, 2.0, 4.0, 16.0], [1.0, -2.0, 3.0, 4.0])  # nonpositive
+    Ts = [1.0, 2.0, 4.0, 16.0]
+    # each bad input is refused by its own message, none becomes a NaN fit
+    for bad, match in [
+        (dict(Ts=[0.0, 2.0, 4.0, 16.0]), "horizons T must be finite and > 0"),
+        (dict(Ts=[-1.0, 2.0, 4.0, 16.0]), "horizons T must be finite and > 0"),
+        (dict(Ts=[1.0, 2.0, 4.0, math.inf]), "horizons T must be finite and > 0"),
+        (dict(neg_log_S=[1.0, math.nan, 3.0, 4.0]), "-log S values must be finite"),
+        (dict(neg_log_S=[1.0, 2.0, math.inf, 4.0]), "-log S values must be finite"),
+        (dict(stderr=[0.1, -0.1, 0.1, 0.1]), "stderr values must be finite and >= 0"),
+        (dict(stderr=[0.1, math.nan, 0.1, 0.1]), "stderr values must be finite and >= 0"),
+    ]:
+        args = dict(Ts=Ts, neg_log_S=[1.0, 2.0, 3.0, 4.0], stderr=[0.1, 0.1, 0.1, 0.1]) | bad
+        with pytest.raises(ValueError, match=re.escape(match)):
+            exponent_fit(**args)
 
 
 # ---------------------------------------------------------------------------

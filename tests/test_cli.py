@@ -405,6 +405,21 @@ def test_fit_blank_stderr_exit_2(capsys, tmp_path):
     assert "blank stderr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("2,nan,0.1", "-log S values must be finite"),
+    ("2,inf,0.1", "-log S values must be finite"),
+    ("0,9.9,0.1", "horizons T must be finite and > 0"),
+    ("2,9.9,-0.1", "stderr values must be finite and >= 0"),
+], ids=["nan", "inf", "zero_T", "negative_stderr"])
+def test_fit_bad_row_exit_2(capsys, tmp_path, row, message):
+    # none of these may reach the fit, whose NaN would print as non-JSON "NaN"
+    data = tmp_path / "bad.csv"
+    data.write_text(f"T,neg_log_S,stderr\n1,7.0,0.1\n{row}\n4,14.0,0.2\n8,19.8,0.3\n16,28.0,0.4\n")
+    assert main(["fit", "--input", str(data)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 def test_parse_config_flat_and_json(capsys, tmp_path):
     cfg = {"experiment": "survival", "seed": 5, "T": [1.0, 2.0]}
     js = tmp_path / "c.json"

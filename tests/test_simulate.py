@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -61,18 +62,21 @@ def test_simulate_opens_one_stream(monkeypatch):
     assert calls == [(5, NOISE, 2)]
 
 
-@pytest.mark.parametrize("T, blocked", [(0.5, True), (25.0, False)])
-def test_block_served_traces_equal_standalone(T, blocked, monkeypatch):
+@pytest.mark.parametrize("T, per_transform", [(0.5, 40), (25.0, 1)])
+def test_block_served_traces_equal_standalone(T, per_transform, monkeypatch):
     p = params(T=T)
     size = replica_block(p)
-    assert (size > 1) == blocked
-    opened = []
-    original = streams.substream
+    assert size > per_transform  # a block's values come from several transforms
+    sim = importlib.import_module("string_sausage.simulate")
+    opened, transformed = [], []
+    original, transform = streams.substream, sim.grid_values
     # two blocks walked as `survival` walks a chunk, from an unaligned replica
     for r in range(3, 3 + 2 * size):
         monkeypatch.setattr(streams, "substream", lambda *a: opened.append(a[2]) or original(*a))
+        monkeypatch.setattr(sim, "grid_values", lambda q, c: transformed.append(len(c)) or transform(q, c))
         served = simulate(p, 31, replica=r, block=size)
         monkeypatch.setattr(streams, "substream", original)
+        monkeypatch.setattr(sim, "grid_values", transform)
         alone = simulate(p, 31, replica=r)
         np.testing.assert_array_equal(served.coeffs, alone.coeffs)
         np.testing.assert_array_equal(served.values, alone.values)
@@ -80,6 +84,9 @@ def test_block_served_traces_equal_standalone(T, blocked, monkeypatch):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0, 0] = 1.0
     assert opened == list(range(3, 3 + 2 * size))  # each stream once, in replica order
+    # each block's paths transformed per_transform at a time, each path once
+    sub_blocks = [min(per_transform, size - i) for i in range(0, size, per_transform)]
+    assert transformed == 2 * sub_blocks
 
 
 def test_trace_values_match_pointwise_series():

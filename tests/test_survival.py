@@ -1,6 +1,8 @@
 import collections
+import gc
 import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -163,12 +165,17 @@ def test_every_estimator_is_worker_invariant(path):
     assert (serial.ess, serial.max_weight_share) == (parallel.ess, parallel.max_weight_share)
 
 
-@pytest.mark.parametrize("path", ["hard_via_volume", "quenched_soft"])
-def test_estimates_do_not_depend_on_blocks_or_workers(path, monkeypatch):
-    # T=5 gives blocks of 4 replicas; 101 replicas at 3 workers give chunks of 9,
-    # so each chunk's blocks straddle the serial run's block boundaries
-    p = params(nu=0.5, T=5.0)
-    assert survival.replica_block(p) == 4
+@pytest.mark.parametrize("path, T, block", [
+    pytest.param("hard_via_volume", 5.0, survival.MAX_BLOCK, id="hard_via_volume"),
+    pytest.param("quenched_soft", 5.0, survival.MAX_BLOCK, id="quenched_soft"),
+    pytest.param("quenched_soft", 80.0, 4, id="quenched_soft_long_path"),
+])
+def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatch):
+    # 101 replicas at 3 workers give chunks of 9: at T=5 each chunk is one block
+    # of 9 against the serial run's 64 + 37, transformed 4 paths at a time; the
+    # long path's blocks of 4 straddle the serial run's block boundaries
+    p = params(nu=0.5, T=T)
+    assert survival.replica_block(p) == block
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
 
     def estimate(workers):
@@ -187,6 +194,31 @@ def test_estimates_do_not_depend_on_blocks_or_workers(path, monkeypatch):
     parallel = estimate(3)
     assert serial.stderr > 0
     assert (serial.p_hat, serial.stderr, serial.ess) == (parallel.p_hat, parallel.stderr, parallel.ess)
+
+
+def test_no_path_array_outlives_the_estimate(monkeypatch):
+    # `simulate` keeps its last block of paths only while a chunk is served
+    p = params(T=5.0)
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 1.0, substream(12, ENV, 0))
+    arrays = []
+
+    def watched(*args, **kwargs):
+        trace = simulate(*args, **kwargs)
+        for view in (trace.coeffs, trace.values):
+            while view.base is not None:
+                view = view.base
+            arrays.append(weakref.ref(view))
+        return trace
+
+    monkeypatch.setattr(survival, "simulate", watched)
+    for run in (
+        lambda: annealed_hard(p, 100, seed=3, method="hard_via_volume", n_mc=1000, workers=1),
+        lambda: quenched(p, env, 100, seed=3, height=1.0, workers=1),
+    ):
+        arrays.clear()
+        run()
+        gc.collect()
+        assert len(arrays) == 200 and not [a for a in arrays if a() is not None]
 
 
 def _known_weight(trace, seed, r, kind):
