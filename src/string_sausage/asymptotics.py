@@ -402,6 +402,9 @@ def exponent_fit(Ts, neg_log_S, stderr=None) -> ExponentFit:
     y_raw = np.asarray(neg_log_S, float)
     if Ts.shape[0] < 4:
         raise ValueError("need at least 4 horizon values")
+    for name, column in (("neg_log_S", neg_log_S), ("stderr", stderr)):
+        if column is not None and np.shape(column) != Ts.shape:
+            raise ValueError(f"{name} needs one value per horizon ({len(Ts)}), got shape {np.shape(column)}")
     if not np.all(np.isfinite(Ts) & (Ts > 0)):
         raise ValueError(f"horizons T must be finite and > 0, got {Ts.tolist()}")
     if Ts.max() / Ts.min() < 10.0:

@@ -345,6 +345,8 @@ def cmd_fit(args) -> int:
         if "T" not in cols or "neg_log_S" not in cols:
             raise ValueError("fit input needs columns T,neg_log_S[,stderr]")
         for rec in reader:
+            if None in rec or None in rec.values():
+                raise ValueError(f"fit input row {len(Ts) + 1} does not have the {len(cols)} fields of its header")
             Ts.append(float(rec["T"]))
             y.append(float(rec["neg_log_S"]))
             if "stderr" in cols:

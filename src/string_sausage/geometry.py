@@ -306,7 +306,10 @@ def sausage_volume_hit_or_miss(
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     box = bounding_box(cloud, radius)
-    p_hat = _hits(cloud.points, box.sample_uniform(n_mc, rng), box, radius) / n_mc
+    try:
+        p_hat = _hits(cloud.points, box.sample_uniform(n_mc, rng), box, radius) / n_mc
+    except MemoryError:
+        raise ValueError(f"{n_mc} hit-or-miss samples do not fit in memory") from None
     vol = box.volume * p_hat
     stderr = box.volume * math.sqrt(p_hat * (1.0 - p_hat) / n_mc)
     return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")

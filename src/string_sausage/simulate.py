@@ -54,19 +54,54 @@ class Trace:
         return PathRecord(self.times, X, R)
 
 
-# The last block of replicas `simulate` evolved: ((params, seed), replicas,
-# read-only coefficients (B, n+1, d, 2K+1), the replicas of its last
-# transformed sub-block and their read-only grid values (b, n+1, M, d)).
-_NO_BLOCK = (None, range(0), None, range(0), None)
-_last_block: tuple = _NO_BLOCK
-# A block's grid values are transformed as many paths at a time as keep their
-# complex spectrum (b, n+1, d, M/2+1) within SPECTRUM_BYTES, so the spectrum
-# and the values stay near glibc's default 128 kB mmap threshold and reuse
-# heap pages.
+# Replicas evolved together share each `evolve` step's fixed cost: a block
+# holds as many paths as keep its coefficients (B, n+1, d, 2K+1) within
+# BLOCK_BYTES, at most MAX_BLOCK.  Its grid values are transformed as many
+# paths at a time as keep their complex spectrum (b, n+1, d, M/2+1) within
+# SPECTRUM_BYTES, so the spectrum and the values stay near glibc's default
+# 128 kB mmap threshold and reuse heap pages.
+BLOCK_BYTES = 1 << 20
+MAX_BLOCK = 64
 SPECTRUM_BYTES = 1 << 17
 
 
-def simulate(params: ModelParams, seed: int, replica: int = 0, block: int = 1) -> Trace:
+def replica_block(params: ModelParams) -> int:
+    """Paths `traces` evolves together: as many as keep the block's
+    coefficients within BLOCK_BYTES, at most MAX_BLOCK and at least one."""
+    path = 8 * (params.n_steps + 1) * params.d * (2 * params.K + 1)
+    return max(1, min(MAX_BLOCK, BLOCK_BYTES // path))
+
+
+def traces(params: ModelParams, seed: int, replicas: range):
+    """Yield the trace of each replica in `replicas`, in order, each
+    bit-equal to `simulate(params, seed, r)` and read-only.
+
+    Paths are evolved `replica_block(params)` at a time from the first
+    replica on, each from its own stream, and a block's grid values are
+    transformed a sub-block at a time, sized by SPECTRUM_BYTES.  The last
+    block is dropped before the next one is evolved.
+    """
+    n, d, width = params.n_steps, params.d, 2 * params.K + 1
+    size = replica_block(params)
+    per_transform = max(1, SPECTRUM_BYTES // (16 * (n + 1) * d * (params.M // 2 + 1)))
+    try:
+        for first in range(replicas.start, replicas.stop, size):
+            coeffs = values = None  # so that the last block is freed before the next is evolved
+            block = range(first, min(first + size, replicas.stop))
+            gens = [streams.substream(seed, streams.NOISE, r) for r in block]
+            coeffs = evolve(params, np.zeros((len(block), d, width)), params.dt, gens, n)
+            coeffs.flags.writeable = False
+            for b in range(len(block)):
+                if b % per_transform == 0:
+                    values = None  # and the last sub-block before the next is transformed
+                    values = grid_values(params, coeffs[b : b + per_transform])
+                    values.flags.writeable = False
+                yield Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[b % per_transform])
+    except MemoryError:
+        raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
+
+
+def simulate(params: ModelParams, seed: int, replica: int = 0, paths=None) -> Trace:
     """Run one replica from the zero string on the (dt, M) sampling grid with
     exact transitions.
 
@@ -75,46 +110,10 @@ def simulate(params: ModelParams, seed: int, replica: int = 0, block: int = 1) -
     reproducible and independent across replicas.  (NOISE, replica, level)
     is left for refinement draws, which then never move the base path.
 
-    With `block` = B > 1 the trace is served from the last block evolved
-    when that block holds `replica`; otherwise replicas replica..replica+B-1
-    are evolved together, each from its own stream, and kept as that block.
-    Grid values are transformed for a sub-block of the block's paths from
-    `replica` on, sized by SPECTRUM_BYTES.  Either way the trace is bit-equal
-    to `simulate(params, seed, replica)`.
+    `paths`, a `traces` generator whose next replica is `replica`, serves
+    the trace instead; it is bit-equal either way.
     """
-    global _last_block
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block!r}")
-    key, n = (params, seed), params.n_steps
-    _, replicas, coeffs, served, values = _NO_BLOCK
-    if block > 1:
-        if _last_block[0] == key and replica in _last_block[1]:
-            _, replicas, coeffs, served, values = _last_block
-        _last_block = _NO_BLOCK  # so that an array replaced below is freed first
-    try:
-        if replica not in replicas:
-            replicas = range(replica, replica + block)
-            gens = [streams.substream(seed, streams.NOISE, r) for r in replicas]
-            coeffs = evolve(params, np.zeros((block, params.d, 2 * params.K + 1)), params.dt, gens, n)
-            coeffs.flags.writeable = False
-        b = replica - replicas.start
-        if replica not in served:
-            values = None  # free the last sub-block before the next is transformed
-            spectrum = 16 * (n + 1) * params.d * (params.M // 2 + 1)
-            served = range(replica, min(replicas.stop, replica + max(1, SPECTRUM_BYTES // spectrum)))
-            values = grid_values(params, coeffs[b : b + len(served)])
-            values.flags.writeable = False
-    except MemoryError:
-        raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
-    if block > 1:
-        _last_block = (key, replicas, coeffs, served, values)
-    return Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[replica - served.start])
-
-
-def release_block() -> None:
-    """Drop the block `simulate` keeps, once the replicas it holds are served."""
-    global _last_block
-    _last_block = _NO_BLOCK
+    return next(traces(params, seed, range(replica, replica + 1)) if paths is None else paths)
 
 
 def brownian_path(

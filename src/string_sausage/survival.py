@@ -25,19 +25,13 @@ import numpy as np
 
 from . import rng as streams
 from .geometry import PointCloud, SausageEstimate, bounding_box, sausage_volume_hit_or_miss
-from .simulate import Trace, release_block, simulate
+from .simulate import Trace, simulate, traces
 from .spectral import ModelParams
 from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
 
 ENV_PAD_MARGIN = 0.5
 # methods whose replica weight is a survival indicator
 INDICATOR_METHODS = ("hard_direct", "quenched_hard")
-# Replicas evolved together share each step's fixed cost.  A block's path,
-# its coefficients (B, n+1, d, 2K+1), holds at most BLOCK_BYTES, so long
-# paths are evolved in blocks too; `simulate` transforms a block's grid values
-# a sub-block at a time, each spectrum within `simulate.SPECTRUM_BYTES`.
-BLOCK_BYTES = 1 << 20
-MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -138,26 +132,13 @@ def _soft(
     return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
-def replica_block(params: ModelParams) -> int:
-    """Replicas `_replica_batch` evolves together: as many paths as keep the
-    block's coefficients within BLOCK_BYTES, at most MAX_BLOCK and at least one."""
-    path = 8 * (params.n_steps + 1) * params.d * (2 * params.K + 1)
-    return max(1, min(MAX_BLOCK, BLOCK_BYTES // path))
-
-
 def _replica_batch(args) -> np.ndarray:
     """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk of
-    consecutive replicas, whose paths are evolved `replica_block` at a time."""
+    consecutive replicas, whose traces one `traces` generator serves."""
     weight, params, seed, replicas, extra = args
-    size = replica_block(params)
-    out = np.empty(len(replicas))
-    try:
-        for i, r in enumerate(replicas):
-            block = min(size, len(replicas) - i // size * size)
-            out[i] = weight(simulate(params, seed, replica=r, block=block), seed, r, *extra)
-    finally:
-        release_block()
-    return out
+    paths = traces(params, seed, replicas)
+    weights = (weight(simulate(params, seed, replica=r, paths=paths), seed, r, *extra) for r in replicas)
+    return np.fromiter(weights, float, len(replicas))
 
 
 def n_workers(requested: int | None = None) -> int:
@@ -184,7 +165,7 @@ def _run_batches(
     by replica index, so the concatenated result never depends on worker
     scheduling.
     """
-    replicas = list(range(n_rep))
+    replicas = range(n_rep)
     if workers <= 1:
         return _replica_batch((weight, params, seed, replicas, extra))
     chunk = max(1, math.ceil(n_rep / (workers * 4)))

@@ -299,6 +299,12 @@ def test_exponent_fit_validation():
         (dict(neg_log_S=[1.0, 2.0, math.inf, 4.0]), "-log S values must be finite"),
         (dict(stderr=[0.1, -0.1, 0.1, 0.1]), "stderr values must be finite and >= 0"),
         (dict(stderr=[0.1, math.nan, 0.1, 0.1]), "stderr values must be finite and >= 0"),
+        # a column of another length is refused by name, not broadcast
+        (dict(neg_log_S=[2.0]), "neg_log_S needs one value per horizon (4), got shape (1,)"),
+        (dict(neg_log_S=[1.0, 2.0, 3.0]), "neg_log_S needs one value per horizon (4), got shape (3,)"),
+        (dict(stderr=[0.1]), "stderr needs one value per horizon (4), got shape (1,)"),
+        (dict(stderr=0.1), "stderr needs one value per horizon (4), got shape ()"),
+        (dict(stderr=[0.1] * 5), "stderr needs one value per horizon (4), got shape (5,)"),
     ]:
         args = dict(Ts=Ts, neg_log_S=[1.0, 2.0, 3.0, 4.0], stderr=[0.1, 0.1, 0.1, 0.1]) | bad
         with pytest.raises(ValueError, match=re.escape(match)):

@@ -114,11 +114,25 @@ def run_capped(argv):
 
 
 def test_unallocatable_path_exit_2():
-    # 1e9 steps need about 490 GiB of noise
-    argv = ["survival", "--hard", "--T", "1", "--n", "100", "--seed", "1", "--dt", "1e-9", "--threads", "1"]
-    proc = run_capped(argv)
+    # 1e9 steps need about 490 GiB of noise, for a pool's block or one replica alone
+    for argv in (["survival", "--hard", "--T", "1", "--n", "100", "--threads", "1"],
+                 ["simulate"], ["sausage"]):
+        proc = run_capped([*argv, "--seed", "1", "--dt", "1e-9"])
+        assert proc.returncode == EXIT_CONFIG, (argv, proc.stderr)
+        assert "config error: a path of 1000000000 steps" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sausage", "run"])
+def test_unallocatable_samples_exit_2(command, tmp_path):
+    # 1e12 hit-or-miss samples in d=2 need about 15 TiB
+    config = tmp_path / "sausage.json"
+    config.write_text(json.dumps({"experiment": "sausage", "seed": 1, "n_mc": 10 ** 12}))
+    if command == "sausage":
+        proc = run_capped(["sausage", "--seed", "1", "--n-mc", str(10 ** 12)])
+    else:
+        proc = run_capped(["run", "--config", str(config)])
     assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert "config error: a path of 1000000000 steps" in proc.stderr
+    assert "config error: 1000000000000 hit-or-miss samples do not fit in memory" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -405,16 +419,24 @@ def test_fit_blank_stderr_exit_2(capsys, tmp_path):
     assert "blank stderr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row, message", [
-    ("2,nan,0.1", "-log S values must be finite"),
-    ("2,inf,0.1", "-log S values must be finite"),
-    ("0,9.9,0.1", "horizons T must be finite and > 0"),
-    ("2,9.9,-0.1", "stderr values must be finite and >= 0"),
-], ids=["nan", "inf", "zero_T", "negative_stderr"])
-def test_fit_bad_row_exit_2(capsys, tmp_path, row, message):
+FULL = "T,neg_log_S,stderr"
+
+
+@pytest.mark.parametrize("header, row, message", [
+    (FULL, "2,nan,0.1", "-log S values must be finite"),
+    (FULL, "2,inf,0.1", "-log S values must be finite"),
+    (FULL, "0,9.9,0.1", "horizons T must be finite and > 0"),
+    (FULL, "2,9.9,-0.1", "stderr values must be finite and >= 0"),
+    (FULL, "2", "fit input row 2 does not have the 3 fields of its header"),
+    ("T,neg_log_S", "2", "fit input row 2 does not have the 2 fields of its header"),
+    ("T,neg_log_S", "2,9.9,0.1", "fit input row 2 does not have the 2 fields of its header"),
+], ids=["nan", "inf", "zero_T", "negative_stderr", "short_row", "short_row_no_stderr", "long_row"])
+def test_fit_bad_row_exit_2(capsys, tmp_path, header, row, message):
     # none of these may reach the fit, whose NaN would print as non-JSON "NaN"
+    width = header.count(",") + 1
+    good = [",".join(r.split(",")[:width]) for r in ("1,7.0,0.1", "4,14.0,0.2", "8,19.8,0.3", "16,28.0,0.4")]
     data = tmp_path / "bad.csv"
-    data.write_text(f"T,neg_log_S,stderr\n1,7.0,0.1\n{row}\n4,14.0,0.2\n8,19.8,0.3\n16,28.0,0.4\n")
+    data.write_text("\n".join([header, good[0], row, *good[1:]]) + "\n")
     assert main(["fit", "--input", str(data)]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert message in err and out == ""

@@ -1,14 +1,14 @@
 import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from string_sausage import rng as streams
 from string_sausage.rng import NOISE, substream
-from string_sausage.simulate import Trace, brownian_path, simulate
+from string_sausage.simulate import Trace, brownian_path, replica_block, simulate, traces
 from string_sausage.spectral import ModelParams, evaluate_at, mode_rates
-from string_sausage.survival import replica_block
 
 
 def params(**kw):
@@ -71,10 +71,11 @@ def test_block_served_traces_equal_standalone(T, per_transform, monkeypatch):
     opened, transformed = [], []
     original, transform = streams.substream, sim.grid_values
     # two blocks walked as `survival` walks a chunk, from an unaligned replica
+    paths = traces(p, 31, range(3, 3 + 2 * size))
     for r in range(3, 3 + 2 * size):
         monkeypatch.setattr(streams, "substream", lambda *a: opened.append(a[2]) or original(*a))
         monkeypatch.setattr(sim, "grid_values", lambda q, c: transformed.append(len(c)) or transform(q, c))
-        served = simulate(p, 31, replica=r, block=size)
+        served = simulate(p, 31, replica=r, paths=paths)
         monkeypatch.setattr(streams, "substream", original)
         monkeypatch.setattr(sim, "grid_values", transform)
         alone = simulate(p, 31, replica=r)
@@ -87,6 +88,34 @@ def test_block_served_traces_equal_standalone(T, per_transform, monkeypatch):
     # each block's paths transformed per_transform at a time, each path once
     sub_blocks = [min(per_transform, size - i) for i in range(0, size, per_transform)]
     assert transformed == 2 * sub_blocks
+
+
+def test_traces_drop_a_block_before_the_next(monkeypatch):
+    # when a block or sub-block is made, no earlier one is still referenced
+    p = params(T=0.5)
+    size = replica_block(p)
+    sim = importlib.import_module("string_sausage.simulate")
+    made = {"evolve": [], "grid_values": []}
+
+    def watch(name):
+        original = getattr(sim, name)
+
+        def watched(*args):
+            assert [a for a in made["grid_values"] if a() is not None] == []
+            if name == "evolve":
+                assert [a for a in made["evolve"] if a() is not None] == []
+            array = original(*args)
+            made[name].append(weakref.ref(array))
+            return array
+        monkeypatch.setattr(sim, name, watched)
+
+    watch("evolve")
+    watch("grid_values")
+    paths = traces(p, 31, range(2 * size + 1))
+    for r in range(2 * size + 1):
+        assert simulate(p, 31, replica=r, paths=paths).values.shape == (p.n_steps + 1, p.M, p.d)
+    # blocks of 64 transformed 40 + 24 at a time, then a block of one
+    assert (size, len(made["evolve"]), len(made["grid_values"])) == (64, 3, 5)
 
 
 def test_trace_values_match_pointwise_series():

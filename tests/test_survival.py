@@ -11,7 +11,7 @@ from string_sausage import rng as streams
 from string_sausage import survival
 from string_sausage.geometry import bounding_box
 from string_sausage.rng import ENV, NOISE, substream
-from string_sausage.simulate import Trace, simulate
+from string_sausage.simulate import MAX_BLOCK, Trace, replica_block, simulate
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
     SurvivalEstimate,
@@ -166,8 +166,8 @@ def test_every_estimator_is_worker_invariant(path):
 
 
 @pytest.mark.parametrize("path, T, block", [
-    pytest.param("hard_via_volume", 5.0, survival.MAX_BLOCK, id="hard_via_volume"),
-    pytest.param("quenched_soft", 5.0, survival.MAX_BLOCK, id="quenched_soft"),
+    pytest.param("hard_via_volume", 5.0, MAX_BLOCK, id="hard_via_volume"),
+    pytest.param("quenched_soft", 5.0, MAX_BLOCK, id="quenched_soft"),
     pytest.param("quenched_soft", 80.0, 4, id="quenched_soft_long_path"),
 ])
 def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatch):
@@ -175,7 +175,7 @@ def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatc
     # of 9 against the serial run's 64 + 37, transformed 4 paths at a time; the
     # long path's blocks of 4 straddle the serial run's block boundaries
     p = params(nu=0.5, T=T)
-    assert survival.replica_block(p) == block
+    assert replica_block(p) == block
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
 
     def estimate(workers):
