@@ -60,17 +60,3 @@ print(f"trap-free probability of the cleared ball: {cb.clearing_probability:.3e}
 alphas = np.linspace(0.05, 5.0, 20_000)
 grid_best = alphas[np.argmax([ss.clearing_exponent(al, cb.A, cb.B, 3) for al in alphas])]
 print(f"grid-search maximizer: {grid_best:.4f} (closed form {cb.alpha_star:.4f})")
-
-# 5. confinement event frequencies behind the soft lower bound.  The events
-# compare the string to a/8 and a/16; since the stationary range is of order
-# one they are genuinely rare at any admissible trap radius, which is exactly
-# why the lower bound decays with T.  The center-of-mass hold over a short
-# window is the least rare and shows up at this sample size.
-wide = dataclasses.replace(p, a=1.0)
-rep = ss.confinement_stats(wide, t=2.0, s_max=0.01, n_rep=200, seed=36)
-print(
-    f"\nconfinement frequencies (t = {rep.t}, s_max = {rep.s_max}, a = {wide.a}): "
-    f"range {rep.freq_range:.3f}, field-hold {rep.freq_field_hold:.3f}, "
-    f"com-hold {rep.freq_com_hold:.3f}, joint {rep.freq_joint:.3f}"
-)
-print("(range and field-hold events need range(u) << a; they are rare by design)")

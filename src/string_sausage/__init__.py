@@ -14,7 +14,6 @@ from .asymptotics import (
     choose_E,
     clearing_bound,
     clearing_exponent,
-    confinement_stats,
     exponent_fit,
     gspace_ratio,
     range_smoothing_check,

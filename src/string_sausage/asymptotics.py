@@ -25,7 +25,7 @@ from .spectral import (
     variance_series,
     zero_state,
 )
-from .statistics import PathRecord, range_of, squared_norms
+from .statistics import PathRecord, range_of
 
 
 def unit_ball_volume(d: int) -> float:
@@ -400,8 +400,8 @@ def exponent_fit(Ts, neg_log_S, stderr=None) -> ExponentFit:
     """
     Ts = np.asarray(Ts, float)
     y_raw = np.asarray(neg_log_S, float)
-    if Ts.shape[0] < 4:
-        raise ValueError("need at least 4 horizon values")
+    if Ts.ndim != 1 or Ts.shape[0] < 4:
+        raise ValueError(f"Ts needs at least 4 horizon values, got shape {Ts.shape}")
     for name, column in (("neg_log_S", neg_log_S), ("stderr", stderr)):
         if column is not None and np.shape(column) != Ts.shape:
             raise ValueError(f"{name} needs one value per horizon ({len(Ts)}), got shape {np.shape(column)}")
@@ -436,59 +436,3 @@ def exponent_fit(Ts, neg_log_S, stderr=None) -> ExponentFit:
         dof = max(1, x.shape[0] - 2)
         se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
     return ExponentFit(float(slope), float(se), float(intercept))
-
-
-# ---------------------------------------------------------------------------
-# soft-obstacle confinement event frequencies
-
-
-@dataclass(frozen=True)
-class ConfinementReport:
-    t: float
-    s_max: float
-    a: float
-    n_rep: int
-    freq_range: float  # range(N(0,t)) <= a/8
-    freq_field_hold: float  # sup_{s<=s_max, x} |u(t+s,x)-u(t,x)| <= a/16
-    freq_com_hold: float  # sup_{s<=s_max} |X_{t+s}-X_t| <= a/16
-    freq_joint: float
-
-
-def confinement_stats(
-    params: ModelParams,
-    t: float,
-    s_max: float,
-    n_rep: int,
-    seed: int,
-) -> ConfinementReport:
-    """Frequencies of the confinement events used by the soft upper bound.
-
-    Starts from zero initial data so the accumulated noise equals the
-    string itself; the hold events are monitored on 8 sub-steps of
-    [t, t + s_max].
-    """
-    a = params.a
-    n_sub = 8
-    hit_r = np.empty(n_rep, bool)
-    hit_f = np.empty(n_rep, bool)
-    hit_x = np.empty(n_rep, bool)
-    for r in range(n_rep):
-        gen = streams.substream(seed, streams.AUX, r)
-        start = evolve(params, zero_state(params), t, gen)[-1]
-        base = grid_values(params, start)
-        hit_r[r] = range_of(base) <= a / 8.0
-        hold = evolve(params, start, s_max / n_sub, gen, n_sub)[1:]
-        dev = grid_values(params, hold) - base
-        com = (hold[:, :, 0] - start[:, 0]) / math.sqrt(params.J)
-        hit_f[r] = np.sqrt(squared_norms(dev)).max() <= a / 16.0
-        hit_x[r] = np.sqrt(squared_norms(com)).max() <= a / 16.0
-    return ConfinementReport(
-        t,
-        s_max,
-        a,
-        n_rep,
-        float(np.mean(hit_r)),
-        float(np.mean(hit_f)),
-        float(np.mean(hit_x)),
-        float(np.mean(hit_r & hit_f & hit_x)),
-    )

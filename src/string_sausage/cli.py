@@ -56,10 +56,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 
 
-# model defaults shared by the subcommand flags and `run` configs
-MODEL_DEFAULTS = {
-    "d": 2, "J": 1.0, "nu": 1.0, "a": 0.3, "K": 16, "M": 64, "dt": 0.02, "T": 1.0, "eps_tail": 2e-3,
-}
+# model defaults shared by the subcommand flags and `run` configs, in field order
+MODEL_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ModelParams)}
 # replica and hit-or-miss sample counts shared by the subcommand flags and `run` configs
 N_REPLICAS = 200
 N_MC = 20000
@@ -110,11 +108,13 @@ def emit(obj) -> None:
 # argument plumbing
 
 
-def master_seed(value) -> int:
-    """A master seed: an integer in [0, 2**64)."""
+def master_seed(value, count: int = 1, use: str = "") -> int:
+    """A master seed in [0, 2**64), from which a command runs the `count` seeds seed + i that `use` names."""
     seed = int(value)
     if not 0 <= seed < streams.SEED_LIMIT:
         raise ValueError(f"seed {seed} must lie in [0, 2**64)")
+    if seed + count > streams.SEED_LIMIT:
+        raise ValueError(f"seed {seed} must lie in [0, 2**64 - {count - 1}): {use}")
     return seed
 
 
@@ -239,6 +239,7 @@ def cmd_survival(args) -> int:
 
 def cmd_scaling_check(args) -> int:
     p = params_from(args)
+    master_seed(args.seed, 2, "scaling-check runs its unit-J side at seed + 1")
     method = "hard_via_volume" if args.via_volume else "hard_direct"
     report = scaling_check(p, args.n, args.seed, method=method, workers=args.threads)
     o, s = report.original, report.scaled
@@ -264,6 +265,8 @@ def cmd_scaling_check(args) -> int:
 
 def cmd_diagnostics(args) -> int:
     p = params_from(args)
+    if args.chain:
+        master_seed(args.seed, 3, "diagnostics --chain also runs seed + 1 and seed + 2")
     rng = streams.substream(args.seed, streams.AUX, 0)
     summary: dict = {"command": "diagnostics", "resolution_tag": resolution_tag(p)}
     rows = []
@@ -413,7 +416,6 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         raise ValueError(f"config key(s) {', '.join(unread)} not read by experiment {experiment!r}")
     if "seed" not in config:
         raise ValueError("config must set `seed` explicitly")
-    seed = master_seed(_convert("seed", config["seed"], int))
     sweeps = {
         name: [_convert(name, v, float) for v in _as_list(config.get(name, MODEL_DEFAULTS[name]))]
         for name in ("T", "J", "nu", "a")
@@ -421,6 +423,9 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
     for name, values in sweeps.items():
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
+    grid = list(itertools.product(*sweeps.values()))
+    seed = master_seed(_convert("seed", config["seed"], int), len(grid),
+                       f"run uses seed + i for grid point i of {len(grid)}")
     base = {
         name: _convert(name, config.get(name, MODEL_DEFAULTS[name]), type(MODEL_DEFAULTS[name]))
         for name in ("d", "K", "M", "dt", "eps_tail")
@@ -441,7 +446,7 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
             return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
     rows = [
         estimate(ModelParams(T=T, J=J, nu=nu, a=a, **base), seed + idx)
-        for idx, (T, J, nu, a) in enumerate(itertools.product(*sweeps.values()))
+        for idx, (T, J, nu, a) in enumerate(grid)
     ]
     summary = {
         "command": "run",

@@ -398,8 +398,8 @@ def box_counting_dimension(samples, scales) -> BoxCountResult:
     """
     points = samples.points if isinstance(samples, PointCloud) else np.atleast_2d(np.asarray(samples, float))
     scales = np.asarray(scales, float)
-    if scales.shape[0] < 4:
-        raise ValueError("need at least 4 scales")
+    if scales.ndim != 1 or scales.shape[0] < 4:
+        raise ValueError(f"scales needs at least 4 values, got shape {scales.shape}")
     if not np.all(np.diff(scales) < 0):
         raise ValueError("scales must be strictly decreasing")
     if scales[0] / scales[-1] < 10 ** 1.2:

@@ -24,17 +24,16 @@ class Trace:
     times[i] and values[i] its field values (M, d) on the evaluation grid."""
 
     params: ModelParams
-    times: np.ndarray
     coeffs: np.ndarray  # (n+1, d, 2K+1)
-    values: np.ndarray | None = None  # (n+1, M, d); grid_values(params, coeffs) when not given
+    values: np.ndarray  # (n+1, M, d)
 
-    def __post_init__(self):
-        if self.values is None:
-            object.__setattr__(self, "values", grid_values(self.params, self.coeffs))
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.params.n_steps + 1) * self.params.dt
 
     @property
     def n_snapshots(self) -> int:
-        return self.times.shape[0]
+        return self.coeffs.shape[0]
 
     def snapshots(self) -> list[FieldSamples]:
         """One FieldSamples per time, all sharing one grid array."""
@@ -96,7 +95,7 @@ def traces(params: ModelParams, seed: int, replicas: range):
                     values = None  # and the last sub-block before the next is transformed
                     values = grid_values(params, coeffs[b : b + per_transform])
                     values.flags.writeable = False
-                yield Trace(params, np.arange(n + 1) * params.dt, coeffs[b], values[b % per_transform])
+                yield Trace(params, coeffs[b], values[b % per_transform])
     except MemoryError:
         raise ValueError(f"a path of {n} steps (T={params.T!r}, dt={params.dt!r}) does not fit in memory") from None
 

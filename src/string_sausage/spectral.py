@@ -62,17 +62,20 @@ class ModelParams:
     radius; K: Fourier mode cutoff; M: evaluation grid size (>= 2K+1);
     dt: observation step; T: time horizon; eps_tail: bound accepted for
     the neglected per-coefficient stationary variance sum_{k>K} 1/(4 pi^2 k^2).
+
+    The defaults are the package's one set: the CLI's model flags and the
+    keys a `run` config omits take theirs from here.
     """
 
-    d: int
+    d: int = 2
     J: float = 1.0
     nu: float = 1.0
     a: float = 0.3
-    K: int = 64
-    M: int = 256
-    dt: float = 0.01
+    K: int = 16
+    M: int = 64
+    dt: float = 0.02
     T: float = 1.0
-    eps_tail: float = 1e-3
+    eps_tail: float = 2e-3
 
     def __post_init__(self):
         for name in ("J", "nu", "a", "dt", "T", "eps_tail"):

@@ -14,7 +14,6 @@ from string_sausage.asymptotics import (
     choose_E,
     clearing_bound,
     clearing_exponent,
-    confinement_stats,
     exponent_fit,
     gspace_ratio,
     maximize_clearing_exponent,
@@ -305,6 +304,7 @@ def test_exponent_fit_validation():
         (dict(stderr=[0.1]), "stderr needs one value per horizon (4), got shape (1,)"),
         (dict(stderr=0.1), "stderr needs one value per horizon (4), got shape ()"),
         (dict(stderr=[0.1] * 5), "stderr needs one value per horizon (4), got shape (5,)"),
+        (dict(Ts=5.0), "Ts needs at least 4 horizon values, got shape ()"),
     ]:
         args = dict(Ts=Ts, neg_log_S=[1.0, 2.0, 3.0, 4.0], stderr=[0.1, 0.1, 0.1, 0.1]) | bad
         with pytest.raises(ValueError, match=re.escape(match)):
@@ -367,15 +367,3 @@ def test_stopping_chain_range_closeness():
         assert abs(chain.range_string[i] - chain.range_noise[i]) <= 2 * chain.delta + 1e-9
         assert chain.vol_string[i] > 0
         assert chain.vol_noise[i] > 0
-
-
-# ---------------------------------------------------------------------------
-# confinement frequencies
-
-
-def test_confinement_stats_frequencies():
-    p = ModelParams(d=2, K=8, M=32, a=0.3, eps_tail=5e-3)
-    rep = confinement_stats(p, t=1.0, s_max=0.05, n_rep=50, seed=31)
-    for f in (rep.freq_range, rep.freq_field_hold, rep.freq_com_hold, rep.freq_joint):
-        assert 0.0 <= f <= 1.0
-    assert rep.freq_joint <= min(rep.freq_range, rep.freq_field_hold, rep.freq_com_hold)

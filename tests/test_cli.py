@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shlex
@@ -96,6 +97,21 @@ def test_seed_outside_64_bits_exit_2(seed, capsys):
     # checked before any work: at T=0 the estimate draws no stream at all
     assert main(["survival", "--hard", "--T", "0", "--n", "100", "--seed", seed, "--threads", "1"]) == EXIT_CONFIG
     assert f"seed {seed} must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["scaling-check", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", str((1 << 64) - 1)],
+         "must lie in [0, 2**64 - 1): scaling-check runs its unit-J side at seed + 1"),
+        (["diagnostics", "--chain", "--seed", str((1 << 64) - 2)],
+         "must lie in [0, 2**64 - 2): diagnostics --chain also runs seed + 1 and seed + 2"),
+    ],
+    ids=["scaling_check", "diagnostics_chain"],
+)
+def test_derived_seed_outside_64_bits_exit_2(argv, cause, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert cause in capsys.readouterr().err
 
 
 # The CLI in a child whose address space is capped at 8 GiB, so an
@@ -309,6 +325,19 @@ def test_simulate_subcommand(capsys, tmp_path):
     assert len(rec["final_com"]) == 2
     assert rec["final_radius"] >= 0
     assert out_npz.exists()
+
+
+def test_model_defaults_are_model_params_defaults():
+    assert MODEL_DEFAULTS == {f.name: f.default for f in dataclasses.fields(ModelParams)}
+
+
+def test_simulate_out_is_the_library_default_path(capsys, tmp_path):
+    """Bare `simulate` flags and `ModelParams()` sample the same path."""
+    out_npz = tmp_path / "f.npz"
+    code, _ = run_cli(["simulate", "--seed", "7", "--out", str(out_npz)], capsys)
+    assert code == EXIT_OK
+    with np.load(out_npz) as saved:
+        np.testing.assert_array_equal(saved["coeffs"], simulate(ModelParams(), 7).coeffs)
 
 
 def test_sausage_subcommand(capsys):
@@ -539,6 +568,17 @@ def test_run_seed_outside_64_bits_exit_2(seed, capsys, tmp_path):
     config = {"seed": seed, "n_replicas": 100, "threads": 1, "T": 0.25}
     code, err = run_config_file(tmp_path / "c.json", config, capsys)
     assert code == EXIT_CONFIG and f"seed {seed} must lie in [0, 2**64)" in err
+
+
+def test_run_derived_seed_outside_64_bits_exit_2(capsys, tmp_path):
+    # three grid points run at seed, seed + 1 and seed + 2, all checked before the first
+    config = {"seed": (1 << 64) - 3, "n_replicas": 100, "threads": 1, "T": [0.25, 0.5, 0.75]}
+    code, _ = run_config_file(tmp_path / "c.json", config, capsys)
+    assert code == EXIT_OK
+    config["seed"] += 1
+    code, err = run_config_file(tmp_path / "c.json", config, capsys)
+    assert code == EXIT_CONFIG
+    assert f"seed {config['seed']} must lie in [0, 2**64 - 2): run uses seed + i for grid point i of 3" in err
 
 
 @pytest.mark.parametrize(

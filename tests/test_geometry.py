@@ -518,6 +518,8 @@ def test_box_counting_validation():
     seg[:, 0] = np.linspace(0, 1, 10)
     with pytest.raises(ValueError):
         box_counting_dimension(seg, [0.1, 0.05, 0.01])  # too few scales
+    with pytest.raises(ValueError, match=r"scales needs at least 4 values, got shape \(\)"):
+        box_counting_dimension(seg, 0.1)  # one bare scale
     with pytest.raises(ValueError):
         box_counting_dimension(seg, [0.1, 0.2, 0.05, 0.01])  # not decreasing
     with pytest.raises(ValueError):

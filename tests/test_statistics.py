@@ -27,7 +27,7 @@ def test_radius_translation_invariant():
     trace = simulate(p, seed=2)
     shifted = trace.coeffs.copy()
     shifted[:, :, 0] += 5.0  # move the center of mass only
-    moved = Trace(p, trace.times, shifted)
+    moved = Trace(p, shifted, grid_values(p, shifted))
     R = trace.path_record().R
     assert R[-1] > 0
     np.testing.assert_allclose(moved.path_record().R, R, atol=1e-12)
