@@ -12,18 +12,18 @@ import string_sausage as ss
 
 params = ss.ModelParams(d=2, K=32, M=128, dt=0.02, T=2.0)
 trace = ss.simulate(params, seed=7)
-record = trace.path_record()
+com, radius = trace.com, trace.radius
 
 print("snapshots:", trace.n_snapshots)
-print("final center of mass:", np.round(record.X[-1], 4))
-print("final radius:", round(float(record.R[-1]), 4))
-print("max radius over the run:", round(float(record.R.max()), 4))
+print("final center of mass:", np.round(com[-1], 4))
+print("final radius:", round(float(radius[-1]), 4))
+print("max radius over the run:", round(float(radius.max()), 4))
 print("final range:", round(ss.range_of(trace.values[-1]), 4))
 
 # the center of mass should diffuse like sqrt(t) while the radius stays O(1)
 print("\n  t      |X_t|    R_t")
 for i in range(0, trace.n_snapshots, trace.n_snapshots // 8):
-    print(f"  {trace.times[i]:5.2f}  {np.linalg.norm(record.X[i]):7.4f}  {record.R[i]:6.4f}")
+    print(f"  {trace.times[i]:5.2f}  {np.linalg.norm(com[i]):7.4f}  {radius[i]:6.4f}")
 
 # check the Brownian law of the center of mass over replicas
 ends = []

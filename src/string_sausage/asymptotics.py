@@ -25,7 +25,7 @@ from .spectral import (
     variance_series,
     zero_state,
 )
-from .statistics import PathRecord, range_of
+from .statistics import range_of
 
 
 def unit_ball_volume(d: int) -> float:
@@ -37,35 +37,20 @@ def unit_ball_volume(d: int) -> float:
 # separation times of the center of mass
 
 
-def max_com_step(path: PathRecord) -> float:
-    """Largest center-of-mass move between samples; tau detection needs it below Lambda/10."""
-    steps = np.diff(np.atleast_2d(path.X), axis=0)
-    return float(np.sqrt((steps ** 2).sum(axis=1)).max(initial=0.0))
-
-
-def tau_sequence(path: PathRecord, Lambda: float) -> np.ndarray:
-    """Successive times at which the center of mass is 4*Lambda away from
-    all previously selected centers; tau_0 = 0.
+def tau_sequence(com: np.ndarray, Lambda: float) -> np.ndarray:
+    """Sample indices of the successive times at which the center of mass
+    `com` (n, d) is 4*Lambda away from all previously selected centers;
+    the first is 0 (tau_0 = 0).
 
     Times are located on the sampling grid (first grid time satisfying the
-    condition).  Warns when sampling is coarse relative to Lambda.
+    condition), so the sampling step should stay below Lambda/10.
     """
-    X = np.atleast_2d(path.X)
-    step = max_com_step(path)
-    if step >= Lambda / 10.0:
-        warnings.warn(
-            f"path sampling too coarse for tau detection: max step {step:.3g} "
-            f">= Lambda/10 = {Lambda / 10:.3g}"
-        )
-    centers = [X[0]]
-    taus = [float(path.times[0])]
     thresh2 = (4.0 * Lambda) ** 2
-    for i in range(1, X.shape[0]):
-        c = np.asarray(centers)
-        if np.min(((c - X[i]) ** 2).sum(axis=1)) >= thresh2:
-            centers.append(X[i])
-            taus.append(float(path.times[i]))
-    return np.asarray(taus)
+    picks = [0]
+    for i in range(1, com.shape[0]):
+        if np.min(((com[picks] - com[i]) ** 2).sum(axis=1)) >= thresh2:
+            picks.append(i)
+    return np.asarray(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +181,7 @@ class StoppingChain:
     Lambda: float
     delta: float
     L: float
+    max_step: float  # largest center-of-mass move between samples
     tau: np.ndarray
     S: np.ndarray
     T_seq: np.ndarray
@@ -224,48 +210,49 @@ def stopping_chain(
     N(T_{i-1}, T_i) and sausage volumes of u(T_i) at radius a and of the
     segment at radius a/2, and the closeness and volume-domination
     inequalities between them are asserted within estimator tolerance.
+    Warns when the largest center-of-mass step is >= Lambda/10, too coarse
+    to locate the separation times.
     """
     p = trace.params
     a = p.a
     delta = chain_delta(a)
     L = chain_L(a, choose_E(p.d, a))
-    path = trace.path_record()
-    tau = tau_sequence(path, Lambda)
+    com = trace.com
+    step = float(np.sqrt((np.diff(com, axis=0) ** 2).sum(axis=1)).max(initial=0.0))
+    if step >= Lambda / 10.0:
+        warnings.warn(
+            f"path sampling too coarse for tau detection: max step {step:.3g} "
+            f">= Lambda/10 = {Lambda / 10:.3g}"
+        )
+    tau = tau_sequence(com, Lambda)
     times = trace.times
     dt = p.dt
 
     S_list: list[float] = []
     T_list: list[float] = []
     rng_noise, rng_string, vol_u, vol_n = [], [], [], []
-    T_prev = 0.0
+    i_prev = 0
     # segment whose smoothed range defines S_i: the initial string for i=1,
     # afterwards the noise accumulated over the previous completed interval
     seg = trace.coeffs[0]
     i = 0
     while True:
         # locate S_{i+1}
+        T_prev = float(times[i_prev])
         start = T_prev + L
         if start > times[-1]:
             break
         j = int(math.ceil(round(start / dt, 9)))
-        S_i = None
-        while j < times.shape[0]:
-            t = times[j]
-            if range_of(grid_values(p, heat_convolve(p, seg, t - T_prev))) <= delta:
-                S_i = float(t)
-                break
+        while j < times.shape[0] and range_of(grid_values(p, heat_convolve(p, seg, times[j] - T_prev))) > delta:
             j += 1
-        if S_i is None:
-            break
-        later = tau[tau >= S_i - 1e-12]
+        later = tau[tau >= j]  # empty too when no grid time is S_{i+1}
         if later.size == 0:
             break
-        T_i = float(later[0])
-        S_list.append(S_i)
-        T_list.append(T_i)
+        i_T = int(later[0])
+        S_list.append(float(times[j]))
+        T_list.append(float(times[i_T]))
 
-        i_prev, i_T = round(T_prev / dt), round(T_i / dt)
-        seg = noise_segment(p, trace.coeffs[i_prev], trace.coeffs[i_T], T_i - T_prev)
+        seg = noise_segment(p, trace.coeffs[i_prev], trace.coeffs[i_T], times[i_T] - T_prev)
         seg_values = grid_values(p, seg)
         u_values = trace.values[i_T]
         r_n = range_of(seg_values)
@@ -290,14 +277,15 @@ def stopping_chain(
         rng_string.append(r_u)
         vol_u.append(est_u.volume)
         vol_n.append(est_n.volume)
-        T_prev = T_i
+        i_prev = i_T
         i += 1
 
     chain = StoppingChain(
         Lambda,
         delta,
         L,
-        tau,
+        step,
+        times[tau],
         np.asarray(S_list),
         np.asarray(T_list),
         np.asarray(rng_noise),

@@ -28,7 +28,6 @@ from .asymptotics import (
     clearing_exponent,
     exponent_fit,
     gspace_ratio,
-    max_com_step,
     range_smoothing_check,
     stopping_chain,
 )
@@ -43,8 +42,8 @@ from .statistics import range_of
 from .survival import (
     annealed_hard,
     annealed_soft,
-    environment_for_cloud,
     quenched,
+    replica_environment,
     replica_volume,
     scaling_check,
 )
@@ -143,31 +142,27 @@ def params_from(args) -> ModelParams:
 def cmd_simulate(args) -> int:
     p = params_from(args)
     trace = simulate(p, args.seed, replica=args.replica)
-    rec = trace.path_record()
+    radius = trace.radius
     final_range = range_of(trace.values[-1])
     summary = {
         "command": "simulate",
-        "final_com": rec.X[-1].tolist(),
-        "final_radius": float(rec.R[-1]),
+        "final_com": trace.com[-1].tolist(),
+        "final_radius": float(radius[-1]),
         "final_range": final_range,
-        "max_radius": float(rec.R.max()),
+        "max_radius": float(radius.max()),
         "n_snapshots": trace.n_snapshots,
         "resolution_tag": resolution_tag(p),
     }
     rows = [
-        row("simulate", p, "final_radius", float(rec.R[-1]), 0.0, 1, args.seed),
+        row("simulate", p, "final_radius", float(radius[-1]), 0.0, 1, args.seed),
         row("simulate", p, "final_range", final_range, 0.0, 1, args.seed),
-        row("simulate", p, "max_radius", float(rec.R.max()), 0.0, 1, args.seed),
+        row("simulate", p, "max_radius", float(radius.max()), 0.0, 1, args.seed),
     ]
     if args.out is not None:
-        np.savez(
-            args.out,
-            times=trace.times,
-            coeffs=trace.coeffs,
-            com=rec.X,
-            radius=rec.R,
-        )
-        summary["out"] = args.out
+        # np.savez appends .npz to a name without it; report the file written
+        out = args.out if args.out.endswith(".npz") else args.out + ".npz"
+        np.savez(out, times=trace.times, coeffs=trace.coeffs, com=trace.com, radius=radius)
+        summary["out"] = out
     write_rows(args.csv, rows)
     emit(summary)
     return EXIT_OK
@@ -214,8 +209,7 @@ def cmd_survival(args) -> int:
         method = "hard_via_volume" if args.via_volume else "hard_direct"
         est = annealed_hard(p, args.n, args.seed, method=method, workers=args.threads)
     if args.save_env is not None:
-        cloud = simulate(p, args.seed, replica=0).cloud()
-        env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(args.seed, streams.ENV, 0))
+        env = replica_environment(simulate(p, args.seed, replica=0).cloud(), p, args.seed, 0)
         Path(args.save_env).write_text(env.to_json(), encoding="utf-8")
     emit(
         {
@@ -249,6 +243,7 @@ def cmd_scaling_check(args) -> int:
             "original": {"p_hat": o.p_hat, "stderr": o.stderr, "ci95": o.ci95(), "J": p.J},
             "scaled": {"p_hat": s.p_hat, "stderr": s.stderr, "ci95": s.ci95(), "J": 1.0},
             "overlap": report.overlap,
+            "informative": report.informative,
             "n": args.n,
             "seed": args.seed,
         }
@@ -319,10 +314,9 @@ def cmd_diagnostics(args) -> int:
         chain_params = dataclasses.replace(p, T=horizon)
         trace = simulate(chain_params, args.seed, replica=0)
         chain = stopping_chain(trace, Lambda, seed=args.seed + 2)
-        step = max_com_step(trace.path_record())
         summary["chain"] = {
-            "resolved": step < Lambda / 10.0,
-            "max_step": step,
+            "resolved": chain.max_step < Lambda / 10.0,
+            "max_step": chain.max_step,
             "step_limit": Lambda / 10.0,
             "Lambda": chain.Lambda,
             "delta": chain.delta,

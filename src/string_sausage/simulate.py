@@ -15,7 +15,7 @@ from .spectral import (
     evolve,
     grid_values,
 )
-from .statistics import PathRecord, squared_norms
+from .statistics import squared_norms
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,15 @@ class Trace:
         pts = self.values.reshape(-1, p.d)
         return PointCloud(pts, meta={"dt": p.dt, "dx": p.J / p.M, "T": p.T})
 
-    def path_record(self) -> PathRecord:
-        X = self.coeffs[:, :, 0] / math.sqrt(self.params.J)
-        dev = self.values - X[:, None, :]
-        R = np.sqrt(squared_norms(dev)).max(axis=1)
-        return PathRecord(self.times, X, R)
+    @property
+    def com(self) -> np.ndarray:
+        """Center of mass (n+1, d) at each time: the grid mean, read off the zero mode."""
+        return self.coeffs[:, :, 0] / math.sqrt(self.params.J)
+
+    @property
+    def radius(self) -> np.ndarray:
+        """Radius (n+1,) at each time: the largest grid distance from the center of mass."""
+        return np.sqrt(squared_norms(self.values - self.com[:, None, :])).max(axis=1)
 
 
 # Replicas evolved together share each `evolve` step's fixed cost: a block

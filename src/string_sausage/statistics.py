@@ -1,7 +1,8 @@
 """Center of mass / radius / range decomposition of the string.
 
-The center of mass is a Brownian motion independent of the radius; the
-statistical tests here check both facts on simulated replicas.
+The center of mass (`Trace.com`) is a Brownian motion independent of the
+radius (`Trace.radius`); the statistical tests here check both facts on
+simulated replicas.
 """
 
 from __future__ import annotations
@@ -10,24 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Per-sample-time center of mass X and radius R of one trajectory."""
-
-    times: np.ndarray
-    X: np.ndarray  # (n, d)
-    R: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        n = self.times.shape[0]
-        if self.X.shape[0] != n or self.R.shape[0] != n:
-            raise ValueError("times, X, R must have equal length")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.R < 0):
-            raise ValueError("radius must be nonnegative")
 
 
 def squared_norms(x: np.ndarray) -> np.ndarray:

@@ -98,13 +98,18 @@ def environment_for_cloud(
     return sample_environment(bounding_box(cloud, a + ENV_PAD_MARGIN), nu, rng)
 
 
+def replica_environment(cloud: PointCloud, params: ModelParams, seed: int, r: int) -> PoissonEnvironment:
+    """Replica r's traps around its cloud, drawn from the stream (ENV, r)."""
+    return environment_for_cloud(cloud, params.nu, params.a, streams.substream(seed, streams.ENV, r))
+
+
 def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> float:
-    """Survival indicator against `env`, or, when `env` is None, against traps
-    drawn from (ENV, r) in the cloud's box padded by a + ENV_PAD_MARGIN,
-    which covers every trap that can touch the cloud."""
+    """Survival indicator against `env`, or, when `env` is None, against
+    replica r's traps, whose padded box covers every trap that can touch
+    the cloud."""
     cloud, p = trace.cloud(), trace.params
     if env is None:
-        env = environment_for_cloud(cloud, p.nu, p.a, streams.substream(seed, streams.ENV, r))
+        env = replica_environment(cloud, p, seed, r)
     return float(not any_contact(cloud.points, env, p.a))
 
 
@@ -123,12 +128,10 @@ def _soft(
     trace: Trace, seed: int, r: int, env: PoissonEnvironment | None, height: float
 ) -> float:
     """exp(-path functional) against `env`, or, when `env` is None, against
-    traps drawn from (ENV, r) around the cloud."""
+    replica r's traps."""
     p = trace.params
     if env is None:
-        env = environment_for_cloud(
-            trace.cloud(), p.nu, p.a, streams.substream(seed, streams.ENV, r)
-        )
+        env = replica_environment(trace.cloud(), p, seed, r)
     return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
@@ -272,6 +275,13 @@ class ScalingReport:
         lo1, hi1 = self.original.ci95()
         lo2, hi2 = self.scaled.ci95()
         return max(lo1, lo2) <= min(hi1, hi2)
+
+    @property
+    def informative(self) -> bool:
+        """False when both estimates sit at the same boundary (both 0 or
+        both 1), where the intervals overlap whatever the scaling."""
+        p1, p2 = self.original.p_hat, self.scaled.p_hat
+        return not (p1 == p2 and p1 in (0.0, 1.0))
 
 
 def scaling_check(

@@ -95,8 +95,8 @@ def test_criterion_03_independence():
     p = ss.ModelParams(d=2, K=16, M=64, dt=1.0, T=1.0, eps_tail=2e-3)
     reps = []
     for r in range(5000):
-        rec = ss.simulate(p, 1003, replica=r).path_record()
-        reps.append((rec.X[-1], rec.R[-1]))
+        trace = ss.simulate(p, 1003, replica=r)
+        reps.append((trace.com[-1], trace.radius[-1]))
     rep = independence_test(reps)
     ok = rep.passed and abs(rep.threshold - 0.0566) < 1e-3
     verdict(

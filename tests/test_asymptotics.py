@@ -30,15 +30,14 @@ from string_sausage.spectral import (
     sample_stationary_field,
     zero_state,
 )
-from string_sausage.statistics import PathRecord
 
 
 def straight_path(T=20.0, dt=0.01, d=2):
-    """Deterministic unit-speed straight path with zero radius."""
+    """Center of mass of a deterministic unit-speed straight path."""
     times = np.arange(int(T / dt) + 1) * dt
     X = np.zeros((times.shape[0], d))
     X[:, 0] = times
-    return PathRecord(times, X, np.zeros(times.shape[0]))
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -46,30 +45,23 @@ def straight_path(T=20.0, dt=0.01, d=2):
 
 
 def test_tau_straight_path():
-    path = straight_path(T=20.0)
-    tau = tau_sequence(path, Lambda=1.0)
-    np.testing.assert_allclose(tau, [0.0, 4.0, 8.0, 12.0, 16.0, 20.0], atol=1e-9)
+    # separations every 4 time units, at samples 0, 400, ..., 2000 of dt = 0.01
+    tau = tau_sequence(straight_path(T=20.0), Lambda=1.0)
+    np.testing.assert_array_equal(tau, [0, 400, 800, 1200, 1600, 2000])
 
 
 def test_tau_confined_path_is_trivial():
     rng = substream(1, AUX, 0)
-    times = np.arange(101) * 0.01
     X = 0.05 * rng.standard_normal((101, 2)).cumsum(axis=0)  # stays near 0
-    path = PathRecord(times, X, np.zeros(101))
-    tau = tau_sequence(path, Lambda=2.0)
-    np.testing.assert_allclose(tau, [0.0])
+    np.testing.assert_array_equal(tau_sequence(X, Lambda=2.0), [0])
 
 
 def test_tau_covering_property():
-    path_cloud = brownian_path(2, 30.0, 0.002, seed=2)
-    times = np.arange(path_cloud.points.shape[0]) * 0.002
-    path = PathRecord(times, path_cloud.points, np.zeros(times.shape[0]))
-    Lambda = 1.0
-    # the path's largest step (0.226) exceeds Lambda/10 at this dt; the
+    # the path's largest step (0.226) exceeds Lambda/10 at dt = 0.002; the
     # covering property holds at any sampling
-    with pytest.warns(UserWarning, match="too coarse"):
-        tau = tau_sequence(path, Lambda)
-    centers = np.array([path.X[int(round(t / 0.002))] for t in tau])
+    X = brownian_path(2, 30.0, 0.002, seed=2).points
+    Lambda = 1.0
+    centers = X[tau_sequence(X, Lambda)]
     # selected centers pairwise >= 4 Lambda apart
     if centers.shape[0] > 1:
         diff = centers[:, None, :] - centers[None, :, :]
@@ -77,16 +69,21 @@ def test_tau_covering_property():
         np.fill_diagonal(dist, np.inf)
         assert dist.min() >= 4.0 * Lambda - 1e-9
     # every path point lies within 4 Lambda of some selected center
-    d_to_centers = np.sqrt(
-        ((path.X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    ).min(axis=1)
+    d_to_centers = np.sqrt(((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
     assert d_to_centers.max() < 4.0 * Lambda
 
 
 def test_tau_coarse_sampling_warns():
-    path = straight_path(T=5.0, dt=1.0)
-    with pytest.warns(UserWarning):
-        tau_sequence(path, Lambda=1.0)
+    # at dt = 1 the center of mass moves about 1 per step: too coarse for
+    # Lambda = 1, fine for Lambda = 100
+    trace = simulate(ModelParams(d=2, K=8, M=32, dt=1.0, T=5.0, eps_tail=5e-3), seed=3)
+    step = float(np.linalg.norm(np.diff(trace.com, axis=0), axis=1).max())
+    with pytest.warns(UserWarning, match="too coarse"):
+        chain = stopping_chain(trace, Lambda=1.0, n_mc=2000)
+    assert chain.max_step == pytest.approx(step, rel=1e-12) and step >= 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stopping_chain(trace, Lambda=100.0, n_mc=2000).max_step == chain.max_step
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,18 @@ def test_scaling_check_subcommand(capsys):
     rec = last_json(out)
     assert "original" in rec and "scaled" in rec
     assert isinstance(rec["overlap"], bool)
+    assert rec["informative"] is True
     assert len(rec["original"]["ci95"]) == 2
+
+
+def test_scaling_check_at_a_shared_boundary_is_not_informative(capsys):
+    # at the default nu and a no path survives on either side: both p_hat are
+    # 0, so the intervals overlap whatever the scaling
+    code, out = run_cli(["scaling-check", "--J", "2", "--n", "200", "--seed", "3", "--threads", "1"], capsys)
+    assert code == EXIT_OK
+    rec = last_json(out)
+    assert rec["original"]["p_hat"] == rec["scaled"]["p_hat"] == 0.0
+    assert rec["overlap"] is True and rec["informative"] is False
 
 
 def test_diagnostics_chain_reports_under_resolution(capsys):
@@ -315,6 +326,20 @@ def test_diagnostics_chain_reports_under_resolution(capsys):
     assert chain["max_step"] >= chain["step_limit"]
 
 
+def test_diagnostics_chain_pins_three_intervals(capsys):
+    with pytest.warns(UserWarning, match="too coarse"):
+        code, out = run_cli(
+            ["diagnostics", "--chain", "--seed", "5", "--T", "80", "--K", "8", "--M", "32",
+             "--dt", "0.05", "--eps-tail", "5e-3"],
+            capsys,
+        )
+    assert code == EXIT_OK
+    chain = last_json(out)["chain"]
+    assert chain["S"] == [4.65, 32.15, 40.900000000000006]
+    assert chain["T_seq"] == [27.5, 36.25, 64.45]
+    assert chain["n_tau"] == 4 and chain["n_intervals"] == 3
+
+
 def test_simulate_subcommand(capsys, tmp_path):
     out_npz = tmp_path / "trace.npz"
     code, out = run_cli(
@@ -325,6 +350,14 @@ def test_simulate_subcommand(capsys, tmp_path):
     assert len(rec["final_com"]) == 2
     assert rec["final_radius"] >= 0
     assert out_npz.exists()
+
+
+def test_simulate_out_without_suffix_reports_the_file_written(capsys, tmp_path):
+    code, out = run_cli(["simulate", "--T", "0.1", "--seed", "1", "--out", str(tmp_path / "trace_out")], capsys)
+    assert code == EXIT_OK
+    written = tmp_path / "trace_out.npz"
+    assert last_json(out)["out"] == str(written)
+    assert written.exists() and not (tmp_path / "trace_out").exists()
 
 
 def test_model_defaults_are_model_params_defaults():

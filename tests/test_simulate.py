@@ -134,15 +134,16 @@ def test_trace_cloud_shape_and_meta():
     assert cloud.meta["T"] == p.T
 
 
-def test_path_record_consistency():
+def test_trace_com_and_radius_consistency():
     p = params()
     tr = simulate(p, 9)
-    rec = tr.path_record()
-    assert rec.times.shape[0] == tr.n_snapshots
-    # radius recomputed from samples agrees
-    i = tr.n_snapshots - 1
-    dev = tr.values[i] - rec.X[i][None, :]
-    assert abs(rec.R[i] - np.sqrt((dev ** 2).sum(axis=1)).max()) < 1e-12
+    com, R = tr.com, tr.radius
+    assert com.shape == (tr.n_snapshots, p.d) and R.shape == (tr.n_snapshots,)
+    # at each time, the center is the grid mean and the radius is recomputed from the samples
+    for i in range(tr.n_snapshots):
+        np.testing.assert_allclose(com[i], tr.values[i].mean(axis=0), atol=1e-12)
+        dev = tr.values[i] - com[i][None, :]
+        assert abs(R[i] - np.sqrt((dev ** 2).sum(axis=1)).max()) < 1e-12
 
 
 def test_brownian_path_statistics():

@@ -9,7 +9,6 @@ from string_sausage.simulate import Trace, simulate
 from string_sausage.spectral import ModelParams, grid_values, sample_stationary_field
 from string_sausage.statistics import (
     IndependenceReport,
-    PathRecord,
     independence_test,
     range_of,
     squared_norms,
@@ -19,7 +18,7 @@ from string_sausage.statistics import (
 def test_center_of_mass_equals_grid_mean():
     p = ModelParams(d=2, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3)
     trace = simulate(p, seed=1)
-    np.testing.assert_allclose(trace.path_record().X, trace.values.mean(axis=1), atol=1e-12)
+    np.testing.assert_allclose(trace.com, trace.values.mean(axis=1), atol=1e-12)
 
 
 def test_radius_translation_invariant():
@@ -28,9 +27,9 @@ def test_radius_translation_invariant():
     shifted = trace.coeffs.copy()
     shifted[:, :, 0] += 5.0  # move the center of mass only
     moved = Trace(p, shifted, grid_values(p, shifted))
-    R = trace.path_record().R
+    R = trace.radius
     assert R[-1] > 0
-    np.testing.assert_allclose(moved.path_record().R, R, atol=1e-12)
+    np.testing.assert_allclose(moved.radius, R, atol=1e-12)
 
 
 def brute_diameter(pts) -> float:
@@ -88,10 +87,8 @@ def test_squared_norms_equal_the_axis_sum():
         diff = pts[:, None, :] - pts[None, :, :]
         assert range_of(pts) == float(np.sqrt((diff ** 2).sum(axis=2)).max())
         trace = simulate(ModelParams(d=d, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3), seed=d)
-        dev = trace.values - trace.path_record().X[:, None, :]
-        np.testing.assert_array_equal(
-            trace.path_record().R, np.sqrt((dev ** 2).sum(axis=2)).max(axis=1)
-        )
+        dev = trace.values - trace.com[:, None, :]
+        np.testing.assert_array_equal(trace.radius, np.sqrt((dev ** 2).sum(axis=2)).max(axis=1))
 
 
 def test_range_of_1d_is_max_minus_min():
@@ -115,14 +112,18 @@ def test_range_of_validation():
             range_of(np.array([[0.0, 0.0], [1.0, bad], [2.0, 1.0]]))
 
 
-def test_path_record_validation():
-    t = np.array([0.0, 1.0])
-    with pytest.raises(ValueError):
-        PathRecord(t, np.zeros((3, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        PathRecord(np.array([1.0, 0.0]), np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        PathRecord(t, np.zeros((2, 2)), np.array([0.0, -1.0]))
+def test_trace_com_and_radius_from_the_grid():
+    # one center and one radius per time, from the zero string: the grid
+    # mean, and the farthest grid column from it
+    for d in (1, 3):
+        p = ModelParams(d=d, K=8, M=32, dt=0.1, T=0.7, eps_tail=5e-3)
+        trace = simulate(p, seed=4)
+        com, R = trace.com, trace.radius
+        assert com.shape == (trace.n_snapshots, d) and R.shape == (trace.n_snapshots,)
+        assert not com[0].any() and R[0] == 0.0 and np.all(R[1:] > 0)
+        np.testing.assert_allclose(com, trace.values.mean(axis=1), atol=1e-12)
+        columns = [np.linalg.norm(trace.values[:, m] - com, axis=1) for m in range(p.M)]
+        np.testing.assert_allclose(R, np.max(columns, axis=0), rtol=1e-14)
 
 
 def test_independence_report_threshold():
@@ -157,6 +158,5 @@ def test_com_and_radius_from_simulation_are_uncorrelated():
     reps = []
     for r in range(300):
         tr = simulate(p, 17, replica=r)
-        rec = tr.path_record()
-        reps.append((rec.X[-1], rec.R[-1]))
+        reps.append((tr.com[-1], tr.radius[-1]))
     assert independence_test(reps).passed
