@@ -240,14 +240,10 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
         shape = [int(e / side) + 4 for e in extent]
     strides = np.array([math.prod(shape[j + 1 :]) for j in range(d)], np.intp)
     shift = int(strides.sum())  # every index up by one: no neighbour falls below 0 or wraps
-
-    def cell_keys(x):
-        return ((x - box.lower) / side).astype(np.intp) @ strides + shift
-
-    keys = cell_keys(points)
+    keys = _cell_index(points, box.lower, side, shape) + shift
     order = np.argsort(keys)
     keys = keys[order]
-    sample_keys = cell_keys(samples)
+    sample_keys = _cell_index(samples, box.lower, side, shape) + shift
     # rows padded to 8, 16 or 32 bytes, which numpy gathers in one copy each
     width = 1 << (d - 1).bit_length()
     points, samples = _padded(points.take(order, axis=0), width), _padded(samples, width)

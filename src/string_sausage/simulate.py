@@ -36,15 +36,12 @@ class Trace:
         return self.coeffs.shape[0]
 
     def snapshots(self) -> list[FieldSamples]:
-        """One FieldSamples per time, all sharing one grid array."""
-        grid = self.params.grid()
-        return [FieldSamples(grid, v) for v in self.values]
+        """One FieldSamples per time."""
+        return [FieldSamples(v) for v in self.values]
 
     def cloud(self) -> PointCloud:
         """All space-time samples flattened into one point cloud in R^d."""
-        p = self.params
-        pts = self.values.reshape(-1, p.d)
-        return PointCloud(pts, meta={"dt": p.dt, "dx": p.J / p.M, "T": p.T})
+        return PointCloud(self.values.reshape(-1, self.params.d))
 
     @property
     def com(self) -> np.ndarray:
@@ -125,6 +122,9 @@ def brownian_path(
     """Sampled standard Brownian path in R^d (used for Wiener-sausage checks)."""
     n = int(round(T / dt))
     gen = streams.substream(seed, streams.AUX, replica)
-    steps = gen.standard_normal((n, d)) * math.sqrt(dt)
-    path = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+    try:
+        steps = gen.standard_normal((n, d)) * math.sqrt(dt)
+        path = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+    except MemoryError:
+        raise ValueError(f"a path of {n} steps (T={T!r}, dt={dt!r}) does not fit in memory") from None
     return PointCloud(path, meta={"dt": dt, "T": T})

@@ -127,7 +127,6 @@ class ModelParams:
 class FieldSamples:
     """Field values on the uniform evaluation grid: values[m, j] = u_j(x_m)."""
 
-    grid: np.ndarray
     values: np.ndarray
 
 

@@ -1,8 +1,8 @@
-"""Center of mass / radius / range decomposition of the string.
+"""Range and independence statistics of the string.
 
-The center of mass (`Trace.com`) is a Brownian motion independent of the
-radius (`Trace.radius`); the statistical tests here check both facts on
-simulated replicas.
+`range_of` is the exact diameter of a sampled string.  `independence_test`
+checks on simulated replicas that the center of mass (`Trace.com`), a
+Brownian motion, is uncorrelated with the radius (`Trace.radius`).
 """
 
 from __future__ import annotations

@@ -139,9 +139,14 @@ def _replica_batch(args) -> np.ndarray:
     """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk of
     consecutive replicas, whose traces one `traces` generator serves."""
     weight, params, seed, replicas, extra = args
+    try:
+        weights = np.empty(len(replicas))
+    except MemoryError:
+        raise ValueError(f"the weights of {len(replicas)} replicas do not fit in memory") from None
     paths = traces(params, seed, replicas)
-    weights = (weight(simulate(params, seed, replica=r, paths=paths), seed, r, *extra) for r in replicas)
-    return np.fromiter(weights, float, len(replicas))
+    for i, r in enumerate(replicas):
+        weights[i] = weight(simulate(params, seed, replica=r, paths=paths), seed, r, *extra)
+    return weights
 
 
 def n_workers(requested: int | None = None) -> int:

@@ -108,7 +108,7 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     return PoissonEnvironment(points, box, nu)
 
 
-# (trap, point) pairs per broadcast block of `contact_counts`: 64 kB float
+# (trap, point) pairs per contact mask of `path_functional`: 64 kB float
 # arrays stay below glibc's 128 kB mmap threshold, so the blocks of every
 # path reuse heap pages instead of faulting in fresh ones
 PAIR_BLOCK = 1 << 13
@@ -143,20 +143,6 @@ def _contact_blocks(points, env: PoissonEnvironment, a: float, block: int):
         yield dist2 <= a2
 
 
-def contact_counts(points: np.ndarray, env: PoissonEnvironment, a: float) -> np.ndarray:
-    """Number of traps within (closed) distance a of each query point.
-
-    Exact: only traps no point can reach are culled (see `_contact_blocks`),
-    and the rest are tested against every point, about PAIR_BLOCK pairs at a
-    time.
-    """
-    counts = np.zeros(np.atleast_2d(points).shape[0], dtype=np.int64)
-    block = max(1, PAIR_BLOCK // max(counts.size, 1))
-    for hits in _contact_blocks(points, env, a, block):
-        counts += hits.sum(axis=0)
-    return counts
-
-
 def any_contact(points: np.ndarray, env: PoissonEnvironment, a: float) -> bool:
     """True iff some query point lies within distance a of some trap; stops
     at the first reachable trap in contact."""
@@ -167,12 +153,18 @@ def path_functional(
     trajectory, env: PoissonEnvironment, a: float, height: float, dt: float, dx: float
 ) -> float:
     """Composite quadrature of int_0^T int V(u(s,x)) dx ds for the soft
-    potential V = height * (number of traps within distance a).
+    potential V = height * (number of traps within closed distance a): height
+    dt dx times the number of (trap, sample point) pairs in contact.
 
     `trajectory` is a sequence of snapshots on uniform (dt, dx) grids, each
-    with `.values` of shape (M, d); all snapshots are queried at once.
+    with `.values` of shape (M, d); all snapshots are queried at once, about
+    PAIR_BLOCK pairs at a time.  Exact: only traps no point can reach are
+    culled (see `_contact_blocks`), and the rest are tested against every
+    point.
     """
     values = np.concatenate([samples.values for samples in trajectory])
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite field values in trajectory")
-    return height * dt * dx * int(contact_counts(values, env, a).sum())
+    block = max(1, PAIR_BLOCK // max(len(values), 1))
+    pairs = sum(np.count_nonzero(hits) for hits in _contact_blocks(values, env, a, block))
+    return height * dt * dx * pairs

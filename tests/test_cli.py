@@ -130,9 +130,10 @@ def run_capped(argv):
 
 
 def test_unallocatable_path_exit_2():
-    # 1e9 steps need about 490 GiB of noise, for a pool's block or one replica alone
+    # 1e9 steps need about 490 GiB of noise, for a pool's block or one replica
+    # alone, and 15 GiB for a Brownian path in d=2
     for argv in (["survival", "--hard", "--T", "1", "--n", "100", "--threads", "1"],
-                 ["simulate"], ["sausage"]):
+                 ["simulate"], ["sausage"], ["sausage", "--method", "wiener"]):
         proc = run_capped([*argv, "--seed", "1", "--dt", "1e-9"])
         assert proc.returncode == EXIT_CONFIG, (argv, proc.stderr)
         assert "config error: a path of 1000000000 steps" in proc.stderr
@@ -149,6 +150,27 @@ def test_unallocatable_samples_exit_2(command, tmp_path):
         proc = run_capped(["run", "--config", str(config)])
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error: 1000000000000 hit-or-miss samples do not fit in memory" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [(["survival", "--hard", "--threads", "1"], 10 ** 12),
+     (["survival", "--hard", "--threads", "2"], 10 ** 12 // 8),
+     (["scaling-check", "--threads", "1"], 10 ** 12), (["run"], 10 ** 12)],
+    ids=["survival", "survival_pool", "scaling-check", "run"],
+)
+def test_unallocatable_replica_count_exit_2(argv, count, tmp_path):
+    # 1e12 replica weights need 7.3 TiB, and each of the 8 chunks of a 2-worker pool 931 GiB
+    if argv == ["run"]:
+        config = tmp_path / "survival.json"
+        config.write_text(json.dumps({"experiment": "survival", "seed": 1, "n_replicas": 10 ** 12,
+                                      "T": 0.1, "threads": 1}))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = [*argv, "--n", str(10 ** 12), "--seed", "1", "--T", "0.1"]
+    proc = run_capped(argv)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"config error: the weights of {count} replicas do not fit in memory" in proc.stderr
 
 
 @pytest.mark.parametrize(

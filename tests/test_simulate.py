@@ -130,8 +130,8 @@ def test_trace_cloud_shape_and_meta():
     tr = simulate(p, 7)
     cloud = tr.cloud()
     assert cloud.points.shape == (tr.n_snapshots * p.M, p.d)
-    assert cloud.meta["dt"] == p.dt
-    assert cloud.meta["T"] == p.T
+    # the string's cloud carries no meta: only a Brownian path's dt has a reader
+    assert cloud.meta == {}
 
 
 def test_trace_com_and_radius_consistency():
@@ -152,3 +152,5 @@ def test_brownian_path_statistics():
         v = ends[:, j].var()
         assert abs(v - 1.0) < 4 * math.sqrt(2.0 / 499)
     assert brownian_path(2, 1.0, 0.1, seed=3).points.shape == (11, 2)
+    # the Wiener sausage's resolution guard reads dt
+    assert brownian_path(2, 1.0, 0.1, seed=3).meta["dt"] == 0.1

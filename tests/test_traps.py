@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from string_sausage.geometry import bounding_box
 from string_sausage.rng import ENV, substream
 from string_sausage.simulate import simulate
 from string_sausage.spectral import FieldSamples, ModelParams
@@ -11,10 +12,22 @@ from string_sausage.traps import (
     Box,
     PoissonEnvironment,
     any_contact,
-    contact_counts,
     path_functional,
     sample_environment,
 )
+
+
+def brute_contacts(queries, traps, a):
+    """Pair oracle: the (query, trap) closed-ball contact matrix, every pair
+    tested at once, with no cull and no blocks."""
+    queries = np.atleast_2d(queries)
+    return ((queries[:, None, :] - traps[None, :, :]) ** 2).sum(axis=2) <= a * a
+
+
+def pairs(queries, env, a):
+    """Contact pairs counted by `path_functional` on one snapshot, at unit
+    height and unit quadrature weights."""
+    return path_functional([FieldSamples(np.atleast_2d(queries))], env, a, 1.0, 1.0, 1.0)
 
 
 def test_box_basics():
@@ -40,12 +53,12 @@ def test_distance_queries_against_brute_force():
         r = rng.uniform(0.05, 1.0)
         # independent oracle: scalar loop over the traps
         inside = sum(math.dist(z, p) <= r for p in pts)
-        assert contact_counts(z, env, r)[0] == inside
+        assert pairs(z, env, r) == inside
 
 
 def test_distance_queries_empty_environment():
     env = PoissonEnvironment(np.empty((0, 2)), Box(np.zeros(2), np.ones(2)), 1.0)
-    assert contact_counts(np.zeros(2), env, 1.0)[0] == 0
+    assert pairs(np.zeros(2), env, 1.0) == 0
     assert not any_contact(np.zeros(2), env, 1.0)
 
 
@@ -75,16 +88,17 @@ def test_potential_hard_and_soft():
     a = 0.3
     assert any_contact(np.array([0.1, 0.0]), env, a)
     assert not any_contact(np.array([0.5, 0.5]), env, a)
-    assert contact_counts(np.array([[0.1, 0.0], [0.9, 0.9], [0.5, 0.5]]), env, a).tolist() == [1, 1, 0]
+    # one-point snapshots give the count at each point
+    assert [pairs(q, env, a) for q in [[0.1, 0.0], [0.9, 0.9], [0.5, 0.5]]] == [1, 1, 0]
     # contact boundary is closed
     assert any_contact(np.array([0.3, 0.0]), env, a)
-    assert contact_counts(np.array([0.3, 0.0]), env, a)[0] == 1
+    assert pairs(np.array([0.3, 0.0]), env, a) == 1
 
 
 def assert_kernels_agree_with_brute_force(queries, env, a):
     """The (query, trap) contact matrix, after checking both kernels against it."""
-    contacts = ((queries[:, None, :] - env.points[None, :, :]) ** 2).sum(axis=2) <= a * a
-    np.testing.assert_array_equal(contact_counts(queries, env, a), contacts.sum(axis=1))
+    contacts = brute_contacts(queries, env.points, a)
+    assert pairs(queries, env, a) == contacts.sum()
     assert any_contact(queries, env, a) == bool(contacts.any())
     return contacts
 
@@ -109,7 +123,9 @@ def test_contact_kernel_edge_cases(d):
 
     def counts(queries, traps):
         env = PoissonEnvironment(traps, box, 1.0)
-        return assert_kernels_agree_with_brute_force(queries, env, a).sum(axis=1).tolist()
+        per_point = assert_kernels_agree_with_brute_force(queries, env, a).sum(axis=1).tolist()
+        assert [pairs(q, env, a) for q in queries] == per_point
+        return per_point
 
     # a point at distance exactly a: the closed-ball tie is a contact
     assert counts(a * axis, np.zeros((1, d))) == [1]
@@ -122,16 +138,15 @@ def test_contact_kernel_edge_cases(d):
     assert counts(queries, np.empty((0, d))) == [0, 0]
     # points of another dimension than the traps
     with pytest.raises(ValueError, match="dimension"):
-        contact_counts(np.zeros((2, d + 1)), PoissonEnvironment(np.zeros((1, d)), box, 1.0), a)
+        pairs(np.zeros((2, d + 1)), PoissonEnvironment(np.zeros((1, d)), box, 1.0), a)
 
 
 def test_path_functional_counts_occupation():
     box = Box(np.full(1, -5.0), np.full(1, 5.0))
     traps = np.array([[0.0]])
     env = PoissonEnvironment(traps, box, 1.0)
-    grid = np.linspace(0, 1, 4, endpoint=False)
-    inside = FieldSamples(grid, np.full((4, 1), 0.2))  # all 4 points inside B(0, 0.5)
-    outside = FieldSamples(grid, np.full((4, 1), 2.0))
+    inside = FieldSamples(np.full((4, 1), 0.2))  # all 4 points inside B(0, 0.5)
+    outside = FieldSamples(np.full((4, 1), 2.0))
     total = path_functional([inside, outside], env, 0.5, 3.0, dt=0.1, dx=0.25)
     assert abs(total - 3.0 * 0.1 * 0.25 * 4) < 1e-12
 
@@ -144,9 +159,26 @@ def test_path_functional_equals_per_snapshot_counts():
     env = PoissonEnvironment(box.sample_uniform(25, substream(21, ENV, 0)), box, 1.0)
     a, height = 0.3, 1.0
     dx = p.J / p.M
-    per_snapshot = sum(int(contact_counts(v, env, a).sum()) for v in trace.values)
+    per_snapshot = sum(int(brute_contacts(v, env.points, a).sum()) for v in trace.values)
     assert per_snapshot > 0
     assert path_functional(trace.snapshots(), env, a, height, p.dt, dx) == height * p.dt * dx * per_snapshot
+
+
+@pytest.mark.parametrize("T, traps_per_mask", [(1.0, 6), (16.0, 1)])
+def test_path_functional_matches_pair_oracle_in_both_block_regimes(T, traps_per_mask):
+    p = ModelParams(d=2, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
+    trace = simulate(p, 22, replica=1)
+    # 1,344 and 20,544 points per path
+    assert max(1, PAIR_BLOCK // (trace.n_snapshots * p.M)) == traps_per_mask
+    # the box of the survival draws, a + 0.5 around the path: the cull drops
+    # 25 and 14 of the 40 traps
+    box = bounding_box(trace.cloud(), 0.8)
+    env = PoissonEnvironment(box.sample_uniform(40, substream(22, ENV, 1)), box, 1.0)
+    a, height, dx = 0.3, 2.0, p.J / p.M
+    contacts = np.sum([brute_contacts(v, env.points, a).sum(axis=0) for v in trace.values], axis=0)
+    assert 1 < np.count_nonzero(contacts) < 40
+    expected = height * p.dt * dx * int(contacts.sum())
+    assert path_functional(trace.snapshots(), env, a, height, p.dt, dx) == expected
 
 
 def test_environment_json_round_trip():
