@@ -56,27 +56,46 @@ MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
 # values per working array of the hit-or-miss exact stage: 64 kB stays in
 # cache and below glibc's 128 kB mmap threshold, so no batch faults in pages
 EXACT_BATCH = 1 << 13
+BOUNDS_BATCH = 1 << 13  # values per column copy of `PointCloud.bounds`, 64 kB for the same reason
 RASTER_K = {1: 3, 2: 4}  # hit-or-miss raster cells per r/sqrt(d) (measured); 1 above d=2
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Space-time samples of a string or path, flattened into R^d points."""
+    """Space-time samples of a string or path, flattened into R^d points,
+    read-only (a writeable input is copied): `bounds` cannot go stale."""
 
     points: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, float))
+        if pts.flags.writeable:
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if pts.shape[0] == 0:
             raise ValueError("point cloud must be nonempty")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("point cloud must be finite")
 
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis min and max (d,), read-only, reduced along contiguous columns (5-14x
+        faster than over the short axis of (N, d)) copied BOUNDS_BATCH values at a time: a
+        long path's whole columns slowed its hit-or-miss call if kept, raised peak memory if not."""
+        lo, hi, step = [], [], max(1, BOUNDS_BATCH // self.d)
+        for start in range(0, len(self.points), step):
+            cols = self.points[start : start + step].T.copy()
+            lo.append(cols.min(axis=1))
+            hi.append(cols.max(axis=1))
+        lo, hi = functools.reduce(np.minimum, lo), functools.reduce(np.maximum, hi)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -93,12 +112,11 @@ class SausageEstimate:
 def bounding_box(cloud: PointCloud, pad: float = 0.0) -> Box:
     if pad < 0:
         raise ValueError("pad must be >= 0")
-    cols = cloud.points.T  # a min over the short axis of (N, d) is 5-14x slower
-    lo = np.array([c.min() for c in cols]) - pad
-    hi = np.array([c.max() for c in cols]) + pad
-    # guarantee positive extent even for a single point with pad 0
-    tiny = np.where(hi - lo <= 0, 1e-12, 0.0)
-    return Box(lo - tiny, hi + tiny)
+    lo, hi = cloud.bounds[0] - pad, cloud.bounds[1] + pad
+    if not (lo < hi).all():  # a single point with pad 0: guarantee positive extent
+        tiny = np.where(hi - lo <= 0, 1e-12, 0.0)
+        lo, hi = lo - tiny, hi + tiny
+    return Box(lo, hi)
 
 
 def _cell_index(x: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> np.ndarray:

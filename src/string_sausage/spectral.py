@@ -111,10 +111,6 @@ class ModelParams:
         """Stationary variance neglected per real mode coefficient, sum_{k>K} 1/(4 pi^2 k^2)."""
         return _trigamma(self.K + 1) / (4.0 * math.pi ** 2)
 
-    def grid(self) -> np.ndarray:
-        """M equally spaced points on [0, J)."""
-        return np.arange(self.M) * (self.J / self.M)
-
     @property
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
@@ -147,19 +143,6 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     values = numpy.fft.irfft(spec, n=M, axis=-1)
     del spec  # a block's spectrum is not held through the transposing copy
     return np.ascontiguousarray(np.swapaxes(values, -1, -2))
-
-
-def evaluate_at(params: ModelParams, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Field values at arbitrary points x (shape (n,)) by summing the series, returns (n, d)."""
-    p = params
-    k = np.arange(1, p.K + 1)
-    phase = 2.0 * math.pi * np.outer(np.asarray(x, float), k) / p.J  # (n, K)
-    cos, sin = np.cos(phase), np.sin(phase)
-    out = (
-        coeffs[:, 0][None, :]
-        + math.sqrt(2.0) * (cos @ coeffs[:, 1 : p.K + 1].T + sin @ coeffs[:, p.K + 1 :].T)
-    )
-    return out / math.sqrt(p.J)
 
 
 def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: int = 1) -> np.ndarray:

@@ -110,7 +110,7 @@ def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> fl
     cloud, p = trace.cloud(), trace.params
     if env is None:
         env = replica_environment(cloud, p, seed, r)
-    return float(not any_contact(cloud.points, env, p.a))
+    return float(not any_contact(cloud, env, p.a))
 
 
 def replica_volume(trace: Trace, seed: int, r: int, n_mc: int) -> SausageEstimate:

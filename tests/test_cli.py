@@ -252,6 +252,8 @@ def write_env(path):
         (["--via-volume", "--T", "0", "--n", "100", "--threads", "0"], None),
         (["--soft", "--T", "0", "--n", "100", "--threads", "0"], None),
         (["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"], None),
+        # a mean trap count past numpy's Poisson limit names nu and the box
+        (["--hard", "--nu", "1e300", "--T", "0.25", "--n", "100", "--threads", "1"], None),
     ],
     ids=[
         "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
@@ -259,6 +261,7 @@ def write_env(path):
         "height_without_soft", "nan_height", "inf_height", "quenched_nan_height",
         "quenched_inf_height", "env_is_directory", "zero_threads_T_zero_hard",
         "zero_threads_T_zero_via_volume", "zero_threads_T_zero_soft", "zero_threads_T_zero_env",
+        "huge_intensity",
     ],
 )
 def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
@@ -274,6 +277,8 @@ def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_p
     assert "config error" in err
     if "--height" in argv:
         assert "height" in err
+    if "1e300" in argv:
+        assert "traps (nu=1e+300 over a box of volume" in err and "lam" not in err
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,35 @@ def test_bounding_box_is_the_axis_min_and_max():
             np.testing.assert_array_equal(box.upper, pts.max(axis=0) + pad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 1344, 20544])  # 20,544 points: several column batches
+def test_cloud_bounds_are_the_column_min_and_max(d, n):
+    pts = substream(14, MC, d).normal(size=(n, d))
+    cloud = PointCloud(pts)
+    lo, hi = cloud.bounds
+    np.testing.assert_array_equal(lo, [pts[:, j].min() for j in range(d)])
+    np.testing.assert_array_equal(hi, [pts[:, j].max() for j in range(d)])
+    assert cloud.bounds is cloud.bounds  # computed once
+
+
+def test_cloud_bounds_cannot_go_stale():
+    pts = np.array([[0.0, 1.0], [2.0, -1.0]])
+    cloud = PointCloud(pts)
+    lo, hi = cloud.bounds
+    # the cloud copied the writeable input, and every array it holds is read-only
+    pts[0, 0] = -5.0
+    np.testing.assert_array_equal(cloud.points, [[0.0, 1.0], [2.0, -1.0]])
+    for held in (cloud.points, lo, hi):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 9.0
+    np.testing.assert_array_equal(lo, [0.0, -1.0])
+    np.testing.assert_array_equal(hi, [2.0, 1.0])
+    # a trace's values are read-only, so its cloud holds them without a copy
+    trace = simulate(ModelParams(d=2, K=8, M=32, dt=0.1, T=0.5, eps_tail=5e-3), 3)
+    assert np.shares_memory(trace.cloud().points, trace.values)
+
+
 @pytest.fixture
 def exact_log(monkeypatch):
     """The exact stage's inputs, per call: the points it holds, then the

@@ -5,10 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
+from series_oracle import evaluate_at, grid
 from string_sausage import rng as streams
 from string_sausage.rng import NOISE, substream
 from string_sausage.simulate import Trace, brownian_path, replica_block, simulate, traces
-from string_sausage.spectral import ModelParams, evaluate_at, mode_rates
+from string_sausage.spectral import ModelParams, mode_rates
 
 
 def params(**kw):
@@ -122,7 +123,7 @@ def test_trace_values_match_pointwise_series():
     p = params()
     tr = simulate(p, 7)
     for i in (0, 2, tr.n_snapshots - 1):
-        np.testing.assert_allclose(tr.values[i], evaluate_at(p, tr.coeffs[i], p.grid()), atol=1e-12)
+        np.testing.assert_allclose(tr.values[i], evaluate_at(p, tr.coeffs[i], grid(p)), atol=1e-12)
 
 
 def test_trace_cloud_shape_and_meta():

@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import polygamma
 
+from series_oracle import evaluate_at, grid
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
     ModelParams,
-    evaluate_at,
     evolve,
     grid_values,
     heat_convolve,
@@ -64,14 +64,14 @@ def test_evaluate_matches_pointwise_formula():
     p = small_params(d=1)
     rng = substream(0, AUX, 0)
     c = evolved(p, zero_state(p), 0.3, rng)
-    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, p.grid()), atol=1e-12)
+    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, grid(p)), atol=1e-12)
 
 
 def test_evaluate_general_J():
     p = small_params(d=1, J=2.0)
     rng = substream(0, AUX, 1)
     c = evolved(p, zero_state(p), 0.3, rng)
-    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, p.grid()), atol=1e-12)
+    np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, grid(p)), atol=1e-12)
 
 
 def test_ou_transition_moments():

@@ -11,7 +11,7 @@ from string_sausage import rng as streams
 from string_sausage import survival
 from string_sausage.geometry import bounding_box
 from string_sausage.rng import ENV, NOISE, substream
-from string_sausage.simulate import MAX_BLOCK, Trace, replica_block, simulate
+from string_sausage.simulate import MAX_BLOCK, Trace, replica_block, simulate, traces
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
     SurvivalEstimate,
@@ -22,7 +22,7 @@ from string_sausage.survival import (
     scaled_unit_params,
     scaling_check,
 )
-from string_sausage.traps import Box, PoissonEnvironment, sample_environment
+from string_sausage.traps import Box, PoissonEnvironment, _reach, sample_environment
 
 
 def params(**kw):
@@ -53,6 +53,49 @@ def test_environment_for_cloud_covers_padded_box():
     padded = bounding_box(cloud, p.a)
     assert np.all(env.box.lower <= padded.lower)
     assert np.all(env.box.upper >= padded.upper)
+
+
+def touches(cloud, traps, a):
+    """No-cull oracle: every trap against every point, each pair's squared
+    distance summed on its own."""
+    return bool((((cloud.points[:, None, :] - traps[None, :, :]) ** 2).sum(axis=2) <= a * a).any())
+
+
+def test_hard_weights_match_a_no_cull_oracle():
+    # criterion-05 replicas: the box is drawn around each cloud from its
+    # axis min and max, independently of the cloud's cached bounds; 4 of the 400 survive
+    p = ModelParams(d=2, K=16, M=64, dt=0.05, T=1.0, nu=1.0, a=0.3, eps_tail=2e-3)
+    seed, n = 42, 400
+    pad = p.a + survival.ENV_PAD_MARGIN
+    weights = []
+    for r, trace in enumerate(traces(p, seed, range(n))):
+        cloud = trace.cloud()
+        points = trace.values.reshape(-1, p.d)
+        box = Box(points.min(axis=0) - pad, points.max(axis=0) + pad)
+        traps = sample_environment(box, p.nu, substream(seed, ENV, r)).points
+        weight = survival._hard(trace, seed, r, None)
+        assert weight == float(not touches(cloud, traps, p.a))
+        np.testing.assert_array_equal(survival.replica_environment(cloud, p, seed, r).points, traps)
+        weights.append(weight)
+    assert sum(weights) == 4
+    assert annealed_hard(p, n, seed, workers=1).p_hat == np.mean(weights)
+
+
+def test_quenched_hard_weights_match_the_oracle_where_the_cull_drops_traps():
+    # a frozen field much wider than any cloud: the cull keeps 1 to 11 of
+    # the 60 traps, and 8 of the 100 paths survive
+    p = ModelParams(d=2, K=16, M=64, dt=0.05, T=1.0, a=0.3, eps_tail=2e-3)
+    box = Box(np.full(2, -6.0), np.full(2, 6.0))
+    env = PoissonEnvironment(box.sample_uniform(60, substream(42, ENV, 0)), box, 1.0)
+    weights = []
+    for r, trace in enumerate(traces(p, 42, range(100))):
+        cloud = trace.cloud()
+        kept = _reach(*cloud.bounds, env, p.a)
+        assert len(kept) < env.n_points // 2
+        weights.append(survival._hard(trace, 42, r, env))
+        assert weights[-1] == float(not touches(cloud, env.points, p.a))
+        assert touches(cloud, env.points, p.a) == touches(cloud, kept, p.a)
+    assert sum(weights) == 8
 
 
 def test_annealed_zero_intensity_survives():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from string_sausage.geometry import bounding_box
+from string_sausage.geometry import PointCloud, bounding_box
 from string_sausage.rng import ENV, substream
 from string_sausage.simulate import simulate
 from string_sausage.spectral import FieldSamples, ModelParams
@@ -59,7 +59,7 @@ def test_distance_queries_against_brute_force():
 def test_distance_queries_empty_environment():
     env = PoissonEnvironment(np.empty((0, 2)), Box(np.zeros(2), np.ones(2)), 1.0)
     assert pairs(np.zeros(2), env, 1.0) == 0
-    assert not any_contact(np.zeros(2), env, 1.0)
+    assert not any_contact(PointCloud(np.zeros(2)), env, 1.0)
 
 
 def test_sample_environment_poisson_count():
@@ -77,7 +77,7 @@ def test_sample_environment_zero_intensity():
     box = Box(np.zeros(2), np.ones(2))
     env = sample_environment(box, 0.0, substream(3, ENV, 0))
     assert env.n_points == 0
-    assert not any_contact(np.array([[0.5, 0.5]]), env, 0.3)
+    assert not any_contact(PointCloud(np.array([[0.5, 0.5]])), env, 0.3)
 
 
 def test_potential_hard_and_soft():
@@ -86,12 +86,12 @@ def test_potential_hard_and_soft():
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     env = PoissonEnvironment(pts, box, 1.0)
     a = 0.3
-    assert any_contact(np.array([0.1, 0.0]), env, a)
-    assert not any_contact(np.array([0.5, 0.5]), env, a)
+    assert any_contact(PointCloud(np.array([0.1, 0.0])), env, a)
+    assert not any_contact(PointCloud(np.array([0.5, 0.5])), env, a)
     # one-point snapshots give the count at each point
     assert [pairs(q, env, a) for q in [[0.1, 0.0], [0.9, 0.9], [0.5, 0.5]]] == [1, 1, 0]
     # contact boundary is closed
-    assert any_contact(np.array([0.3, 0.0]), env, a)
+    assert any_contact(PointCloud(np.array([0.3, 0.0])), env, a)
     assert pairs(np.array([0.3, 0.0]), env, a) == 1
 
 
@@ -99,7 +99,7 @@ def assert_kernels_agree_with_brute_force(queries, env, a):
     """The (query, trap) contact matrix, after checking both kernels against it."""
     contacts = brute_contacts(queries, env.points, a)
     assert pairs(queries, env, a) == contacts.sum()
-    assert any_contact(queries, env, a) == bool(contacts.any())
+    assert any_contact(PointCloud(queries), env, a) == bool(contacts.any())
     return contacts
 
 
@@ -139,6 +139,8 @@ def test_contact_kernel_edge_cases(d):
     # points of another dimension than the traps
     with pytest.raises(ValueError, match="dimension"):
         pairs(np.zeros((2, d + 1)), PoissonEnvironment(np.zeros((1, d)), box, 1.0), a)
+    with pytest.raises(ValueError, match="dimension"):
+        any_contact(PointCloud(np.zeros((2, d + 1))), PoissonEnvironment(np.zeros((1, d)), box, 1.0), a)
 
 
 def test_path_functional_counts_occupation():
