@@ -29,10 +29,10 @@ print(f"single-point disk:  {disk.volume:.4f} (pi/4 = {math.pi / 4:.4f})")
 
 # Wiener sausage around a 3-d Brownian path vs the closed form
 spitzer = 2 * math.pi * 0.5 + 4 * 0.25 * math.sqrt(2 * math.pi) + 4 * math.pi * 0.125 / 3
-vols = []
+vols, dt = [], 0.00025
 for r in range(100):
-    path = ss.brownian_path(3, 1.0, 0.00025, seed=12, replica=r)
-    vols.append(ss.wiener_sausage_volume(path, 0.5, 2000, substream(12, MC, r)).volume)
+    path = ss.brownian_path(3, 1.0, dt, seed=12, replica=r)
+    vols.append(ss.wiener_sausage_volume(path, 0.5, 2000, substream(12, MC, r), dt).volume)
 print(f"wiener sausage mean: {np.mean(vols):.4f} (closed form {spitzer:.4f})")
 
 # box-counting dimension: a straight segment is 1-dimensional, the image of

@@ -23,9 +23,8 @@ from .spectral import (
     heat_convolve,
     noise_segment,
     variance_series,
-    zero_state,
 )
-from .statistics import range_of
+from .statistics import range_of, squared_distances
 
 
 def unit_ball_volume(d: int) -> float:
@@ -48,7 +47,7 @@ def tau_sequence(com: np.ndarray, Lambda: float) -> np.ndarray:
     thresh2 = (4.0 * Lambda) ** 2
     picks = [0]
     for i in range(1, com.shape[0]):
-        if np.min(((com[picks] - com[i]) ** 2).sum(axis=1)) >= thresh2:
+        if squared_distances(com[picks].T, com[i]).min() >= thresh2:
             picks.append(i)
     return np.asarray(picks)
 
@@ -81,11 +80,11 @@ def choose_E(d: int, a: float) -> float:
 
 def calibrate_lambda(params: ModelParams, L: float, n_rep: int, seed: int) -> float:
     """Empirical separation parameter: 75th percentile of the range of the
-    accumulated noise over one window of length L, from zero initial data."""
-    ranges = np.empty(n_rep)
-    for r in range(n_rep):
-        gen = streams.substream(seed, streams.AUX, r)
-        ranges[r] = range_of(grid_values(params, evolve(params, zero_state(params), L, gen)[-1]))
+    accumulated noise over one window of length L, from zero initial data.
+    The n_rep windows are evolved as one block, window r from (AUX, r)."""
+    gens = [streams.substream(seed, streams.AUX, r) for r in range(n_rep)]
+    ends = evolve(params, np.zeros((n_rep, params.d, 2 * params.K + 1)), L, gens)[:, -1]
+    ranges = [range_of(values) for values in grid_values(params, ends)]
     return max(1.0 + 1e-9, float(np.percentile(ranges, 75)))
 
 
@@ -117,7 +116,7 @@ def range_smoothing_check(params: ModelParams, coeffs: np.ndarray, t: float) -> 
     centered = coeffs.copy()
     centered[:, 0] = 0.0
     lhs = range_of(grid_values(params, heat_convolve(params, centered, t * params.J ** 2)))
-    l2 = math.sqrt(float((grid_values(params, centered) ** 2).sum(axis=1).mean()))
+    l2 = math.sqrt(float(squared_distances(grid_values(params, centered).T, np.zeros(params.d)).mean()))
     rhs = 4.0 * params.d * math.exp(-2.0 * math.pi ** 2 * t) * l2
     return RangeSmoothingReport(t, lhs, rhs)
 
@@ -218,7 +217,7 @@ def stopping_chain(
     delta = chain_delta(a)
     L = chain_L(a, choose_E(p.d, a))
     com = trace.com
-    step = float(np.sqrt((np.diff(com, axis=0) ** 2).sum(axis=1)).max(initial=0.0))
+    step = float(np.sqrt(squared_distances(com[1:].T, com[:-1].T)).max(initial=0.0))
     if step >= Lambda / 10.0:
         warnings.warn(
             f"path sampling too coarse for tau detection: max step {step:.3g} "
@@ -328,8 +327,9 @@ class ClearingBound:
     clearing_probability: float
 
     def __post_init__(self):
-        if self.alpha_star <= 0 or self.exponent_value > 0:
-            raise ValueError("invalid clearing bound")
+        if not (0 < self.alpha_star < math.inf and -math.inf < self.exponent_value < 0):
+            raise ValueError(f"no finite clearing bound from A={self.A!r}, B={self.B!r} (alpha*={self.alpha_star!r}, "
+                             f"g={self.exponent_value!r}): it needs nu > 0 and an optimum within the float range")
 
 
 def clearing_exponent(alpha: float, A: float, B: float, d: int) -> float:
@@ -351,6 +351,7 @@ def clearing_bound(
     Maximizes g(alpha) = -nu J^{d/2} c_d 2^d alpha^d + (T / (J^2 alpha^2)) logC0
     in closed form, with c_d the unit-ball volume; also returns the
     probability exp(-nu c_d (alpha* + a)^d) that the cleared ball is empty.
+    Raises ValueError when alpha* or g(alpha*) is not finite, as at nu = 0.
     """
     if T <= 0:
         raise ValueError("T must be > 0")
@@ -359,8 +360,11 @@ def clearing_bound(
     c_d = unit_ball_volume(d)
     A = nu * J ** (d / 2.0) * c_d * 2.0 ** d
     B = T * (-logC0) / J ** 2
-    alpha, value = maximize_clearing_exponent(A, B, d)
-    prob = math.exp(-nu * c_d * (alpha + a) ** d)
+    try:
+        alpha, value = maximize_clearing_exponent(A, B, d)
+        prob = math.exp(-nu * c_d * (alpha + a) ** d)
+    except (ZeroDivisionError, OverflowError):  # A = 0, or alpha* past the float range
+        alpha = value = prob = math.nan
     return ClearingBound(alpha, value, A, B, prob)
 
 

@@ -178,7 +178,7 @@ def cmd_sausage(args) -> int:
     seed, r = args.seed, args.replica
     if args.method == "wiener":
         path = brownian_path(p.d, p.T, p.dt, seed, replica=r)
-        est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(seed, streams.MC, r))
+        est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(seed, streams.MC, r), p.dt)
     elif args.method == "hit_or_miss":
         est = replica_volume(simulate(p, seed, replica=r), seed, r, n_mc)
     else:

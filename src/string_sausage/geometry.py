@@ -34,8 +34,9 @@ at most 2^20 cells on an axis, so a pair within the bound lies at most one
 cell apart on every axis despite rounding.  The points are sorted by flat
 cell key; each sample takes one key range per neighbouring row, three
 cells wide, and its candidates' squared differences are summed column by
-column, as a full distance scan sums them, and compared with the squared
-bound.  The candidate pairs go in batches of EXACT_BATCH values per array.
+column (`statistics.squared_distances`), as a full distance scan sums
+them, and compared with the squared bound.  The candidate pairs go in
+batches of `statistics.BATCH_VALUES` values per array.
 """
 
 from __future__ import annotations
@@ -44,19 +45,16 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .statistics import BATCH_VALUES, squared_distances
 from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
 VOXEL_CHUNK = 2_000_000  # voxel centres built and counted at a time: the pre-pass allocates per sample
 MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
-# values per working array of the hit-or-miss exact stage: 64 kB stays in
-# cache and below glibc's 128 kB mmap threshold, so no batch faults in pages
-EXACT_BATCH = 1 << 13
-BOUNDS_BATCH = 1 << 13  # values per column copy of `PointCloud.bounds`, 64 kB for the same reason
 RASTER_K = {1: 3, 2: 4}  # hit-or-miss raster cells per r/sqrt(d) (measured); 1 above d=2
 
 
@@ -66,7 +64,6 @@ class PointCloud:
     read-only (a writeable input is copied): `bounds` cannot go stale."""
 
     points: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, float))
@@ -86,9 +83,9 @@ class PointCloud:
     @functools.cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis min and max (d,), read-only, reduced along contiguous columns (5-14x
-        faster than over the short axis of (N, d)) copied BOUNDS_BATCH values at a time: a
+        faster than over the short axis of (N, d)) copied BATCH_VALUES values at a time: a
         long path's whole columns slowed its hit-or-miss call if kept, raised peak memory if not."""
-        lo, hi, step = [], [], max(1, BOUNDS_BATCH // self.d)
+        lo, hi, step = [], [], max(1, BATCH_VALUES // self.d)
         for start in range(0, len(self.points), step):
             cols = self.points[start : start + step].T.copy()
             lo.append(cols.min(axis=1))
@@ -275,7 +272,7 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
     else:
         find = keys.searchsorted
     hit = np.zeros(len(samples), bool)
-    block, batch = max(1, 2 * EXACT_BATCH // len(rows)), EXACT_BATCH // width
+    block, batch = max(1, 2 * BATCH_VALUES // len(rows)), BATCH_VALUES // width
     for s0 in range(0, len(samples), block):
         lo = sample_keys[s0 : s0 + block, None] + rows
         start = find(lo).ravel()
@@ -290,12 +287,8 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
             c = count[a:b]
             point = np.arange(ends[a] - c[0], ends[b - 1]) + offset[a:b].repeat(c)
             sample = (np.arange(a + s0 * len(rows), b + s0 * len(rows)) // len(rows)).repeat(c)
-            sq = samples.take(sample, axis=0) - points.take(point, axis=0)
-            sq *= sq
-            dist2 = sq[:, 0]
-            for j in range(1, d):
-                dist2 = dist2 + sq[:, j]
-            hit[sample[dist2 <= bound ** 2]] = True
+            pair = samples.take(sample, axis=0).T[:d], points.take(point, axis=0).T[:d]
+            hit[sample[squared_distances(*pair) <= bound ** 2]] = True
     return int(np.count_nonzero(hit))
 
 
@@ -368,15 +361,14 @@ class ResolutionWarning(UserWarning):
 
 
 def wiener_sausage_volume(
-    path: PointCloud, radius: float, n_mc: int, rng: np.random.Generator
+    path: PointCloud, radius: float, n_mc: int, rng: np.random.Generator, dt: float
 ) -> SausageEstimate:
-    """Sausage volume around a sampled center-of-mass path.
+    """Sausage volume around a path sampled every dt.
 
     Warns, and proceeds, when the temporal sampling guard
     sqrt(dt) <= radius/10 is violated.
     """
-    dt = path.meta.get("dt")
-    if dt is not None and math.sqrt(dt) > radius / 10.0:
+    if math.sqrt(dt) > radius / 10.0:
         warnings.warn(
             f"path resolution guard violated: sqrt(dt)={math.sqrt(dt):.4g} "
             f"> radius/10={radius / 10:.4g}",

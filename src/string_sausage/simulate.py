@@ -15,7 +15,7 @@ from .spectral import (
     evolve,
     grid_values,
 )
-from .statistics import squared_norms
+from .statistics import squared_distances
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Trace:
     @property
     def radius(self) -> np.ndarray:
         """Radius (n+1,) at each time: the largest grid distance from the center of mass."""
-        return np.sqrt(squared_norms(self.values - self.com[:, None, :])).max(axis=1)
+        return np.sqrt(squared_distances(np.moveaxis(self.values, -1, 0), self.com.T[:, :, None])).max(axis=1)
 
 
 # Replicas evolved together share each `evolve` step's fixed cost: a block
@@ -127,4 +127,4 @@ def brownian_path(
         path = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
     except MemoryError:
         raise ValueError(f"a path of {n} steps (T={T!r}, dt={dt!r}) does not fit in memory") from None
-    return PointCloud(path, meta={"dt": dt, "T": T})
+    return PointCloud(path)

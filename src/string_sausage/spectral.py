@@ -126,11 +126,6 @@ class FieldSamples:
     values: np.ndarray
 
 
-def zero_state(params: ModelParams) -> np.ndarray:
-    """The zero string: coefficients (d, 2K+1), all 0."""
-    return np.zeros((params.d, 2 * params.K + 1))
-
-
 def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     """Field values (..., M, d) on the uniform grid from coefficients
     (..., d, 2K+1), via inverse FFT over any leading batch axes."""
@@ -146,14 +141,11 @@ def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
 
 
 def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: int = 1) -> np.ndarray:
-    """Advance the string with coefficients `coeffs` (d, 2K+1) `steps` times
-    by `delta`, sampling the exact OU transition, and return the
-    coefficients (steps+1, d, 2K+1): row 0 is `coeffs`, row i the string
-    i delta later.
-
-    A block of B strings, `coeffs` (B, d, 2K+1) with a sequence of B
-    generators `rng`, returns (B, steps+1, d, 2K+1); string b draws only
-    from rng[b], so its path is bit-equal to evolving it alone.
+    """Advance a block of B strings, `coeffs` (B, d, 2K+1), `steps` times by
+    `delta`, sampling the exact OU transition, and return their paths
+    (B, steps+1, d, 2K+1): path b row 0 is string b, row i the string
+    i delta later.  String b draws only from the generator rng[b], so its
+    path does not depend on the rest of the block.
 
     Mode 0 gains an independent N(0, delta) increment per coordinate and
     step; each retained mode k decays by exp(-lam_k delta / J^2) and gains
@@ -165,12 +157,10 @@ def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: in
     if delta <= 0 or steps < 0:
         raise ValueError(f"need delta > 0 and steps >= 0, got {delta!r} and {steps!r}")
     p = params
-    block = coeffs.ndim == 3
-    start, gens = (coeffs, rng) if block else (coeffs[None], [rng])
-    if start.shape[1:] != (p.d, 2 * p.K + 1):
-        raise ValueError(f"coeffs must have shape ({p.d}, {2 * p.K + 1})")
-    if len(gens) != len(start):
-        raise ValueError(f"a block of {len(start)} strings needs as many generators, got {len(gens)}")
+    if coeffs.shape[1:] != (p.d, 2 * p.K + 1):
+        raise ValueError(f"coeffs must have shape (B, {p.d}, {2 * p.K + 1}), got {coeffs.shape}")
+    if len(rng) != len(coeffs):
+        raise ValueError(f"a block of {len(coeffs)} strings needs as many generators, got {len(rng)}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
     lam = mode_rates(p.K) / p.J ** 2
@@ -179,19 +169,19 @@ def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: in
     # mode 0 (Brownian) takes a decay of exactly 1.0, so c * 1.0 + noise is c + noise
     decay = np.concatenate([[1.0], decay, decay])
     sd = np.concatenate([[math.sqrt(delta)], trans_sd, trans_sd])
-    path = np.empty((len(start), steps + 1) + start.shape[1:])
-    path[:, 0] = start
+    path = np.empty((len(coeffs), steps + 1) + coeffs.shape[1:])
+    path[:, 0] = coeffs
     # each string's rows 1.. first hold its scaled noise, to which each
     # step adds the decayed previous row
-    for gen, rows in zip(gens, path):
+    for gen, rows in zip(rng, path):
         gen.standard_normal(out=rows[1:])
     path[:, 1:] *= sd
-    decayed = np.empty_like(start)
+    decayed = np.empty_like(coeffs)
     times = path.swapaxes(0, 1)
     for prev, nxt in zip(times, times[1:]):
         np.multiply(prev, decay, out=decayed)
         np.add(nxt, decayed, out=nxt)
-    return path if block else path[0]
+    return path
 
 
 def heat_convolve(params: ModelParams, coeffs: np.ndarray, delta: float) -> np.ndarray:

@@ -13,14 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def squared_norms(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms along the last axis, summed column by column
-    left to right: bit-equal to (x ** 2).sum(axis=-1) for a last axis of at
-    most 3, and several times faster than that short-axis reduction."""
-    out = x[..., 0] ** 2
-    for j in range(1, x.shape[-1]):
-        out += x[..., j] ** 2
-    return out
+# values per working array of the blocked kernels (the contact masks of
+# `traps.path_functional`, the hit-or-miss exact stage, the column copies of
+# `PointCloud.bounds`): 64 kB of floats stays in cache and below glibc's
+# 128 kB mmap threshold, so every block reuses heap pages
+BATCH_VALUES = 1 << 13
+
+
+def squared_distances(rows: np.ndarray, x) -> np.ndarray:
+    """Squared distances from points given as coordinate rows (d, ...) to x,
+    whose d entries broadcast against the rows: a point (d,), or k points
+    (d, k, 1) against rows (d, N).  The per-axis squared differences are
+    summed left to right, in place: for d <= 7 bit-equal to numpy's sum over
+    the short axis of (..., d), and several times faster."""
+    dist2 = rows[0] - x[0]
+    dist2 *= dist2
+    for row, xj in zip(rows[1:], x[1:]):
+        diff = row - xj
+        dist2 += np.multiply(diff, diff, out=diff)
+    return dist2
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -38,25 +49,22 @@ def _diameter(points: np.ndarray) -> float:
     cols = np.ascontiguousarray(points.T)
     i, j, best = 0, 0, -1.0
     while True:  # double sweeps, while the farthest point moves the pair apart
-        dist2 = squared_norms((cols - cols[:, j, None]).T)
+        dist2 = squared_distances(cols, cols[:, j])
         k = int(dist2.argmax())
         if dist2[k] <= best:
             break
         i, j, best = j, k, float(dist2[k])
-    rad = np.sqrt(squared_norms((cols - (cols[:, i, None] + cols[:, j, None]) / 2).T))
+    rad = np.sqrt(squared_distances(cols, (cols[:, i] + cols[:, j]) / 2))
     low, size = math.sqrt(best) * (1 - 1e-9), 128  # L less the slack; block rows
     cand = np.compress(rad >= low - rad.max(), points, axis=0)
     blocks = [cand[b : b + size] for b in range(0, len(cand), size)]
     centres = np.array([(x.min(axis=0) + x.max(axis=0)) / 2 for x in blocks])
-    reach = np.array([np.sqrt(squared_norms(x - a).max()) for x, a in zip(blocks, centres)])
+    reach = np.array([np.sqrt(squared_distances(x.T, a).max()) for x, a in zip(blocks, centres)])
     for g, block in enumerate(blocks):
-        near = np.sqrt(squared_norms(centres[g:] - centres[g])) + reach[g:] > low - reach[g]
+        near = np.sqrt(squared_distances(centres[g:].T, centres[g])) + reach[g:] > low - reach[g]
         rest = np.compress(near.repeat(size)[: len(cand) - g * size], cand[g * size :], axis=0)
-        rest = np.compress(np.sqrt(squared_norms(rest - centres[g])) > low - reach[g], rest, axis=0)
-        dist2 = (block[:, 0, None] - rest[:, 0]) ** 2
-        for a in range(1, block.shape[1]):
-            dist2 += (block[:, a, None] - rest[:, a]) ** 2
-        best = float(dist2.max(initial=best))
+        rest = np.compress(np.sqrt(squared_distances(rest.T, centres[g])) > low - reach[g], rest, axis=0)
+        best = float(squared_distances(block.T[:, :, None], rest.T).max(initial=best))
         low = math.sqrt(best) * (1 - 1e-9)
     return math.sqrt(best)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statistics import BATCH_VALUES, squared_distances
+
 
 @dataclass(frozen=True)
 class Box:
@@ -108,12 +110,6 @@ def sample_environment(box: Box, nu: float, rng: np.random.Generator) -> Poisson
     return PoissonEnvironment(points, box, nu)
 
 
-# (trap, point) pairs per contact mask of `path_functional`: 64 kB float
-# arrays stay below glibc's 128 kB mmap threshold, so the blocks of every
-# path reuse heap pages instead of faulting in fresh ones
-PAIR_BLOCK = 1 << 13
-
-
 def _reach(lo: np.ndarray, hi: np.ndarray, env: PoissonEnvironment, a: float) -> np.ndarray:
     """The traps (k, d), in field order, that some point of a cloud with
     per-axis bounds lo and hi can reach, culled in one pass over the
@@ -128,23 +124,12 @@ def _reach(lo: np.ndarray, hi: np.ndarray, env: PoissonEnvironment, a: float) ->
     return env.points[((gap <= 0) | (gap * gap <= a * a)).all(axis=1)]
 
 
-def _squared_distances(cols: np.ndarray, traps) -> np.ndarray:
-    """Squared distances from points given as coordinate rows `cols` (d, N):
-    (N,) to one trap (d,), (k, N) to k traps (d, k, 1).  The coordinates'
-    squared differences are summed left to right, which in d <= 3 is
-    bit-equal to `((points - x) ** 2).sum(axis=1)`."""
-    dist2 = (cols[0] - traps[0]) ** 2
-    for col, x in zip(cols[1:], traps[1:]):
-        dist2 += (col - x) ** 2
-    return dist2
-
-
 def any_contact(cloud, env: PoissonEnvironment, a: float) -> bool:
     """True iff some point of the `geometry.PointCloud` lies within distance a of
     some trap: the traps its `bounds` leave in reach are tested against its columns
     one at a time, up to the first in contact, as Python floats (2x faster than numpy's)."""
     cols, a2 = cloud.points.T.copy(), a * a  # contiguous rows
-    return any((_squared_distances(cols, x) <= a2).any() for x in _reach(*cloud.bounds, env, a).tolist())
+    return any((squared_distances(cols, x) <= a2).any() for x in _reach(*cloud.bounds, env, a).tolist())
 
 
 def path_functional(
@@ -156,14 +141,14 @@ def path_functional(
 
     `trajectory` is a sequence of snapshots on uniform (dt, dx) grids, each
     with `.values` of shape (M, d); all snapshots are queried at once, about
-    PAIR_BLOCK pairs at a time.  Exact: only traps no point can reach are
+    BATCH_VALUES pairs at a time.  Exact: only traps no point can reach are
     culled (`_reach`), and the rest are tested against every point.
     """
     cols = np.concatenate([samples.values for samples in trajectory]).T.copy()  # contiguous rows
     if not np.isfinite(cols).all():
         raise ValueError("non-finite field values in trajectory")
     reach = _reach(cols.min(axis=1), cols.max(axis=1), env, a).T[:, :, None]
-    block, a2 = max(1, PAIR_BLOCK // max(cols.shape[1], 1)), a * a
-    pairs = sum(np.count_nonzero(_squared_distances(cols, reach[:, k : k + block]) <= a2)
+    block, a2 = max(1, BATCH_VALUES // max(cols.shape[1], 1)), a * a
+    pairs = sum(np.count_nonzero(squared_distances(cols, reach[:, k : k + block]) <= a2)
                 for k in range(0, reach.shape[1], block))
     return height * dt * dx * pairs

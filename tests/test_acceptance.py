@@ -50,7 +50,7 @@ def test_criterion_01_spectral_exactness():
     p = ss.ModelParams(d=400, K=8, M=17, dt=0.05, eps_tail=5e-2)
     coeffs = np.ones((p.d, 2 * p.K + 1))
     ends = np.concatenate(
-        [evolve(p, coeffs, p.dt, substream(1001, AUX, r))[-1] for r in range(50)], axis=0
+        [evolve(p, coeffs[None], p.dt, [substream(1001, AUX, r)])[0, -1] for r in range(50)], axis=0
     )  # 20000 transitions per column
     n = ends.shape[0]
     lam = mode_rates(p.K)
@@ -161,10 +161,10 @@ def test_criterion_07_geometry_oracles():
     disk = ss.sausage_volume_voxel(ss.PointCloud(np.zeros((1, 2))), 0.5, 0.01)
     rel_disk = abs(disk.volume - math.pi * 0.25) / (math.pi * 0.25)
 
-    vols = []
+    vols, dt = [], 0.000125
     for r in range(300):
-        path = ss.brownian_path(3, 1.0, 0.000125, seed=2024, replica=r)
-        vols.append(ss.wiener_sausage_volume(path, 0.5, 2000, substream(2024, MC, r)).volume)
+        path = ss.brownian_path(3, 1.0, dt, seed=2024, replica=r)
+        vols.append(ss.wiener_sausage_volume(path, 0.5, 2000, substream(2024, MC, r), dt).volume)
     wiener = float(np.mean(vols))
     rel_wiener = abs(wiener - SPITZER_3D) / SPITZER_3D
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from string_sausage import asymptotics
 from string_sausage.asymptotics import (
     calibrate_lambda,
     chain_L,
@@ -26,10 +27,11 @@ from string_sausage.rng import AUX, substream
 from string_sausage.simulate import brownian_path, simulate
 from string_sausage.spectral import (
     ModelParams,
+    evolve,
     grid_values,
     sample_stationary_field,
-    zero_state,
 )
+from string_sausage.statistics import range_of
 
 
 def straight_path(T=20.0, dt=0.01, d=2):
@@ -104,6 +106,26 @@ def test_calibrate_lambda_exceeds_one():
     assert Lam > 1.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_calibrate_lambda_equals_the_per_window_loop(d, monkeypatch):
+    # the oracle evolves one window at a time, window r from (AUX, r); the
+    # block's ranges must equal it element by element
+    p = ModelParams(d=d, K=8, M=32, eps_tail=5e-3)
+    L, n_rep, seed = 4.6, 30, 4
+    zero = np.zeros((1, d, 2 * p.K + 1))
+    loop = [range_of(grid_values(p, evolve(p, zero, L, [substream(seed, AUX, r)])[0, -1])) for r in range(n_rep)]
+    ranges = []
+
+    def recorded(values):
+        ranges.append(range_of(values))
+        return ranges[-1]
+
+    monkeypatch.setattr(asymptotics, "range_of", recorded)
+    Lam = calibrate_lambda(p, L, n_rep, seed)
+    assert ranges == loop
+    assert Lam == max(1.0 + 1e-9, float(np.percentile(loop, 75)))
+
+
 # ---------------------------------------------------------------------------
 # range smoothing
 
@@ -112,7 +134,7 @@ def cosine_field(mean=0.0, J=1.0):
     """f = sqrt(2) cos(2 pi x) + mean on the unit circle as coefficients:
     b_1 = 1 and b0 = mean (d=1, K=64, M=512)."""
     p = ModelParams(d=1, J=J, K=64, M=512)
-    c = zero_state(p)
+    c = np.zeros((p.d, 2 * p.K + 1))
     c[0, 0] = mean
     c[0, 1] = 1.0
     return p, c
@@ -152,7 +174,7 @@ def test_range_smoothing_reads_the_unit_circle_at_any_J():
 
 def test_range_smoothing_constant_input():
     p = ModelParams(d=2, K=32, M=128)
-    c = zero_state(p)
+    c = np.zeros((p.d, 2 * p.K + 1))
     c[:, 0] = 3.7
     rep = range_smoothing_check(p, c, 1.5)
     assert rep.lhs == 0.0
@@ -170,7 +192,7 @@ def test_range_smoothing_random_inputs():
 def test_range_smoothing_warns_below_hypothesis():
     p = ModelParams(d=1, K=32, M=128)
     with pytest.warns(UserWarning):
-        range_smoothing_check(p, zero_state(p), 0.5)
+        range_smoothing_check(p, np.zeros((p.d, 2 * p.K + 1)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +269,11 @@ def test_clearing_validation():
         clearing_bound(2, 1.0, 0.3, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         clearing_bound(2, 1.0, 0.3, 1.0, 0.0, -1.0)
+    # no traps (A = 0), a subnormal intensity (alpha* overflows) and a circle
+    # so long that B underflows (alpha* = 0): no finite optimum to report
+    for d, nu, J in ((2, 0.0, 1.0), (2, 1e-320, 1.0), (1, 1e-320, 1.0), (2, 1.0, 1e150)):
+        with pytest.raises(ValueError, match="no finite clearing bound"):
+            clearing_bound(d, nu, 0.3, J, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

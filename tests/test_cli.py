@@ -198,6 +198,14 @@ def test_overflowing_circle_length_exit_2(argv, capsys):
     assert "J**2 overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--nu", "0"], ["--nu", "1e-320"], ["--J", "1e150"]],
+                         ids=["no_traps", "subnormal_nu", "huge_J"])
+def test_diagnostics_without_a_finite_clearing_bound_exit_2(flags, capsys):
+    assert main(["diagnostics", *flags, "--seed", "7"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no finite clearing bound" in captured.err
+
+
 def test_bad_model_params_exit_2(capsys):
     code, _ = run_cli(
         ["survival", "--hard", "--a", "7.0", "--n", "100", "--seed", "1", "--threads", "1"],

@@ -500,23 +500,22 @@ def test_union_bound_property():
 def test_wiener_sausage_guard_warns():
     path = brownian_path(3, 1.0, 0.25, seed=1)
     with pytest.warns(ResolutionWarning):
-        wiener_sausage_volume(path, 0.1, 2000, substream(10, MC, 0))
+        wiener_sausage_volume(path, 0.1, 2000, substream(10, MC, 0), 0.25)
 
 
 def test_wiener_sausage_frozen_path_is_ball():
-    path = PointCloud(np.zeros((1, 3)), meta={"dt": 1e-6})
-    est = wiener_sausage_volume(path, 0.5, 100_000, substream(11, MC, 0))
+    est = wiener_sausage_volume(PointCloud(np.zeros((1, 3))), 0.5, 100_000, substream(11, MC, 0), 1e-6)
     ball = 4.0 * math.pi * 0.125 / 3.0
     assert abs(est.volume - ball) < 4 * est.stderr
 
 
 def test_wiener_sausage_monotone_in_T():
     path = brownian_path(3, 1.0, 0.004, seed=2)
-    prefix = PointCloud(path.points[:120], meta={"dt": 0.004})
+    prefix = PointCloud(path.points[:120])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        v_short = wiener_sausage_volume(prefix, 0.5, 50_000, substream(12, MC, 0)).volume
-        v_long = wiener_sausage_volume(path, 0.5, 50_000, substream(12, MC, 0)).volume
+        v_short = wiener_sausage_volume(prefix, 0.5, 50_000, substream(12, MC, 0), 0.004).volume
+        v_long = wiener_sausage_volume(path, 0.5, 50_000, substream(12, MC, 0), 0.004).volume
     assert v_long >= v_short - 0.2
 
 

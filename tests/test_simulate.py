@@ -126,13 +126,10 @@ def test_trace_values_match_pointwise_series():
         np.testing.assert_allclose(tr.values[i], evaluate_at(p, tr.coeffs[i], grid(p)), atol=1e-12)
 
 
-def test_trace_cloud_shape_and_meta():
+def test_trace_cloud_shape():
     p = params()
     tr = simulate(p, 7)
-    cloud = tr.cloud()
-    assert cloud.points.shape == (tr.n_snapshots * p.M, p.d)
-    # the string's cloud carries no meta: only a Brownian path's dt has a reader
-    assert cloud.meta == {}
+    assert tr.cloud().points.shape == (tr.n_snapshots * p.M, p.d)
 
 
 def test_trace_com_and_radius_consistency():
@@ -153,5 +150,3 @@ def test_brownian_path_statistics():
         v = ends[:, j].var()
         assert abs(v - 1.0) < 4 * math.sqrt(2.0 / 499)
     assert brownian_path(2, 1.0, 0.1, seed=3).points.shape == (11, 2)
-    # the Wiener sausage's resolution guard reads dt
-    assert brownian_path(2, 1.0, 0.1, seed=3).meta["dt"] == 0.1

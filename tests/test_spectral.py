@@ -16,7 +16,6 @@ from string_sausage.spectral import (
     noise_segment,
     sample_stationary_field,
     variance_series,
-    zero_state,
 )
 
 
@@ -26,9 +25,14 @@ def small_params(**kw):
     return ModelParams(**defaults)
 
 
+def zero_string(p):
+    """The zero string: coefficients (d, 2K+1), all 0."""
+    return np.zeros((p.d, 2 * p.K + 1))
+
+
 def evolved(p, c, delta, rng):
-    """The string one `evolve` step of `delta` after the string `c`."""
-    return evolve(p, c, delta, rng)[-1]
+    """The string one `evolve` step of `delta` after the string `c`, as a block of one."""
+    return evolve(p, c[None], delta, [rng])[0, -1]
 
 
 def test_mode_rates():
@@ -63,14 +67,14 @@ def test_tail_variance_is_the_trigamma_tail(K):
 def test_evaluate_matches_pointwise_formula():
     p = small_params(d=1)
     rng = substream(0, AUX, 0)
-    c = evolved(p, zero_state(p), 0.3, rng)
+    c = evolved(p, zero_string(p), 0.3, rng)
     np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, grid(p)), atol=1e-12)
 
 
 def test_evaluate_general_J():
     p = small_params(d=1, J=2.0)
     rng = substream(0, AUX, 1)
-    c = evolved(p, zero_state(p), 0.3, rng)
+    c = evolved(p, zero_string(p), 0.3, rng)
     np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, grid(p)), atol=1e-12)
 
 
@@ -80,7 +84,7 @@ def test_ou_transition_moments():
     start = np.ones((p.d, 2 * p.K + 1))  # deterministic start for every mode
     ends = []
     for r in range(50):
-        ends.append(evolve(p, start, p.dt, substream(11, AUX, r))[-1])
+        ends.append(evolved(p, start, p.dt, substream(11, AUX, r)))
     ends = np.concatenate(ends, axis=0)  # (400*50, 2K+1) transitions per column
     lam = mode_rates(p.K)
     decay = np.exp(-lam * p.dt)
@@ -99,8 +103,8 @@ def test_ou_transition_moments():
 
 def test_multi_step_evolve_equals_single_steps():
     p = small_params(d=3)
-    start = evolved(p, zero_state(p), 0.2, substream(9, AUX, 0))
-    path = evolve(p, start, 0.05, substream(9, AUX, 1), steps=7)
+    start = evolved(p, zero_string(p), 0.2, substream(9, AUX, 0))
+    path = evolve(p, start[None], 0.05, [substream(9, AUX, 1)], steps=7)[0]
     assert path.shape == (8, p.d, 2 * p.K + 1)
     np.testing.assert_array_equal(path[0], start)
     rng = substream(9, AUX, 1)
@@ -108,9 +112,9 @@ def test_multi_step_evolve_equals_single_steps():
     for i in range(1, 8):
         c = evolved(p, c, 0.05, rng)
         np.testing.assert_array_equal(path[i], c)
-    np.testing.assert_array_equal(evolve(p, start, 0.05, rng, steps=0), start[None])
+    np.testing.assert_array_equal(evolve(p, start[None], 0.05, [rng], steps=0), start[None, None])
     with pytest.raises(ValueError):
-        evolve(p, start, 0.05, rng, steps=-1)
+        evolve(p, start[None], 0.05, [rng], steps=-1)
     with pytest.raises(ValueError, match="generators"):
         evolve(p, np.stack([start, start]), 0.05, [rng])
 
@@ -129,12 +133,12 @@ def test_multi_step_evolve_equals_single_steps():
 def test_evolve_rejects_malformed_start(start, cause):
     p = small_params(d=3)  # start must be (3, 17)
     with pytest.raises(ValueError, match=cause):
-        evolve(p, start, 0.05, substream(9, AUX, 2))
+        evolve(p, start[None], 0.05, [substream(9, AUX, 2)])
 
 
 def test_heat_semigroup_property():
     p = small_params(d=1)
-    c = evolved(p, zero_state(p), 0.5, substream(4, AUX, 0))
+    c = evolved(p, zero_string(p), 0.5, substream(4, AUX, 0))
     once = heat_convolve(p, c, 0.7)
     twice = heat_convolve(p, heat_convolve(p, c, 0.3), 0.4)
     np.testing.assert_allclose(once, twice, atol=1e-14)
@@ -142,7 +146,7 @@ def test_heat_semigroup_property():
 
 def test_heat_convolve_preserves_mean_and_contracts_range():
     p = small_params(d=1)
-    c = evolved(p, zero_state(p), 0.4, substream(6, AUX, 0))
+    c = evolved(p, zero_string(p), 0.4, substream(6, AUX, 0))
     g = heat_convolve(p, c, 0.5)
     assert abs(grid_values(p, c).mean() - grid_values(p, g).mean()) < 1e-12
     # the heat kernel averages, so the continuum range contracts; compare on
@@ -156,7 +160,7 @@ def test_heat_convolve_preserves_mean_and_contracts_range():
 def test_noise_segment_definition():
     p = small_params(d=2)
     rng = substream(7, AUX, 0)
-    s1 = evolved(p, zero_state(p), 0.3, rng)
+    s1 = evolved(p, zero_string(p), 0.3, rng)
     s2 = evolved(p, s1, 0.4, rng)
     seg = noise_segment(p, s1, s2, 0.4)
     expected = grid_values(p, s2) - grid_values(p, heat_convolve(p, s1, 0.4))
@@ -168,7 +172,7 @@ def test_noise_segment_definition():
 def test_noise_segment_with_zero_initial_state_is_whole_field():
     p = small_params(d=1)
     rng = substream(8, AUX, 0)
-    s0 = zero_state(p)
+    s0 = zero_string(p)
     s1 = evolved(p, s0, 0.6, rng)
     seg = grid_values(p, noise_segment(p, s0, s1, 0.6))
     np.testing.assert_allclose(seg, grid_values(p, s1), atol=1e-12)

@@ -11,7 +11,7 @@ from string_sausage.statistics import (
     IndependenceReport,
     independence_test,
     range_of,
-    squared_norms,
+    squared_distances,
 )
 
 
@@ -75,14 +75,42 @@ def test_range_of_identical_points_skips_the_pairwise_scan():
     assert peak < 64 * len(pts) * 8
 
 
-def test_squared_norms_equal_the_axis_sum():
-    # the column-wise sum replaces (x ** 2).sum(axis=-1) bit for bit, and so
-    # do the diameter scan and the path radius built on it
+def axis_sum(diff):
+    """The oracle: numpy's sum of squares over the last (coordinate) axis."""
+    return (diff ** 2).sum(axis=-1)
+
+
+def test_squared_distances_equal_the_axis_sum():
+    # the kernel's left-to-right sum replaces the short-axis sum bit for bit
+    # in every layout its callers pass, and so do the diameter scan and the
+    # path radius built on it
     rng = substream(31, AUX, 0)
     for d in (1, 2, 3):
-        for shape in ((500, d), (9, 64, d)):
-            x = rng.normal(size=shape) * rng.uniform(0.01, 100.0, size=d)
-            np.testing.assert_array_equal(squared_norms(x), (x ** 2).sum(axis=-1))
+        pts = rng.normal(size=(500, d)) * rng.uniform(0.01, 100.0, size=d)
+        cols = np.ascontiguousarray(pts.T)
+        x, traps = rng.normal(size=d), rng.normal(size=(7, d))
+        # contiguous rows (d, N) against one point: an array (the diameter's
+        # sweeps), Python floats (any_contact), the origin (the smoothing norm)
+        for point in (x, x.tolist(), np.zeros(d)):
+            np.testing.assert_array_equal(squared_distances(cols, point), axis_sum(pts - np.asarray(point)))
+        # strided rows, a row-major (N, d) array's transpose (the diameter's
+        # blocks, tau_sequence), and the first d rows of a zero-padded one
+        # (the hit-or-miss exact stage), against a point and row by row
+        np.testing.assert_array_equal(squared_distances(pts.T, x), axis_sum(pts - x))
+        padded = np.zeros((500, 4))
+        padded[:, :d] = pts
+        np.testing.assert_array_equal(squared_distances(padded.T[:d], padded[::-1].T[:d]), axis_sum(pts - pts[::-1]))
+        # rows against rows (the chain's largest step)
+        np.testing.assert_array_equal(squared_distances(cols[:, 1:], cols[:, :-1]), axis_sum(np.diff(pts, axis=0)))
+        # rows against k points (d, k, 1), (k, N) (path_functional), and
+        # rows (d, b, 1) against rows, (b, N) (the diameter's block pairs)
+        np.testing.assert_array_equal(squared_distances(cols, traps.T[:, :, None]), axis_sum(pts - traps[:, None]))
+        np.testing.assert_array_equal(squared_distances(traps.T[:, :, None], cols), axis_sum(traps[:, None] - pts))
+        # (d, n+1, M) against the centers (d, n+1, 1) (Trace.radius)
+        values = rng.normal(size=(9, 64, d))
+        com = values.mean(axis=1)
+        np.testing.assert_array_equal(squared_distances(np.moveaxis(values, -1, 0), com.T[:, :, None]),
+                                      axis_sum(values - com[:, None]))
         pts = rng.standard_normal((300, d))
         diff = pts[:, None, :] - pts[None, :, :]
         assert range_of(pts) == float(np.sqrt((diff ** 2).sum(axis=2)).max())

@@ -7,8 +7,8 @@ from string_sausage.geometry import PointCloud, bounding_box
 from string_sausage.rng import ENV, substream
 from string_sausage.simulate import simulate
 from string_sausage.spectral import FieldSamples, ModelParams
+from string_sausage.statistics import BATCH_VALUES
 from string_sausage.traps import (
-    PAIR_BLOCK,
     Box,
     PoissonEnvironment,
     any_contact,
@@ -112,7 +112,7 @@ def test_contact_counts_brute_force():
         env = PoissonEnvironment(traps, Box(np.full(d, -1.0), np.full(d, 1.0)), 1.0)
         queries = rng.uniform(-0.5, 0.5, size=(2000, d))
         touched = assert_kernels_agree_with_brute_force(queries, env, 0.25).any(axis=0)
-        assert PAIR_BLOCK // 2000 < touched.sum() < 150
+        assert BATCH_VALUES // 2000 < touched.sum() < 150
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -171,7 +171,7 @@ def test_path_functional_matches_pair_oracle_in_both_block_regimes(T, traps_per_
     p = ModelParams(d=2, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3)
     trace = simulate(p, 22, replica=1)
     # 1,344 and 20,544 points per path
-    assert max(1, PAIR_BLOCK // (trace.n_snapshots * p.M)) == traps_per_mask
+    assert max(1, BATCH_VALUES // (trace.n_snapshots * p.M)) == traps_per_mask
     # the box of the survival draws, a + 0.5 around the path: the cull drops
     # 25 and 14 of the 40 traps
     box = bounding_box(trace.cloud(), 0.8)
