@@ -1,10 +1,11 @@
 """Experiment runner CLI.
 
 Subcommands: simulate | sausage | survival | scaling-check | diagnostics |
-fit | run.  Every command prints a JSON summary to stdout and, when --csv
-is given, appends rows under the stable schema `CSV_HEADER`.  Numbers are
-written with full round-trip precision (repr).  Exit codes: 0 success, 2
-configuration error.
+fit | run.  Every command returns its rows and its JSON summary; `main`
+appends the rows under the stable schema `CSV_HEADER` when --csv is given
+and then prints the summary to stdout.  Numbers are written with full
+round-trip precision (repr).  Exit codes: 0 success, 2 configuration error,
+which prints no summary.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ def row(experiment: str, p: ModelParams, method: str, estimate, stderr, n, seed)
     return dict(zip(CSV_HEADER, values))
 
 
-def emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -139,7 +136,7 @@ def params_from(args) -> ModelParams:
 # subcommands
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[dict], dict]:
     p = params_from(args)
     trace = simulate(p, args.seed, replica=args.replica)
     radius = trace.radius
@@ -163,12 +160,10 @@ def cmd_simulate(args) -> int:
         out = args.out if args.out.endswith(".npz") else args.out + ".npz"
         np.savez(out, times=trace.times, coeffs=trace.coeffs, com=trace.com, radius=radius)
         summary["out"] = out
-    write_rows(args.csv, rows)
-    emit(summary)
-    return EXIT_OK
+    return rows, summary
 
 
-def cmd_sausage(args) -> int:
+def cmd_sausage(args) -> tuple[list[dict], dict]:
     p = params_from(args)
     if args.voxel_size is not None and args.method != "voxel":
         raise ValueError("--voxel-size applies to --method voxel only")
@@ -184,13 +179,13 @@ def cmd_sausage(args) -> int:
     else:
         voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
         est = sausage_volume_voxel(simulate(p, seed, replica=r).cloud(), p.a, voxel)
-    write_rows(args.csv, [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)])
-    emit({"command": "sausage", "method": args.method, "n": est.n_samples,
-          "resolution_tag": resolution_tag(p), "stderr": est.stderr, "volume": est.volume})
-    return EXIT_OK
+    return [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)], {
+        "command": "sausage", "method": args.method, "n": est.n_samples,
+        "resolution_tag": resolution_tag(p), "stderr": est.stderr, "volume": est.volume,
+    }
 
 
-def cmd_survival(args) -> int:
+def cmd_survival(args) -> tuple[list[dict], dict]:
     p = params_from(args)
     if args.soft and args.hard:
         raise ValueError("choose exactly one of --hard / --soft")
@@ -211,54 +206,42 @@ def cmd_survival(args) -> int:
     if args.save_env is not None:
         env = replica_environment(simulate(p, args.seed, replica=0).cloud(), p, args.seed, 0)
         Path(args.save_env).write_text(env.to_json(), encoding="utf-8")
-    emit(
-        {
-            "command": "survival",
-            "method": est.method,
-            "p_hat": est.p_hat,
-            "stderr": est.stderr,
-            "ci95": est.ci95(),
-            "n": est.n_replicas,
-            "seed": args.seed,
-            "resolution_tag": resolution_tag(p),
-            "ess": est.ess,
-            "max_weight_share": est.max_weight_share,
-        }
-    )
-    write_rows(
-        args.csv, [row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, args.seed)]
-    )
-    return EXIT_OK
+    return [row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, args.seed)], {
+        "command": "survival",
+        "method": est.method,
+        "p_hat": est.p_hat,
+        "stderr": est.stderr,
+        "ci95": est.ci95(),
+        "n": est.n_replicas,
+        "seed": args.seed,
+        "resolution_tag": resolution_tag(p),
+        "ess": est.ess,
+        "max_weight_share": est.max_weight_share,
+    }
 
 
-def cmd_scaling_check(args) -> int:
+def cmd_scaling_check(args) -> tuple[list[dict], dict]:
     p = params_from(args)
     master_seed(args.seed, 2, "scaling-check runs its unit-J side at seed + 1")
     method = "hard_via_volume" if args.via_volume else "hard_direct"
     report = scaling_check(p, args.n, args.seed, method=method, workers=args.threads)
     o, s = report.original, report.scaled
-    emit(
-        {
-            "command": "scaling-check",
-            "original": {"p_hat": o.p_hat, "stderr": o.stderr, "ci95": o.ci95(), "J": p.J},
-            "scaled": {"p_hat": s.p_hat, "stderr": s.stderr, "ci95": s.ci95(), "J": 1.0},
-            "overlap": report.overlap,
-            "informative": report.informative,
-            "n": args.n,
-            "seed": args.seed,
-        }
-    )
-    write_rows(
-        args.csv,
-        [
-            row("scaling_check", o.params, f"{method}_J{p.J}", o.p_hat, o.stderr, o.n_replicas, args.seed),
-            row("scaling_check", s.params, f"{method}_unitJ", s.p_hat, s.stderr, s.n_replicas, args.seed + 1),
-        ],
-    )
-    return EXIT_OK
+    rows = [
+        row("scaling_check", o.params, f"{method}_J{p.J}", o.p_hat, o.stderr, o.n_replicas, args.seed),
+        row("scaling_check", s.params, f"{method}_unitJ", s.p_hat, s.stderr, s.n_replicas, args.seed + 1),
+    ]
+    return rows, {
+        "command": "scaling-check",
+        "original": {"p_hat": o.p_hat, "stderr": o.stderr, "ci95": o.ci95(), "J": p.J},
+        "scaled": {"p_hat": s.p_hat, "stderr": s.stderr, "ci95": s.ci95(), "J": 1.0},
+        "overlap": report.overlap,
+        "informative": report.informative,
+        "n": args.n,
+        "seed": args.seed,
+    }
 
 
-def cmd_diagnostics(args) -> int:
+def cmd_diagnostics(args) -> tuple[list[dict], dict]:
     p = params_from(args)
     if args.chain:
         master_seed(args.seed, 3, "diagnostics --chain also runs seed + 1 and seed + 2")
@@ -315,9 +298,9 @@ def cmd_diagnostics(args) -> int:
         trace = simulate(chain_params, args.seed, replica=0)
         chain = stopping_chain(trace, Lambda, seed=args.seed + 2)
         summary["chain"] = {
-            "resolved": chain.max_step < Lambda / 10.0,
+            "resolved": chain.resolved,
             "max_step": chain.max_step,
-            "step_limit": Lambda / 10.0,
+            "step_limit": chain.step_limit,
             "Lambda": chain.Lambda,
             "delta": chain.delta,
             "L": chain.L,
@@ -328,13 +311,10 @@ def cmd_diagnostics(args) -> int:
         }
         rows.append(row("diagnostics", chain_params, "chain_intervals",
                         float(chain.n_intervals), 0.0, 1, args.seed))
-
-    write_rows(args.csv, rows)
-    emit(summary)
-    return EXIT_OK
+    return rows, summary
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[list[dict], dict]:
     Ts, y, se = [], [], []
     with open(args.input, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -352,22 +332,18 @@ def cmd_fit(args) -> int:
                 se.append(float(rec["stderr"]))
     stderr = np.asarray(se) if se else None
     fit = exponent_fit(Ts, y, stderr)
-    emit(
-        {
-            "command": "fit",
-            "gamma_hat": fit.gamma_hat,
-            "gamma_stderr": fit.gamma_stderr,
-            "ci95": fit.ci95(),
-            "intercept": fit.intercept,
-            "n": len(Ts),
-        }
-    )
     # the fit input carries no model or seed: its row leaves those columns empty
-    write_rows(args.csv, [dict.fromkeys(CSV_HEADER, "") | {
+    return [dict.fromkeys(CSV_HEADER, "") | {
         "experiment": "fit", "T": max(Ts), "method": "gamma_hat", "estimate": fit.gamma_hat,
         "stderr": fit.gamma_stderr, "n": len(Ts),
-    }])
-    return EXIT_OK
+    }], {
+        "command": "fit",
+        "gamma_hat": fit.gamma_hat,
+        "gamma_stderr": fit.gamma_stderr,
+        "ci95": fit.ci95(),
+        "intercept": fit.intercept,
+        "n": len(Ts),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +427,8 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
     return rows, summary
 
 
-def cmd_run(args) -> int:
-    rows, summary = run_config(parse_config(args.config))
-    write_rows(args.csv, rows)
-    emit(summary)
-    return EXIT_OK
+def cmd_run(args) -> tuple[list[dict], dict]:
+    return run_config(parse_config(args.config))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +498,13 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed"):
             master_seed(args.seed)
-        return args.fn(args)
+        rows, summary = args.fn(args)
+        write_rows(args.csv, rows)
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(json.dumps(summary, sort_keys=True))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -322,18 +322,6 @@ def sausage_volume_hit_or_miss(
     return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")
 
 
-def _axis_window(axis: np.ndarray, stride: int, start: int, stop: int) -> np.ndarray:
-    """axis[(f // stride) % len(axis)] for the flat C-order indices
-    start <= f < stop: the axis rolled to start's entry, tiled over the
-    window's runs, each entry repeated `stride` times."""
-    first, last = start // stride, (stop - 1) // stride
-    runs = np.resize(np.roll(axis, -(first % len(axis))), last - first + 1)
-    if stride == 1:
-        return runs
-    edges = np.clip(np.arange(first, last + 2) * stride, start, stop)
-    return np.repeat(runs, np.diff(edges))
-
-
 def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) -> SausageEstimate:
     """Deterministic voxel-center counting estimate of the same union of balls,
     by `_hits` on a box that holds every centre, as its pre-pass needs."""
@@ -346,12 +334,10 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
     n_voxels, n_in = int(np.prod(counts)), 0
     if n_voxels > MAX_VOXELS:
         raise ValueError("voxel grid too large; coarsen voxel_size or shrink the cloud")
-    axes = [box.lower[i] + (np.arange(counts[i]) + 0.5) * voxel_size for i in range(cloud.d)]
-    strides = [int(np.prod(counts[i + 1 :])) for i in range(cloud.d)]
     grid = Box(box.lower, box.lower + counts * voxel_size)
     for start in range(0, n_voxels, VOXEL_CHUNK):
-        stop = min(start + VOXEL_CHUNK, n_voxels)
-        centers = np.stack([_axis_window(a, s, start, stop) for a, s in zip(axes, strides)], axis=1)
+        cells = np.unravel_index(np.arange(start, min(start + VOXEL_CHUNK, n_voxels)), counts)
+        centers = box.lower + (np.stack(cells, axis=1) + 0.5) * voxel_size
         n_in += _hits(cloud.points, centers, grid, radius)
     return SausageEstimate(n_in * voxel_size ** cloud.d, 0.0, n_voxels, "voxel")
 
@@ -402,7 +388,7 @@ def box_counting_dimension(samples, scales) -> BoxCountResult:
     r_K = sqrt(d J / (2K)): the field is smooth at lags below J/(2K), so
     boxes smaller than r_K see a curve, not its 2-dimensional image.
     """
-    points = samples.points if isinstance(samples, PointCloud) else np.atleast_2d(np.asarray(samples, float))
+    points = np.atleast_2d(np.asarray(samples, float))
     scales = np.asarray(scales, float)
     if scales.ndim != 1 or scales.shape[0] < 4:
         raise ValueError(f"scales needs at least 4 values, got shape {scales.shape}")

@@ -83,9 +83,11 @@ def test_tau_coarse_sampling_warns():
     with pytest.warns(UserWarning, match="too coarse"):
         chain = stopping_chain(trace, Lambda=1.0, n_mc=2000)
     assert chain.max_step == pytest.approx(step, rel=1e-12) and step >= 0.1
+    assert chain.step_limit == 0.1 and not chain.resolved
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert stopping_chain(trace, Lambda=100.0, n_mc=2000).max_step == chain.max_step
+        fine = stopping_chain(trace, Lambda=100.0, n_mc=2000)
+    assert fine.max_step == chain.max_step and fine.step_limit == 10.0 and fine.resolved
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +370,15 @@ def test_stopping_chain_invariants_over_runs():
         for r in range(5):
             trace = simulate(pc, 13, replica=r)
             chain = stopping_chain(trace, Lam, seed=21 + r, n_mc=2000)
-            # construction raises ChainInvariantError internally on violation;
-            # re-check the ordering facts here explicitly
+            # the construction gives these ordering facts by itself (it raises
+            # ChainInvariantError only for the two lemma checks); check them here:
+            # increasing taus, S_i at least L after T_{i-1}, and T_i the first tau >= S_i
             assert np.all(np.diff(chain.tau) > 0)
             prev = 0.0
             for i in range(chain.n_intervals):
                 assert chain.S[i] >= prev + chain.L - 1e-9
                 assert chain.T_seq[i] >= chain.S[i] - 1e-12
+                assert not np.any((chain.tau >= chain.S[i]) & (chain.tau < chain.T_seq[i]))
                 prev = chain.T_seq[i]
             total += chain.n_intervals
     assert total >= 1  # at least one completed interval across the runs

@@ -206,6 +206,29 @@ def test_diagnostics_without_a_finite_clearing_bound_exit_2(flags, capsys):
     assert captured.out == "" and "no finite clearing bound" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--T", "0.25", "--seed", "1"],
+     ["sausage", "--T", "0.25", "--n-mc", "1000", "--seed", "1"],
+     ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+     ["scaling-check", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+     ["diagnostics", "--M", "256", "--K", "64", "--seed", "7"],
+     ["fit", "--input", "FIT"],
+     ["run", "--config", "RUN"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_csv_exit_2_without_a_summary(argv, capsys, tmp_path):
+    # the rows are written before the summary is printed, so a command whose
+    # --csv cannot be written prints nothing to stdout
+    fit, run = tmp_path / "fit.csv", tmp_path / "run.json"
+    fit.write_text("T,neg_log_S\n" + "".join(f"{T},{7.0 * T ** 0.5}\n" for T in (1, 2, 4, 16)))
+    run.write_text(json.dumps({"seed": 5, "n_replicas": 100, "T": 0.25, "threads": 1}))
+    argv = [{"FIT": str(fit), "RUN": str(run)}.get(a, a) for a in argv]
+    assert main([*argv, "--csv", str(tmp_path / "missing" / "x.csv")]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
 def test_bad_model_params_exit_2(capsys):
     code, _ = run_cli(
         ["survival", "--hard", "--a", "7.0", "--n", "100", "--seed", "1", "--threads", "1"],
