@@ -1,11 +1,13 @@
 """Experiment runner CLI.
 
 Subcommands: simulate | sausage | survival | scaling-check | diagnostics |
-fit | run.  Every command returns its rows and its JSON summary; `main`
-appends the rows under the stable schema `CSV_HEADER` when --csv is given
-and then prints the summary to stdout.  Numbers are written with full
-round-trip precision (repr).  Exit codes: 0 success, 2 configuration error,
-which prints no summary.
+fit | run.  `main` is the one boundary with the outside: it opens --csv
+for appending before the command runs, and once the command has returned
+its rows and its JSON summary, appends the rows under the stable schema
+`CSV_HEADER` (headed when the file is empty) and then prints the summary to
+stdout.  Numbers are written with full round-trip precision (repr).  Exit
+codes: 0 success, 2 configuration or file error (`ValueError`, `OSError`),
+which prints no summary and may leave a new --csv empty.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -82,17 +85,14 @@ def resolution_tag(p: ModelParams) -> str:
     return f"K{p.K}_M{p.M}_dt{repr(p.dt)}"
 
 
-def write_rows(path: str | None, rows: list[dict]) -> None:
-    if path is None:
-        return
-    target = Path(path)
-    new = not target.exists()
-    with open(target, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in CSV_HEADER])
+def write_rows(fh, rows: list[dict]) -> None:
+    """Append `rows` to the open CSV file `fh`, after the header if it is
+    empty or a stream (a pipe starts empty)."""
+    writer = csv.writer(fh)
+    if not fh.seekable() or fh.tell() == 0:
+        writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([_fmt(row[k]) for k in CSV_HEADER])
 
 
 def row(experiment: str, p: ModelParams, method: str, estimate, stderr, n, seed) -> dict:
@@ -124,8 +124,7 @@ def add_model_args(sp: argparse.ArgumentParser, threads: bool = False) -> None:
     sp.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (no wall-clock default)")
     sp.add_argument("--csv", type=str, default=None, help="append result rows to this CSV file")
     if threads:
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: cores, or STRING_SAUSAGE_THREADS)")
+        sp.add_argument("--threads", type=int, default=None, help="worker count (default: every core)")
 
 
 def params_from(args) -> ModelParams:
@@ -498,9 +497,11 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed"):
             master_seed(args.seed)
-        rows, summary = args.fn(args)
-        write_rows(args.csv, rows)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        # without --csv the rows go to the null device
+        with open(os.devnull if args.csv is None else args.csv, "a", newline="", encoding="utf-8") as fh:
+            rows, summary = args.fn(args)
+            write_rows(fh, rows)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(json.dumps(summary, sort_keys=True))

@@ -7,7 +7,8 @@ them).
 
 Hit-or-miss decides most samples exactly on one cell raster of the padded
 box, and the rest by an exact query over the cloud points near them.  The
-raster's cells have side s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d].
+raster's cells have side s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d]; in
+d >= 4 no raster is built (measured slower than the exact stage alone).
 Two cells delta apart hold no point pair farther apart than
 s sqrt(sum_j (|delta_j| + 1)^2) and none nearer than
 s sqrt(sum_j max(|delta_j| - 1, 0)^2).  A sample is therefore a sure hit
@@ -55,7 +56,7 @@ from .traps import Box
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
 VOXEL_CHUNK = 2_000_000  # voxel centres built and counted at a time: the pre-pass allocates per sample
 MAX_RASTER_CELLS = 1 << 20  # memory guard of the hit-or-miss pre-pass raster
-RASTER_K = {1: 3, 2: 4}  # hit-or-miss raster cells per r/sqrt(d) (measured); 1 above d=2
+RASTER_K = {1: 3, 2: 4, 3: 1}  # hit-or-miss raster cells per r/sqrt(d) (measured); none above d=3
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _raster_prepass(
     """(sure hits, the samples the exact stage decides, the cloud points it needs)."""
     extent = (box.upper - box.lower).tolist()
     d = len(extent)
-    for k in range(RASTER_K.get(d, 1), 0, -1):
+    for k in range(RASTER_K.get(d, 0), 0, -1):
         side = radius / (k * math.sqrt(d)) * (1 - 1e-9)
         hit, reach = _stencils(d, k)
         # empty cells above the data on every axis, as many as the hit

@@ -150,15 +150,9 @@ def _replica_batch(args) -> np.ndarray:
 
 
 def n_workers(requested: int | None = None) -> int:
-    """Worker count: `requested`, else STRING_SAUSAGE_THREADS, else every core."""
+    """Worker count: `requested`, else every core."""
     if requested is None:
-        env_val = os.environ.get("STRING_SAUSAGE_THREADS")
-        if not env_val:
-            return os.cpu_count() or 1
-        try:
-            requested = int(env_val)
-        except ValueError:
-            raise ValueError(f"STRING_SAUSAGE_THREADS={env_val!r} is not an integer") from None
+        return os.cpu_count() or 1
     if isinstance(requested, bool) or not isinstance(requested, int) or requested < 1:
         raise ValueError(f"worker count must be an integer >= 1, got {requested!r}")
     return requested

@@ -6,10 +6,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from string_sausage import survival
 from string_sausage.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -218,8 +220,8 @@ def test_diagnostics_without_a_finite_clearing_bound_exit_2(flags, capsys):
     ids=lambda argv: argv[0],
 )
 def test_unwritable_csv_exit_2_without_a_summary(argv, capsys, tmp_path):
-    # the rows are written before the summary is printed, so a command whose
-    # --csv cannot be written prints nothing to stdout
+    # --csv is opened before the command runs, so a command whose --csv
+    # cannot be opened does no work and prints nothing to stdout
     fit, run = tmp_path / "fit.csv", tmp_path / "run.json"
     fit.write_text("T,neg_log_S\n" + "".join(f"{T},{7.0 * T ** 0.5}\n" for T in (1, 2, 4, 16)))
     run.write_text(json.dumps({"seed": 5, "n_replicas": 100, "T": 0.25, "threads": 1}))
@@ -227,6 +229,82 @@ def test_unwritable_csv_exit_2_without_a_summary(argv, capsys, tmp_path):
     assert main([*argv, "--csv", str(tmp_path / "missing" / "x.csv")]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and "config error" in err
+
+
+# the flags that read or write a file, each with the command line it needs
+FILE_FLAGS = {
+    "csv": ["fit", "--input", "FIT"],
+    "out": ["simulate", "--T", "0.25", "--seed", "1"],
+    "save-env": ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+    "env": ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+    "config": ["run"],
+    "input": ["fit"],
+}
+
+
+@pytest.mark.parametrize("flag", FILE_FLAGS)
+def test_file_path_through_a_regular_file_exit_2(flag, capsys, tmp_path):
+    # a path whose parent is a regular file raises NotADirectoryError, an OSError
+    fit, regular = tmp_path / "fit.csv", tmp_path / "regular"
+    fit.write_text("T,neg_log_S\n1,7\n2,9.9\n4,14\n16,28\n")
+    regular.write_text("")
+    argv = [str(fit) if a == "FIT" else a for a in FILE_FLAGS[flag]]
+    assert main([*argv, f"--{flag}", str(regular / "x")]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.csv", "regular"]
+
+
+@pytest.mark.parametrize(
+    "argv, side",
+    [(["simulate", "--seed", "7", "--out", "SIDE"], "side.npz"),
+     (["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5", "--save-env", "SIDE"],
+      "side.json")],
+    ids=["simulate_out", "survival_save_env"],
+)
+def test_unwritable_csv_leaves_no_side_file(argv, side, capsys, tmp_path):
+    argv = [str(tmp_path / side) if a == "SIDE" else a for a in argv]
+    assert main([*argv, "--csv", str(tmp_path / "missing" / "x.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_empty_csv_gets_the_header(capsys, tmp_path):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("")
+    assert run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 4
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_into_a_pipe_gets_the_header(capsys):
+    # a pipe cannot tell its position: it is a fresh stream, headed like an empty file
+    r, w = os.pipe()
+    with os.fdopen(r) as fh:
+        code, _ = run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", f"/dev/fd/{w}"], capsys)
+        os.close(w)
+        lines = fh.read().splitlines()
+    assert code == EXIT_OK
+    assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 4
+
+
+def test_failed_command_leaves_its_new_csv_empty_for_the_next_run(capsys, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    assert main(["survival", "--n", "50", "--threads", "1", "--seed", "1", "--csv", str(csv_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err and csv_path.read_text() == ""
+    assert run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert [line.split(",")[6] for line in lines[1:]] == ["final_radius", "final_range", "max_radius"]
+
+
+def test_worker_count_reads_no_environment(monkeypatch):
+    # the worker count is --threads, a `run` config's threads, or every core:
+    # `survival` sees an `os` without `environ`, so reading any variable (a
+    # former knob set to 0, say) fails
+    monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=os.cpu_count))
+    assert survival.n_workers() == (os.cpu_count() or 1)
 
 
 def test_bad_model_params_exit_2(capsys):
@@ -262,32 +340,31 @@ def write_env(path):
 
 
 @pytest.mark.parametrize(
-    "argv, threads_env",
+    "argv",
     [
-        (["--n", "50", "--threads", "1"], None),
-        (["--n", "100", "--threads", "0"], None),
-        (["--n", "100"], "two"),
-        (["--n", "5", "--threads", "1", "--env", "ENV_FILE"], None),
-        (["--soft", "--via-volume", "--n", "100", "--threads", "1"], None),
-        (["--via-volume", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "-1", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"], None),
-        (["--hard", "--height", "2", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "nan", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "inf", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "nan", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
-        (["--soft", "--height", "inf", "--env", "ENV_FILE", "--n", "100", "--threads", "1"], None),
-        (["--n", "100", "--threads", "1", "--env", "TMP_DIR"], None),
+        ["--n", "50", "--threads", "1"],
+        ["--n", "100", "--threads", "0"],
+        ["--n", "5", "--threads", "1", "--env", "ENV_FILE"],
+        ["--soft", "--via-volume", "--n", "100", "--threads", "1"],
+        ["--via-volume", "--env", "ENV_FILE", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "-1", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "-1", "--env", "ENV_FILE", "--T", "0", "--n", "100"],
+        ["--hard", "--height", "2", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "nan", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "inf", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "nan", "--env", "ENV_FILE", "--n", "100", "--threads", "1"],
+        ["--soft", "--height", "inf", "--env", "ENV_FILE", "--n", "100", "--threads", "1"],
+        ["--n", "100", "--threads", "1", "--env", "TMP_DIR"],
         # the worker count is checked before the exact T = 0 estimate returns
-        (["--hard", "--T", "0", "--n", "100", "--threads", "0"], None),
-        (["--via-volume", "--T", "0", "--n", "100", "--threads", "0"], None),
-        (["--soft", "--T", "0", "--n", "100", "--threads", "0"], None),
-        (["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"], None),
+        ["--hard", "--T", "0", "--n", "100", "--threads", "0"],
+        ["--via-volume", "--T", "0", "--n", "100", "--threads", "0"],
+        ["--soft", "--T", "0", "--n", "100", "--threads", "0"],
+        ["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"],
         # a mean trap count past numpy's Poisson limit names nu and the box
-        (["--hard", "--nu", "1e300", "--T", "0.25", "--n", "100", "--threads", "1"], None),
+        ["--hard", "--nu", "1e300", "--T", "0.25", "--n", "100", "--threads", "1"],
     ],
     ids=[
-        "too_few_replicas", "zero_threads", "non_integer_threads_env", "quenched_too_few_replicas",
+        "too_few_replicas", "zero_threads", "quenched_too_few_replicas",
         "soft_via_volume", "quenched_via_volume", "negative_height", "quenched_negative_height_T_zero",
         "height_without_soft", "nan_height", "inf_height", "quenched_nan_height",
         "quenched_inf_height", "env_is_directory", "zero_threads_T_zero_hard",
@@ -295,11 +372,7 @@ def write_env(path):
         "huge_intensity",
     ],
 )
-def test_bad_survival_input_exit_2(argv, threads_env, capsys, monkeypatch, tmp_path):
-    if threads_env is None:
-        monkeypatch.delenv("STRING_SAUSAGE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STRING_SAUSAGE_THREADS", threads_env)
+def test_bad_survival_input_exit_2(argv, capsys, tmp_path):
     files = {"ENV_FILE": write_env(tmp_path / "env.json"), "TMP_DIR": str(tmp_path)}
     argv = [files.get(a, a) for a in argv]
     code = main(["survival", "--T", "0.5", "--seed", "1", *argv])
@@ -596,7 +669,8 @@ def test_run_config_defaults_match_survival_flags(capsys, tmp_path):
     code, _ = run_cli(["survival", "--seed", "1", "--threads", "1", "--csv", str(flags_csv)], capsys)
     assert code == EXIT_OK
     rows, _ = run_config({"seed": 1, "threads": 1})
-    write_rows(str(run_csv), rows)
+    with open(run_csv, "a", newline="", encoding="utf-8") as fh:
+        write_rows(fh, rows)
     assert run_csv.read_text() == flags_csv.read_text()
 
 

@@ -13,7 +13,6 @@ DEMOS = sorted(ROOT.glob("demos/*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["STRING_SAUSAGE_THREADS"] = "2"  # a small pool; estimates do not depend on its size
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
     )

@@ -122,7 +122,7 @@ def check_hits(points, samples, radius, box=None) -> int:
 
 def _side(d, k=None):
     """The raster's cell side at radius 1 and k = RASTER_K (or the given k)."""
-    k = geometry.RASTER_K.get(d, 1) if k is None else k
+    k = geometry.RASTER_K[d] if k is None else k
     return 1 / (k * math.sqrt(d)) * (1 - 1e-9)
 
 
@@ -150,6 +150,22 @@ def test_prepass_matches_brute_force_on_strings(d, T, exact_log):
     assert 0 < queried < 2000 and built <= len(cloud.points)
 
 
+@pytest.mark.parametrize("d", [4, 9])
+def test_no_raster_above_d3(d, monkeypatch, exact_log):
+    # the raster was measured slower than the exact stage alone in d = 4, and
+    # its stencils grow past memory by d = 9: every sample goes to the exact stage
+    def no_stencils(*args):
+        raise AssertionError("stencils built")
+
+    monkeypatch.setattr(geometry, "_stencils", no_stencils)
+    p = ModelParams(d=d, K=16, M=64, dt=0.05, T=0.25, eps_tail=2e-3)
+    cloud = simulate(p, 31, replica=0).cloud()
+    samples = bounding_box(cloud, p.a).sample_uniform(1000, substream(31, MC, d))
+    samples[:100] = cloud.points[:100] + 0.5 * p.a / math.sqrt(d)  # sure hits
+    assert check_hits(cloud.points, samples, p.a) >= 100
+    assert exact_log == [len(cloud.points), 1000]
+
+
 def test_sample_uniform_is_bit_equal_to_uniform():
     for d in (1, 2, 3):
         rng = substream(35, MC, d)
@@ -169,7 +185,7 @@ def test_stencils_hold_exactly_the_sure_offsets(d):
     # nearest cell pair lies within the query bound is within reach, whose span
     # on an axis is ceil(bound / side) cells
     bound = 1 + 1e-12
-    for k in range(1, geometry.RASTER_K.get(d, 1) + 2):
+    for k in range(1, geometry.RASTER_K[d] + 2):
         side = _side(d, k)
         hit, reach = geometry._stencils(d, k)
         assert hit <= reach and (0,) * d in hit
@@ -188,7 +204,7 @@ def test_dilate_is_the_stencil_dilation(d):
     # for hits on every cell holding data (pad empty cells above it on each
     # axis), and a superset for the reach, whose shifts may wrap
     rng = substream(36, MC, d)
-    for k in range(1, geometry.RASTER_K.get(d, 1) + 1):
+    for k in range(1, geometry.RASTER_K[d] + 1):
         hit, reach = geometry._stencils(d, k)
         pad = max(max(o) for o in hit)
         shape = tuple(int(x) for x in rng.integers(8, 14, size=d) + pad)
@@ -264,7 +280,7 @@ def test_prepass_fine_cell_diagonal_is_below_the_bound(d):
     # sqrt(d) (k b + (k - 1/2) g) apart, a miss; g runs over 1e-13 b .. 1e-4 b
     # in steps of 1.1, which leave no side between the windows.
     a = 0.3
-    k = geometry.RASTER_K.get(d, 1)
+    k = geometry.RASTER_K[d]
     b = a * (1 + 1e-12) / (k * math.sqrt(d))
     box = Box(np.zeros(d), np.full(d, 10 * a))
     for g in b * 1e-13 * 1.1 ** np.arange(218):
