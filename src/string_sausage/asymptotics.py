@@ -81,8 +81,10 @@ def choose_E(d: int, a: float) -> float:
 def calibrate_lambda(params: ModelParams, L: float, n_rep: int, seed: int) -> float:
     """Empirical separation parameter: 75th percentile of the range of the
     accumulated noise over one window of length L, from zero initial data.
-    The n_rep windows are evolved as one block, window r from (AUX, r)."""
-    gens = [streams.substream(seed, streams.AUX, r) for r in range(n_rep)]
+    The n_rep windows are evolved as one block, window r from (AUX, r),
+    each re-keyed on one generator."""
+    gen = streams.new_generator()
+    gens = (streams.rekey(gen, seed, streams.AUX, r) for r in range(n_rep))
     ends = evolve(params, np.zeros((n_rep, params.d, 2 * params.K + 1)), L, gens)[:, -1]
     ranges = [range_of(values) for values in grid_values(params, ends)]
     return max(1.0 + 1e-9, float(np.percentile(ranges, 75)))

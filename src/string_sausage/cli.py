@@ -174,12 +174,12 @@ def cmd_sausage(args) -> tuple[list[dict], dict]:
         path = brownian_path(p.d, p.T, p.dt, seed, replica=r)
         est = wiener_sausage_volume(path, p.a, n_mc, streams.substream(seed, streams.MC, r), p.dt)
     elif args.method == "hit_or_miss":
-        est = replica_volume(simulate(p, seed, replica=r), seed, r, n_mc)
+        est = replica_volume(simulate(p, seed, replica=r), seed, r, n_mc, streams.new_generator())
     else:
         voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
         est = sausage_volume_voxel(simulate(p, seed, replica=r).cloud(), p.a, voxel)
     return [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)], {
-        "command": "sausage", "method": args.method, "n": est.n_samples,
+        "ci95": est.ci95(), "command": "sausage", "method": args.method, "n": est.n_samples,
         "resolution_tag": resolution_tag(p), "stderr": est.stderr, "volume": est.volume,
     }
 
@@ -203,7 +203,9 @@ def cmd_survival(args) -> tuple[list[dict], dict]:
         method = "hard_via_volume" if args.via_volume else "hard_direct"
         est = annealed_hard(p, args.n, args.seed, method=method, workers=args.threads)
     if args.save_env is not None:
-        env = replica_environment(simulate(p, args.seed, replica=0).cloud(), p, args.seed, 0)
+        env = replica_environment(
+            simulate(p, args.seed, replica=0).cloud(), p, args.seed, 0, streams.new_generator()
+        )
         Path(args.save_env).write_text(env.to_json(), encoding="utf-8")
     return [row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, args.seed)], {
         "command": "survival",
@@ -411,7 +413,8 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         n_mc = _convert("n_mc", config.get("n_mc", N_MC), int)
 
         def estimate(p: ModelParams, point_seed: int) -> dict:
-            est = replica_volume(simulate(p, point_seed, replica=0), point_seed, 0, n_mc)
+            trace = simulate(p, point_seed, replica=0)
+            est = replica_volume(trace, point_seed, 0, n_mc, streams.new_generator())
             return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
     rows = [
         estimate(ModelParams(T=T, J=J, nu=nu, a=a, **base), seed + idx)

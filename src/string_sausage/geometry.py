@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statistics import BATCH_VALUES, squared_distances
+from .statistics import BATCH_VALUES, squared_distances, wilson95
 from .traps import Box
 
 MAX_VOXELS = 50_000_000  # memory guard of the voxel estimator
@@ -98,13 +98,23 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class SausageEstimate:
+    """`box_volume` is the volume of the box hit-or-miss sampled uniformly
+    (None for the voxel count)."""
+
     volume: float
     stderr: float
     n_samples: int
     method: str
+    box_volume: float | None = None
 
     def ci95(self) -> tuple[float, float]:
-        return (self.volume - 1.96 * self.stderr, self.volume + 1.96 * self.stderr)
+        """95% interval: for hit-or-miss the Wilson score interval of its hit
+        fraction, scaled by the box volume, open even where no sample hits
+        and `stderr` is 0; volume +- 1.96 stderr otherwise."""
+        if self.method != "hit_or_miss":
+            return (self.volume - 1.96 * self.stderr, self.volume + 1.96 * self.stderr)
+        lo, hi = wilson95(self.volume / self.box_volume, self.n_samples)
+        return (lo * self.box_volume, hi * self.box_volume)
 
 
 def bounding_box(cloud: PointCloud, pad: float = 0.0) -> Box:
@@ -320,7 +330,7 @@ def sausage_volume_hit_or_miss(
         raise ValueError(f"{n_mc} hit-or-miss samples do not fit in memory") from None
     vol = box.volume * p_hat
     stderr = box.volume * math.sqrt(p_hat * (1.0 - p_hat) / n_mc)
-    return SausageEstimate(vol, stderr, n_mc, "hit_or_miss")
+    return SausageEstimate(vol, stderr, n_mc, "hit_or_miss", box.volume)
 
 
 def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) -> SausageEstimate:

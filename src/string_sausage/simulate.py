@@ -77,18 +77,20 @@ def traces(params: ModelParams, seed: int, replicas: range):
     bit-equal to `simulate(params, seed, r)` and read-only.
 
     Paths are evolved `replica_block(params)` at a time from the first
-    replica on, each from its own stream, and a block's grid values are
+    replica on, each from its own stream, re-keyed on one generator just
+    before the path draws, and a block's grid values are
     transformed a sub-block at a time, sized by SPECTRUM_BYTES.  The last
     block is dropped before the next one is evolved.
     """
     n, d, width = params.n_steps, params.d, 2 * params.K + 1
     size = replica_block(params)
     per_transform = max(1, SPECTRUM_BYTES // (16 * (n + 1) * d * (params.M // 2 + 1)))
+    gen = streams.new_generator()
     try:
         for first in range(replicas.start, replicas.stop, size):
             coeffs = values = None  # so that the last block is freed before the next is evolved
             block = range(first, min(first + size, replicas.stop))
-            gens = [streams.substream(seed, streams.NOISE, r) for r in block]
+            gens = (streams.rekey(gen, seed, streams.NOISE, r) for r in block)
             coeffs = evolve(params, np.zeros((len(block), d, width)), params.dt, gens, n)
             coeffs.flags.writeable = False
             for b in range(len(block)):

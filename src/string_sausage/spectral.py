@@ -144,8 +144,10 @@ def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: in
     """Advance a block of B strings, `coeffs` (B, d, 2K+1), `steps` times by
     `delta`, sampling the exact OU transition, and return their paths
     (B, steps+1, d, 2K+1): path b row 0 is string b, row i the string
-    i delta later.  String b draws only from the generator rng[b], so its
-    path does not depend on the rest of the block.
+    i delta later.  `rng` is an iterable of B generators, taken one at a
+    time: string b draws only from the b-th, before the next is taken, so
+    its path does not depend on the rest of the block, and one generator
+    re-keyed per string can serve them all.
 
     Mode 0 gains an independent N(0, delta) increment per coordinate and
     step; each retained mode k decays by exp(-lam_k delta / J^2) and gains
@@ -159,8 +161,6 @@ def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: in
     p = params
     if coeffs.shape[1:] != (p.d, 2 * p.K + 1):
         raise ValueError(f"coeffs must have shape (B, {p.d}, {2 * p.K + 1}), got {coeffs.shape}")
-    if len(rng) != len(coeffs):
-        raise ValueError(f"a block of {len(coeffs)} strings needs as many generators, got {len(rng)}")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
     lam = mode_rates(p.K) / p.J ** 2
@@ -173,7 +173,7 @@ def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: in
     path[:, 0] = coeffs
     # each string's rows 1.. first hold its scaled noise, to which each
     # step adds the decayed previous row
-    for gen, rows in zip(rng, path):
+    for gen, rows in zip(rng, path, strict=True):
         gen.standard_normal(out=rows[1:])
     path[:, 1:] *= sd
     decayed = np.empty_like(coeffs)

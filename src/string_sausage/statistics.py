@@ -1,8 +1,11 @@
-"""Range and independence statistics of the string.
+"""Range and independence statistics of the string, and the interval of a
+Monte Carlo proportion.
 
 `range_of` is the exact diameter of a sampled string.  `independence_test`
 checks on simulated replicas that the center of mass (`Trace.com`), a
 Brownian motion, is uncorrelated with the radius (`Trace.radius`).
+`wilson95` is the 95% interval of the indicator means (survival
+indicators, hit-or-miss hits).
 """
 
 from __future__ import annotations
@@ -18,6 +21,16 @@ import numpy as np
 # `PointCloud.bounds`): 64 kB of floats stays in cache and below glibc's
 # 128 kB mmap threshold, so every block reuses heap pages
 BATCH_VALUES = 1 << 13
+
+
+def wilson95(p: float, n: int) -> tuple[float, float]:
+    """95% Wilson score interval of a proportion p of n trials: open even
+    where p is 0 or 1, where the binomial stderr is 0."""
+    z = 1.96
+    w = z * z / n
+    centre = (p + w / 2.0) / (1.0 + w)
+    half = z * math.sqrt(p * (1.0 - p) / n + w / (4.0 * n)) / (1.0 + w)
+    return (0.0 if p == 0.0 else centre - half, 1.0 if p == 1.0 else centre + half)
 
 
 def squared_distances(rows: np.ndarray, x) -> np.ndarray:

@@ -11,7 +11,8 @@ finite resolution overestimates survival.
 and `quenched` check their arguments and hand it a per-replica weight,
 `_hard`, `_hard_volume` or `_soft`.  The hard and soft weights draw traps
 from (ENV, r) around the replica's cloud when no environment is given and
-otherwise use the frozen one.
+otherwise use the frozen one.  Each chunk of replicas keeps one generator
+for these draws, re-keyed to the replica's stream when it draws.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import rng as streams
 from .geometry import PointCloud, SausageEstimate, bounding_box, sausage_volume_hit_or_miss
 from .simulate import Trace, simulate, traces
 from .spectral import ModelParams
+from .statistics import wilson95
 from .traps import PoissonEnvironment, any_contact, path_functional, sample_environment
 
 ENV_PAD_MARGIN = 0.5
@@ -57,14 +59,9 @@ class SurvivalEstimate:
         and `stderr` is 0; p_hat +- 1.96 stderr otherwise."""
         if self.params.T == 0:
             return (self.p_hat, self.p_hat)
-        z = 1.96
         if self.method not in INDICATOR_METHODS:
-            return (self.p_hat - z * self.stderr, self.p_hat + z * self.stderr)
-        n, p = self.n_replicas, self.p_hat
-        w = z * z / n
-        centre = (p + w / 2.0) / (1.0 + w)
-        half = z * math.sqrt(p * (1.0 - p) / n + w / (4.0 * n)) / (1.0 + w)
-        return (0.0 if p == 0.0 else centre - half, 1.0 if p == 1.0 else centre + half)
+            return (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
+        return wilson95(self.p_hat, self.n_replicas)
 
 
 def scaled_unit_params(params: ModelParams) -> ModelParams:
@@ -98,54 +95,63 @@ def environment_for_cloud(
     return sample_environment(bounding_box(cloud, a + ENV_PAD_MARGIN), nu, rng)
 
 
-def replica_environment(cloud: PointCloud, params: ModelParams, seed: int, r: int) -> PoissonEnvironment:
-    """Replica r's traps around its cloud, drawn from the stream (ENV, r)."""
-    return environment_for_cloud(cloud, params.nu, params.a, streams.substream(seed, streams.ENV, r))
+def replica_environment(
+    cloud: PointCloud, params: ModelParams, seed: int, r: int, gen: np.random.Generator
+) -> PoissonEnvironment:
+    """Replica r's traps around its cloud, drawn from the stream (ENV, r), keyed on `gen`."""
+    return environment_for_cloud(cloud, params.nu, params.a, streams.rekey(gen, seed, streams.ENV, r))
 
 
-def _hard(trace: Trace, seed: int, r: int, env: PoissonEnvironment | None) -> float:
+def _hard(
+    trace: Trace, seed: int, r: int, gen: np.random.Generator, env: PoissonEnvironment | None
+) -> float:
     """Survival indicator against `env`, or, when `env` is None, against
     replica r's traps, whose padded box covers every trap that can touch
     the cloud."""
     cloud, p = trace.cloud(), trace.params
     if env is None:
-        env = replica_environment(cloud, p, seed, r)
+        env = replica_environment(cloud, p, seed, r, gen)
     return float(not any_contact(cloud, env, p.a))
 
 
-def replica_volume(trace: Trace, seed: int, r: int, n_mc: int) -> SausageEstimate:
-    """Hit-or-miss volume of replica r's radius-a sausage, from the samples (MC, r)."""
+def replica_volume(
+    trace: Trace, seed: int, r: int, n_mc: int, gen: np.random.Generator
+) -> SausageEstimate:
+    """Hit-or-miss volume of replica r's radius-a sausage, from the samples
+    (MC, r), keyed on `gen`."""
     return sausage_volume_hit_or_miss(
-        trace.cloud(), trace.params.a, n_mc, streams.substream(seed, streams.MC, r)
+        trace.cloud(), trace.params.a, n_mc, streams.rekey(gen, seed, streams.MC, r)
     )
 
 
-def _hard_volume(trace: Trace, seed: int, r: int, n_mc: int) -> float:
-    return math.exp(-trace.params.nu * replica_volume(trace, seed, r, n_mc).volume)
+def _hard_volume(trace: Trace, seed: int, r: int, gen: np.random.Generator, n_mc: int) -> float:
+    return math.exp(-trace.params.nu * replica_volume(trace, seed, r, n_mc, gen).volume)
 
 
 def _soft(
-    trace: Trace, seed: int, r: int, env: PoissonEnvironment | None, height: float
+    trace: Trace, seed: int, r: int, gen: np.random.Generator, env: PoissonEnvironment | None,
+    height: float,
 ) -> float:
     """exp(-path functional) against `env`, or, when `env` is None, against
     replica r's traps."""
     p = trace.params
     if env is None:
-        env = replica_environment(trace.cloud(), p, seed, r)
+        env = replica_environment(trace.cloud(), p, seed, r, gen)
     return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
 def _replica_batch(args) -> np.ndarray:
-    """Per-replica weights `weight(trace, seed, r, *extra)` for one chunk of
-    consecutive replicas, whose traces one `traces` generator serves."""
+    """Per-replica weights `weight(trace, seed, r, gen, *extra)` for one
+    chunk of consecutive replicas, whose traces one `traces` generator
+    serves; `gen` is the chunk's one generator for the replicas' own draws."""
     weight, params, seed, replicas, extra = args
     try:
         weights = np.empty(len(replicas))
     except MemoryError:
         raise ValueError(f"the weights of {len(replicas)} replicas do not fit in memory") from None
-    paths = traces(params, seed, replicas)
+    paths, gen = traces(params, seed, replicas), streams.new_generator()
     for i, r in enumerate(replicas):
-        weights[i] = weight(simulate(params, seed, replica=r, paths=paths), seed, r, *extra)
+        weights[i] = weight(simulate(params, seed, replica=r, paths=paths), seed, r, gen, *extra)
     return weights
 
 
@@ -182,7 +188,7 @@ def _estimate(
     workers: int | None,
 ) -> SurvivalEstimate:
     """The one estimator body: the mean of the replica weights
-    `weight(trace, seed, r, *extra)` over r = 0..n_rep-1, with the binomial
+    `weight(trace, seed, r, gen, *extra)` over r = 0..n_rep-1, with the binomial
     stderr for the indicator methods and the sample stderr otherwise."""
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")

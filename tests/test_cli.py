@@ -514,6 +514,17 @@ def test_sausage_subcommand(capsys):
     assert rec["volume"] > 0
 
 
+def test_sausage_with_no_hit_keeps_an_open_interval(capsys):
+    # in d = 9 the sausage fills under 4e-5 of its padded box: none of 1000
+    # samples hits, the stderr is 0, and the Wilson interval is still open
+    code, out = run_cli(["sausage", "--d", "9", "--T", "0.25", "--n-mc", "1000", "--seed", "1"], capsys)
+    assert code == EXIT_OK
+    rec = last_json(out)
+    assert (rec["volume"], rec["stderr"]) == (0.0, 0.0)
+    lo, hi = rec["ci95"]
+    assert lo == 0.0 < hi
+
+
 def test_sausage_replica_draws_its_own_samples(capsys):
     # replica r's hit-or-miss samples come from (MC, r), as in replica r of `survival --via-volume`
     code, out = run_cli(["sausage", "--T", "0.5", "--seed", "5", "--replica", "3", "--n-mc", "2000"], capsys)

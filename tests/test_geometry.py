@@ -11,6 +11,7 @@ from string_sausage.geometry import (
     MAX_RASTER_CELLS,
     PointCloud,
     ResolutionWarning,
+    SausageEstimate,
     bounding_box,
     box_counting_dimension,
     occupied_cube_count,
@@ -406,6 +407,23 @@ def test_hit_or_miss_single_disk():
     assert est.stderr > 0
     lo, hi = est.ci95()
     assert lo < math.pi / 4.0 < hi
+
+
+def test_hit_or_miss_interval_is_wilson_on_the_box():
+    # no hit: volume and stderr 0, but the upper end is the Wilson bound
+    # z^2 / (n + z^2) of the hit fraction times the sampled box's volume
+    far = PointCloud(np.array([[0.0, 0.0], [100.0, 100.0]]))
+    est = sausage_volume_hit_or_miss(far, 0.01, 1000, substream(2, MC, 0))
+    box = bounding_box(far, 0.01)
+    assert (est.volume, est.stderr, est.box_volume) == (0.0, 0.0, box.volume)
+    lo, hi = est.ci95()
+    assert lo == 0.0 < hi
+    assert hi == pytest.approx(box.volume * 1.96 ** 2 / (1000 + 1.96 ** 2))
+    # every sample hits: the lower end stays below the box's volume
+    lo, hi = SausageEstimate(4.0, 0.0, 1000, "hit_or_miss", 4.0).ci95()
+    assert lo == pytest.approx(4.0 * 1000 / (1000 + 1.96 ** 2)) and hi == 4.0
+    # the deterministic voxel count keeps its point interval
+    assert SausageEstimate(2.0, 0.0, 500, "voxel").ci95() == (2.0, 2.0)
 
 
 def test_hit_or_miss_disjoint_disks_and_union_semantics():

@@ -51,13 +51,13 @@ def test_simulate_is_the_exact_recurrence_on_one_stream():
 
 def test_simulate_opens_one_stream(monkeypatch):
     calls = []
-    original = streams.substream
+    original = streams.rekey
 
-    def counting(*args):
+    def counting(gen, *args):
         calls.append(args)
-        return original(*args)
+        return original(gen, *args)
 
-    monkeypatch.setattr(streams, "substream", counting)
+    monkeypatch.setattr(streams, "rekey", counting)
     tr = simulate(params(T=1.0), 5, replica=2)
     assert tr.n_snapshots == 11
     assert calls == [(5, NOISE, 2)]
@@ -70,14 +70,14 @@ def test_block_served_traces_equal_standalone(T, per_transform, monkeypatch):
     assert size > per_transform  # a block's values come from several transforms
     sim = importlib.import_module("string_sausage.simulate")
     opened, transformed = [], []
-    original, transform = streams.substream, sim.grid_values
+    original, transform = streams.rekey, sim.grid_values
     # two blocks walked as `survival` walks a chunk, from an unaligned replica
     paths = traces(p, 31, range(3, 3 + 2 * size))
     for r in range(3, 3 + 2 * size):
-        monkeypatch.setattr(streams, "substream", lambda *a: opened.append(a[2]) or original(*a))
+        monkeypatch.setattr(streams, "rekey", lambda *a: opened.append(a[3]) or original(*a))
         monkeypatch.setattr(sim, "grid_values", lambda q, c: transformed.append(len(c)) or transform(q, c))
         served = simulate(p, 31, replica=r, paths=paths)
-        monkeypatch.setattr(streams, "substream", original)
+        monkeypatch.setattr(streams, "rekey", original)
         monkeypatch.setattr(sim, "grid_values", transform)
         alone = simulate(p, 31, replica=r)
         np.testing.assert_array_equal(served.coeffs, alone.coeffs)

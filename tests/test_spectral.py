@@ -115,8 +115,11 @@ def test_multi_step_evolve_equals_single_steps():
     np.testing.assert_array_equal(evolve(p, start[None], 0.05, [rng], steps=0), start[None, None])
     with pytest.raises(ValueError):
         evolve(p, start[None], 0.05, [rng], steps=-1)
-    with pytest.raises(ValueError, match="generators"):
+    # one generator per string: zip(..., strict=True) refuses too few and too many
+    with pytest.raises(ValueError, match="shorter|longer"):
         evolve(p, np.stack([start, start]), 0.05, [rng])
+    with pytest.raises(ValueError, match="shorter|longer"):
+        evolve(p, start[None], 0.05, [rng, rng])
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from string_sausage import rng as streams
 from string_sausage import survival
 from string_sausage.geometry import bounding_box
-from string_sausage.rng import ENV, NOISE, substream
+from string_sausage.rng import ENV, MC, NOISE, new_generator, substream
 from string_sausage.simulate import MAX_BLOCK, Trace, replica_block, simulate, traces
 from string_sausage.spectral import ModelParams
 from string_sausage.survival import (
@@ -67,15 +67,15 @@ def test_hard_weights_match_a_no_cull_oracle():
     p = ModelParams(d=2, K=16, M=64, dt=0.05, T=1.0, nu=1.0, a=0.3, eps_tail=2e-3)
     seed, n = 42, 400
     pad = p.a + survival.ENV_PAD_MARGIN
-    weights = []
+    weights, gen = [], new_generator()  # re-keyed per replica, as a chunk's is
     for r, trace in enumerate(traces(p, seed, range(n))):
         cloud = trace.cloud()
         points = trace.values.reshape(-1, p.d)
         box = Box(points.min(axis=0) - pad, points.max(axis=0) + pad)
         traps = sample_environment(box, p.nu, substream(seed, ENV, r)).points
-        weight = survival._hard(trace, seed, r, None)
+        weight = survival._hard(trace, seed, r, gen, None)
         assert weight == float(not touches(cloud, traps, p.a))
-        np.testing.assert_array_equal(survival.replica_environment(cloud, p, seed, r).points, traps)
+        np.testing.assert_array_equal(survival.replica_environment(cloud, p, seed, r, gen).points, traps)
         weights.append(weight)
     assert sum(weights) == 4
     assert annealed_hard(p, n, seed, workers=1).p_hat == np.mean(weights)
@@ -92,7 +92,7 @@ def test_quenched_hard_weights_match_the_oracle_where_the_cull_drops_traps():
         cloud = trace.cloud()
         kept = _reach(*cloud.bounds, env, p.a)
         assert len(kept) < env.n_points // 2
-        weights.append(survival._hard(trace, 42, r, env))
+        weights.append(survival._hard(trace, 42, r, new_generator(), env))
         assert weights[-1] == float(not touches(cloud, env.points, p.a))
         assert touches(cloud, env.points, p.a) == touches(cloud, kept, p.a)
     assert sum(weights) == 8
@@ -227,16 +227,32 @@ def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatc
         return quenched(p, env, 101, seed=8, height=1.0, workers=workers)
 
     opened = collections.Counter()
-    original = streams.substream
-    monkeypatch.setattr(streams, "substream", lambda *a: opened.update([a[1:]]) or original(*a))
+    original = streams.rekey
+    monkeypatch.setattr(streams, "rekey", lambda gen, *a: opened.update([a[1:]]) or original(gen, *a))
     serial = estimate(1)
-    monkeypatch.setattr(streams, "substream", original)
+    monkeypatch.setattr(streams, "rekey", original)
     # every replica's path stream is opened once, none past the last replica
     assert sorted(k for k in opened if k[0] == NOISE) == [(NOISE, r) for r in range(101)]
     assert set(opened.values()) == {1}
+    # and its volume samples once; the quenched replicas draw nothing else
+    own = [(MC, r) for r in range(101)] if path == "hard_via_volume" else []
+    assert opened == collections.Counter([(NOISE, r) for r in range(101)] + own)
     parallel = estimate(3)
     assert serial.stderr > 0
     assert (serial.p_hat, serial.stderr, serial.ess) == (parallel.p_hat, parallel.stderr, parallel.ess)
+
+
+@pytest.mark.parametrize("method, tag", [("hard_direct", ENV), ("hard_via_volume", MC)])
+def test_replica_streams_rekey_two_generators(method, tag, monkeypatch):
+    # a chunk builds one generator for its paths and one for its traps or
+    # volume samples, and re-keys them per replica: no Philox per stream
+    built, opened = [], collections.Counter()
+    philox, rekey = streams.Philox, streams.rekey
+    monkeypatch.setattr(streams, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+    monkeypatch.setattr(streams, "rekey", lambda gen, *a: opened.update([a[1:]]) or rekey(gen, *a))
+    annealed_hard(params(nu=0.5), 101, seed=8, method=method, n_mc=1000, workers=1)
+    assert len(built) == 2
+    assert opened == collections.Counter([(NOISE, r) for r in range(101)] + [(tag, r) for r in range(101)])
 
 
 def test_no_path_array_outlives_the_estimate(monkeypatch):
@@ -264,7 +280,7 @@ def test_no_path_array_outlives_the_estimate(monkeypatch):
         assert len(arrays) == 200 and not [a for a in arrays if a() is not None]
 
 
-def _known_weight(trace, seed, r, kind):
+def _known_weight(trace, seed, r, gen, kind):
     return {"ramp": r + 1.0, "one_in_four": float(r % 4 == 0), "zero": 0.0}[kind]
 
 
