@@ -61,15 +61,16 @@ RASTER_K = {1: 3, 2: 4, 3: 1}  # hit-or-miss raster cells per r/sqrt(d) (measure
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Space-time samples of a string or path, flattened into R^d points,
-    read-only (a writeable input is copied): `bounds` cannot go stale."""
+    """Space-time samples of a string or path, flattened into R^d points, read-only
+    with contiguous coordinate rows `points.T` (d, N), as a trace's cloud is held;
+    any other input is copied into that layout: `bounds` cannot go stale."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, float))
-        if pts.flags.writeable:
-            pts = pts.copy()
+        if pts.flags.writeable or pts.strides[0] != pts.itemsize:
+            pts = pts.T.copy().T
             pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if pts.shape[0] == 0:
@@ -83,15 +84,9 @@ class PointCloud:
 
     @functools.cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis min and max (d,), read-only, reduced along contiguous columns (5-14x
-        faster than over the short axis of (N, d)) copied BATCH_VALUES values at a time: a
-        long path's whole columns slowed its hit-or-miss call if kept, raised peak memory if not."""
-        lo, hi, step = [], [], max(1, BATCH_VALUES // self.d)
-        for start in range(0, len(self.points), step):
-            cols = self.points[start : start + step].T.copy()
-            lo.append(cols.min(axis=1))
-            hi.append(cols.max(axis=1))
-        lo, hi = functools.reduce(np.minimum, lo), functools.reduce(np.maximum, hi)
+        """Per-axis min and max (d,), read-only, reduced along the coordinate rows."""
+        rows = self.points.T
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
         lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
@@ -231,7 +226,7 @@ def _raster_prepass(
     return (
         int(np.count_nonzero(sure)),
         np.compress(shell, samples, axis=0),
-        np.compress(near[point_cells], points, axis=0),
+        np.compress(near[point_cells], points.T, axis=1).T,
     )
 
 
@@ -243,9 +238,7 @@ def _neighbour_rows(d: int) -> np.ndarray:
 
 
 def _padded(x: np.ndarray, width: int) -> np.ndarray:
-    """x with zero columns appended up to `width` columns."""
-    if x.shape[1] == width:
-        return x
+    """A row-major copy of x with zero columns appended up to `width` columns."""
     out = np.zeros((len(x), width))
     out[:, : x.shape[1]] = x
     return out
@@ -272,7 +265,7 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
     sample_keys = _cell_index(samples, box.lower, side, shape) + shift
     # rows padded to 8, 16 or 32 bytes, which numpy gathers in one copy each
     width = 1 << (d - 1).bit_length()
-    points, samples = _padded(points.take(order, axis=0), width), _padded(samples, width)
+    points, samples = _padded(points.T.take(order, axis=1).T, width), _padded(samples, width)
     rows = _neighbour_rows(d) @ strides[:-1] - 1  # the first of each row's three cells
     # a table of each cell's first point, unless binary searches cost less
     n_cells, n_find = math.prod(shape), 2 * len(samples) * len(rows)

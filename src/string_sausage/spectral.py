@@ -16,7 +16,8 @@ plain unit-circle expansion b0 + sum sqrt(2)(b cos + c sin).
 The string at one time is its (d, 2K+1) coefficient array, read with its
 `ModelParams`: row j holds coordinate j, column 0 b0, columns 1..K the b_k
 and columns K+1..2K the c_k.  A path stacks such arrays along a leading time
-axis; `grid_values` is the one route from coefficients to grid values.
+axis; `grid_values` is the one route from coefficients to grid values, which
+it stores coordinate-major: one contiguous row per coordinate, read in place.
 """
 
 from __future__ import annotations
@@ -128,16 +129,20 @@ class FieldSamples:
 
 def grid_values(params: ModelParams, coeffs: np.ndarray) -> np.ndarray:
     """Field values (..., M, d) on the uniform grid from coefficients
-    (..., d, 2K+1), via inverse FFT over any leading batch axes."""
+    (..., d, 2K+1), via inverse FFT over any leading batch axes: a view of
+    the transform's coordinate rows (d, ..., M), each one contiguous."""
     M, K, J = params.M, params.K, params.J
-    # transform along the last, contiguous axis, then transpose once
-    spec = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=complex)
-    spec[..., 0] = coeffs[..., 0] / math.sqrt(J)
-    spec[..., 1 : K + 1] = (coeffs[..., 1 : K + 1] - 1j * coeffs[..., K + 1 :]) / math.sqrt(2.0 * J)
-    spec *= M
-    values = numpy.fft.irfft(spec, n=M, axis=-1)
-    del spec  # a block's spectrum is not held through the transposing copy
-    return np.ascontiguousarray(np.swapaxes(values, -1, -2))
+    rows = np.moveaxis(coeffs, -2, 0)
+    spec = np.zeros(rows.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    re, im = spec.real, spec.imag
+    # M (b - i c) / sqrt(2J) in place, by the reciprocal, as numpy divides complex by real
+    r = 1.0 / math.sqrt(2.0 * J)
+    np.divide(rows[..., 0], math.sqrt(J), out=re[..., 0])
+    np.multiply(rows[..., 1 : K + 1], r, out=re[..., 1 : K + 1])
+    np.multiply(rows[..., K + 1 :], -r, out=im[..., 1 : K + 1])
+    re *= M
+    im *= M
+    return np.moveaxis(numpy.fft.irfft(spec, n=M, axis=-1), 0, -1)
 
 
 def evolve(params: ModelParams, coeffs: np.ndarray, delta: float, rng, steps: int = 1) -> np.ndarray:

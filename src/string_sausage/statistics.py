@@ -17,9 +17,9 @@ import numpy as np
 
 
 # values per working array of the blocked kernels (the contact masks of
-# `traps.path_functional`, the hit-or-miss exact stage, the column copies of
-# `PointCloud.bounds`): 64 kB of floats stays in cache and below glibc's
-# 128 kB mmap threshold, so every block reuses heap pages
+# `traps.path_functional`, the hit-or-miss exact stage): 64 kB of floats
+# stays in cache and below glibc's 128 kB mmap threshold, so every block
+# reuses heap pages
 BATCH_VALUES = 1 << 13
 
 

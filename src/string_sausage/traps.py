@@ -63,7 +63,7 @@ class PoissonEnvironment:
         if pts.ndim != 2 or pts.shape[1] != self.box.d:
             raise ValueError(f"trap points must have shape (n, {self.box.d}), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        if pts.size and not self.box.contains(pts).all():
+        if pts.size and not ((pts >= self.box.lower) & (pts <= self.box.upper)).all():  # one pass
             raise ValueError("all trap points must lie inside the box")
 
     @property
@@ -126,9 +126,9 @@ def _reach(lo: np.ndarray, hi: np.ndarray, env: PoissonEnvironment, a: float) ->
 
 def any_contact(cloud, env: PoissonEnvironment, a: float) -> bool:
     """True iff some point of the `geometry.PointCloud` lies within distance a of
-    some trap: the traps its `bounds` leave in reach are tested against its columns
-    one at a time, up to the first in contact, as Python floats (2x faster than numpy's)."""
-    cols, a2 = cloud.points.T.copy(), a * a  # contiguous rows
+    some trap: the traps its `bounds` leave in reach are tested against its coordinate
+    rows one at a time, up to the first in contact, as Python floats (2x faster than numpy's)."""
+    cols, a2 = cloud.points.T, a * a  # the cloud's contiguous coordinate rows
     return any((squared_distances(cols, x) <= a2).any() for x in _reach(*cloud.bounds, env, a).tolist())
 
 
@@ -144,7 +144,7 @@ def path_functional(
     BATCH_VALUES pairs at a time.  Exact: only traps no point can reach are
     culled (`_reach`), and the rest are tested against every point.
     """
-    cols = np.concatenate([samples.values for samples in trajectory]).T.copy()  # contiguous rows
+    cols = np.concatenate([samples.values.T for samples in trajectory], axis=1)  # coordinate rows (d, N)
     if not np.isfinite(cols).all():
         raise ValueError("non-finite field values in trajectory")
     reach = _reach(cols.min(axis=1), cols.max(axis=1), env, a).T[:, :, None]

@@ -22,3 +22,17 @@ def evaluate_at(params, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         + math.sqrt(2.0) * (cos @ coeffs[:, 1 : p.K + 1].T + sin @ coeffs[:, p.K + 1 :].T)
     )
     return out / math.sqrt(p.J)
+
+
+def grid_values_by_complex_spectrum(params, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values (..., M, d) built the way `spectral.grid_values` once
+    built them: the spectrum from complex temporaries, (b - i c) / sqrt(2J)
+    and c0 / sqrt(J), scaled by M, transformed along the last axis and
+    copied into point-major order."""
+    M, K, J = params.M, params.K, params.J
+    spec = np.zeros(coeffs.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    spec[..., 0] = coeffs[..., 0] / math.sqrt(J)
+    spec[..., 1 : K + 1] = (coeffs[..., 1 : K + 1] - 1j * coeffs[..., K + 1 :]) / math.sqrt(2.0 * J)
+    spec *= M
+    values = np.fft.irfft(spec, n=M, axis=-1)
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2))

@@ -19,10 +19,10 @@ from string_sausage.geometry import (
     sausage_volume_voxel,
     wiener_sausage_volume,
 )
-from string_sausage.rng import MC, substream
+from string_sausage.rng import ENV, MC, substream
 from string_sausage.simulate import brownian_path, simulate
-from string_sausage.spectral import ModelParams
-from string_sausage.traps import Box
+from string_sausage.spectral import FieldSamples, ModelParams
+from string_sausage.traps import Box, PoissonEnvironment, any_contact, path_functional
 
 
 def test_point_cloud_validation():
@@ -58,14 +58,18 @@ def test_bounding_box_is_the_axis_min_and_max():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 1344, 20544])  # 20,544 points: several column batches
+@pytest.mark.parametrize("n", [1, 2, 1344, 20544])  # the points of a T=1 and a T=16 path
 def test_cloud_bounds_are_the_column_min_and_max(d, n):
     pts = substream(14, MC, d).normal(size=(n, d))
-    cloud = PointCloud(pts)
-    lo, hi = cloud.bounds
-    np.testing.assert_array_equal(lo, [pts[:, j].min() for j in range(d)])
-    np.testing.assert_array_equal(hi, [pts[:, j].max() for j in range(d)])
-    assert cloud.bounds is cloud.bounds  # computed once
+    rows = pts.T.copy()
+    rows.flags.writeable = False
+    held = PointCloud(rows.T)  # read-only coordinate rows are held, not copied
+    assert np.shares_memory(held.points, rows)
+    for cloud in (PointCloud(pts), held):
+        lo, hi = cloud.bounds
+        np.testing.assert_array_equal(lo, [pts[:, j].min() for j in range(d)])
+        np.testing.assert_array_equal(hi, [pts[:, j].max() for j in range(d)])
+        assert cloud.bounds is cloud.bounds  # computed once
 
 
 def test_cloud_bounds_cannot_go_stale():
@@ -81,9 +85,55 @@ def test_cloud_bounds_cannot_go_stale():
             held[0] = 9.0
     np.testing.assert_array_equal(lo, [0.0, -1.0])
     np.testing.assert_array_equal(hi, [2.0, 1.0])
-    # a trace's values are read-only, so its cloud holds them without a copy
+    # the copy is coordinate-major: each coordinate's row is contiguous
+    assert cloud.points.strides[0] == cloud.points.itemsize
+    assert cloud.points.T.flags.c_contiguous
+    # a trace's values are read-only coordinate rows, so its cloud holds them
+    # without a copy
     trace = simulate(ModelParams(d=2, K=8, M=32, dt=0.1, T=0.5, eps_tail=5e-3), 3)
-    assert np.shares_memory(trace.cloud().points, trace.values)
+    points = trace.cloud().points
+    assert np.shares_memory(points, trace.values)
+    assert points.strides[0] == points.itemsize
+    # a read-only input of any other layout is copied into that one
+    held = np.ascontiguousarray(points)
+    held.flags.writeable = False
+    copied = PointCloud(held).points
+    assert not np.shares_memory(copied, held) and not copied.flags.writeable
+    assert copied.strides[0] == copied.itemsize
+    np.testing.assert_array_equal(copied, points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_estimates_do_not_depend_on_the_cloud_layout(d):
+    # one cloud held two ways: as its trace's coordinate-major view, and
+    # copied from a point-major (C-order) array
+    p = ModelParams(d=d, K=16, M=64, dt=0.05, T=0.5, nu=2.0, eps_tail=2e-3)
+    trace = simulate(p, 23, replica=d)
+    view = trace.cloud()
+    point_major = np.array(view.points, order="C")
+    copy = PointCloud(point_major)
+    assert np.shares_memory(view.points, trace.values) and not np.shares_memory(copy.points, trace.values)
+    for j in (0, 1):
+        np.testing.assert_array_equal(view.bounds[j], copy.bounds[j])
+    # traps on the cloud, out of its reach, and drawn around it
+    box = bounding_box(view, 2.0)
+    by_points = [FieldSamples(np.ascontiguousarray(v)) for v in trace.values]
+    contacts = []
+    for traps in (view.points[::500], view.bounds[1][None] + 1.0, box.sample_uniform(40, substream(23, ENV, 0))):
+        env = PoissonEnvironment(traps, box, p.nu)
+        contacts.append(any_contact(view, env, p.a))
+        assert any_contact(copy, env, p.a) == contacts[-1]
+        by_rows = path_functional(trace.snapshots(), env, p.a, 1.0, p.dt, p.J / p.M)
+        assert by_rows == path_functional(by_points, env, p.a, 1.0, p.dt, p.J / p.M)
+        assert (by_rows > 0) == contacts[-1]
+    assert contacts[:2] == [True, False]
+    # the hit-or-miss kernels on either array, and its estimate on the same stream
+    samples = bounding_box(view, p.a).sample_uniform(2000, substream(23, MC, 0))
+    hits = [geometry._hits(x, samples, bounding_box(view, p.a), p.a) for x in (view.points, point_major)]
+    assert hits[0] == hits[1] == brute_hits(point_major, samples, p.a)
+    volumes = [sausage_volume_hit_or_miss(c, p.a, 2000, substream(23, MC, 1)) for c in (view, copy)]
+    assert volumes[0] == volumes[1]
+    assert sausage_volume_voxel(view, p.a, p.a / 4) == sausage_volume_voxel(copy, p.a, p.a / 4)
 
 
 @pytest.fixture

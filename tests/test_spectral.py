@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import polygamma
 
-from series_oracle import evaluate_at, grid
+from series_oracle import evaluate_at, grid, grid_values_by_complex_spectrum
 from string_sausage.rng import AUX, substream
 from string_sausage.spectral import (
     ModelParams,
@@ -76,6 +76,26 @@ def test_evaluate_general_J():
     rng = substream(0, AUX, 1)
     c = evolved(p, zero_string(p), 0.3, rng)
     np.testing.assert_allclose(grid_values(p, c), evaluate_at(p, c, grid(p)), atol=1e-12)
+
+
+@pytest.mark.parametrize("J", [1.0, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectrum_fill_is_bit_equal_to_the_complex_construction(J, d):
+    # grid_values fills the real and imaginary parts of its spectrum in place.
+    # numpy divides a complex array by a real number through the reciprocal,
+    # so the fill multiplies the sine and cosine modes by r = 1/sqrt(2J) (and
+    # only then scales both parts by M), while mode 0 is a real division by
+    # sqrt(J); dividing the modes by sqrt(2J) instead changes 8-28% of these
+    # values.  A string, a path whose row 0 is the zero string, and a block
+    # of paths, each against the complex-temporary construction.
+    p = small_params(d=d, J=J, T=0.25)
+    paths = evolve(p, np.zeros((3, d, 2 * p.K + 1)), p.dt, [substream(17, AUX, b) for b in range(3)], p.n_steps)
+    for coeffs in (paths[0, -1], paths[1], paths):
+        values = grid_values(p, coeffs)
+        expected = grid_values_by_complex_spectrum(p, coeffs)
+        assert values.shape == expected.shape == coeffs.shape[:-2] + (p.M, d)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))  # zeros too
 
 
 def test_ou_transition_moments():
