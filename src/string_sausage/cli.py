@@ -192,6 +192,8 @@ def cmd_survival(args) -> tuple[list[dict], dict]:
         raise ValueError("--via-volume applies to annealed hard survival only")
     if args.height is not None and not args.soft:
         raise ValueError("--height applies to --soft only")
+    if args.save_env is not None and args.env is not None:
+        raise ValueError("--save-env applies to annealed survival only")
     height = (1.0 if args.height is None else args.height) if args.soft else None
     if args.env is not None:
         text = Path(args.env).read_text(encoding="utf-8")
@@ -207,7 +209,7 @@ def cmd_survival(args) -> tuple[list[dict], dict]:
             simulate(p, args.seed, replica=0).cloud(), p, args.seed, 0, streams.new_generator()
         )
         Path(args.save_env).write_text(env.to_json(), encoding="utf-8")
-    return [row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, args.seed)], {
+    return [row("survival", est.params, est.method, est.p_hat, est.stderr, est.n_replicas, args.seed)], {
         "command": "survival",
         "method": est.method,
         "p_hat": est.p_hat,

@@ -6,7 +6,9 @@ sqrt(dx) and dt^(1/4) against the radius set the bias (no estimator checks
 them).
 
 Hit-or-miss decides most samples exactly on one cell raster of the padded
-box, and the rest by an exact query over the cloud points near them.  The
+box, and the rest by an exact query over the cloud points near them.  Its
+kernels take the points and the samples as coordinate rows (d, N), the
+layout a `PointCloud` holds (`points.T`), and make no row-major copy.  The
 raster's cells have side s = r/(k sqrt(d)) (1 - 1e-9), k = RASTER_K[d]; in
 d >= 4 no raster is built (measured slower than the exact stage alone).
 Two cells delta apart hold no point pair farther apart than
@@ -32,11 +34,11 @@ left undecided, so the hit count is the one a scan over the whole cloud
 gives.  It is a fixed-radius cell query (Bentley, Stanat & Williams 1977):
 the points go on a grid of side at least the bound times (1 + 1e-9), with
 at most 2^20 cells on an axis, so a pair within the bound lies at most one
-cell apart on every axis despite rounding.  The points are sorted by flat
-cell key; each sample takes one key range per neighbouring row, three
-cells wide, and its candidates' squared differences are summed column by
-column (`statistics.squared_distances`), as a full distance scan sums
-them, and compared with the squared bound.  The candidate pairs go in
+cell apart on every axis despite rounding.  The point rows are sorted by
+flat cell key; each sample takes one key range per neighbouring row, three
+cells wide, and its candidates' squared differences are summed coordinate
+by coordinate (`statistics.squared_distances`), as a full distance scan
+sums them, and compared with the squared bound.  The candidate pairs go in
 batches of `statistics.BATCH_VALUES` values per array.
 """
 
@@ -122,14 +124,13 @@ def bounding_box(cloud: PointCloud, pad: float = 0.0) -> Box:
     return Box(lo, hi)
 
 
-def _cell_index(x: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> np.ndarray:
+def _cell_index(rows: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> np.ndarray:
     """Flat C-order index, in a raster of `shape` cells of side `side` from
-    `lo`, of the cell holding each row of x (every row >= lo)."""
-    cols = x.T
-    flat = ((cols[0] - lo[0]) / side).astype(np.intp)
+    `lo`, of the cell holding each point of the rows (every point >= lo)."""
+    flat = ((rows[0] - lo[0]) / side).astype(np.intp)
     for j in range(1, len(shape)):
         flat *= shape[j]
-        flat += ((cols[j] - lo[j]) / side).astype(np.intp)
+        flat += ((rows[j] - lo[j]) / side).astype(np.intp)
     return flat
 
 
@@ -198,7 +199,7 @@ def _dilate(raster: np.ndarray, strides: list, *stencils: frozenset) -> list[np.
 def _raster_prepass(
     points: np.ndarray, samples: np.ndarray, box: Box, radius: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(sure hits, the samples the exact stage decides, the cloud points it needs)."""
+    """(sure hits, the samples the exact stage decides, the cloud points it needs), as rows."""
     extent = (box.upper - box.lower).tolist()
     d = len(extent)
     for k in range(RASTER_K.get(d, 0), 0, -1):
@@ -222,11 +223,11 @@ def _raster_prepass(
     marked = np.zeros_like(occupied)
     marked[cells[shell]] = True
     [near] = _dilate(marked, strides, reach)
-    # np.compress takes rows about 10x faster than a boolean index here
+    # np.compress takes columns about 10x faster than a boolean index here
     return (
         int(np.count_nonzero(sure)),
-        np.compress(shell, samples, axis=0),
-        np.compress(near[point_cells], points.T, axis=1).T,
+        np.compress(shell, samples, axis=1),
+        np.compress(near[point_cells], points, axis=1),
     )
 
 
@@ -237,17 +238,10 @@ def _neighbour_rows(d: int) -> np.ndarray:
     return np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), np.intp).reshape(3 ** (d - 1), d - 1)
 
 
-def _padded(x: np.ndarray, width: int) -> np.ndarray:
-    """A row-major copy of x with zero columns appended up to `width` columns."""
-    out = np.zeros((len(x), width))
-    out[:, : x.shape[1]] = x
-    return out
-
-
 def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float) -> int:
     """Number of samples within r (1 + 1e-12) of a point, by the exact cell
-    query (module docstring); every row of both arrays lies in `box`."""
-    if len(points) == 0 or len(samples) == 0:
+    query (module docstring); every point of both rows lies in `box`."""
+    if points.shape[1] == 0 or samples.shape[1] == 0:
         return 0
     bound = radius * (1 + 1e-12)
     extent = (box.upper - box.lower).tolist()
@@ -263,21 +257,20 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
     order = np.argsort(keys)
     keys = keys[order]
     sample_keys = _cell_index(samples, box.lower, side, shape) + shift
-    # rows padded to 8, 16 or 32 bytes, which numpy gathers in one copy each
-    width = 1 << (d - 1).bit_length()
-    points, samples = _padded(points.T.take(order, axis=1).T, width), _padded(samples, width)
+    # contiguous rows, which `take` gathers from in place
+    points, samples = points.take(order, axis=1), np.ascontiguousarray(samples)
     rows = _neighbour_rows(d) @ strides[:-1] - 1  # the first of each row's three cells
     # a table of each cell's first point, unless binary searches cost less
-    n_cells, n_find = math.prod(shape), 2 * len(samples) * len(rows)
+    n_cells, n_find = math.prod(shape), 2 * samples.shape[1] * len(rows)
     if n_cells <= min(16 * n_find, MAX_RASTER_CELLS):
         first = np.zeros(n_cells + 1, np.intp)  # first[c]: the points in cells below c
         np.cumsum(np.bincount(keys, minlength=n_cells), out=first[1:])
         find = first.take
     else:
         find = keys.searchsorted
-    hit = np.zeros(len(samples), bool)
-    block, batch = max(1, 2 * BATCH_VALUES // len(rows)), BATCH_VALUES // width
-    for s0 in range(0, len(samples), block):
+    hit = np.zeros(samples.shape[1], bool)
+    block, batch = max(1, 2 * BATCH_VALUES // len(rows)), BATCH_VALUES // d
+    for s0 in range(0, samples.shape[1], block):
         lo = sample_keys[s0 : s0 + block, None] + rows
         start = find(lo).ravel()
         count = find(lo + 3).ravel() - start
@@ -291,14 +284,14 @@ def _shell_hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float
             c = count[a:b]
             point = np.arange(ends[a] - c[0], ends[b - 1]) + offset[a:b].repeat(c)
             sample = (np.arange(a + s0 * len(rows), b + s0 * len(rows)) // len(rows)).repeat(c)
-            pair = samples.take(sample, axis=0).T[:d], points.take(point, axis=0).T[:d]
+            pair = samples.take(sample, axis=1), points.take(point, axis=1)
             hit[sample[squared_distances(*pair) <= bound ** 2]] = True
     return int(np.count_nonzero(hit))
 
 
 def _hits(points: np.ndarray, samples: np.ndarray, box: Box, radius: float) -> int:
-    """Number of samples within r (1 + 1e-12) of a point: the raster pre-pass
-    (module docstring) settles most of them, the exact stage the rest."""
+    """Number of samples within r (1 + 1e-12) of a point, both rows: the raster
+    pre-pass (module docstring) settles most of them, the exact stage the rest."""
     n_sure, rest, near = _raster_prepass(points, samples, box, radius)
     return n_sure + _shell_hits(near, rest, box, radius)
 
@@ -318,7 +311,7 @@ def sausage_volume_hit_or_miss(
         raise ValueError("n_mc must be >= 1000")
     box = bounding_box(cloud, radius)
     try:
-        p_hat = _hits(cloud.points, box.sample_uniform(n_mc, rng), box, radius) / n_mc
+        p_hat = _hits(cloud.points.T, box.sample_uniform(n_mc, rng).T, box, radius) / n_mc
     except MemoryError:
         raise ValueError(f"{n_mc} hit-or-miss samples do not fit in memory") from None
     vol = box.volume * p_hat
@@ -341,8 +334,8 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
     grid = Box(box.lower, box.lower + counts * voxel_size)
     for start in range(0, n_voxels, VOXEL_CHUNK):
         cells = np.unravel_index(np.arange(start, min(start + VOXEL_CHUNK, n_voxels)), counts)
-        centers = box.lower + (np.stack(cells, axis=1) + 0.5) * voxel_size
-        n_in += _hits(cloud.points, centers, grid, radius)
+        centers = (np.stack(cells) + 0.5) * voxel_size + box.lower[:, None]
+        n_in += _hits(cloud.points.T, centers, grid, radius)
     return SausageEstimate(n_in * voxel_size ** cloud.d, 0.0, n_voxels, "voxel")
 
 

@@ -126,7 +126,9 @@ def brownian_path(
     gen = streams.substream(seed, streams.AUX, replica)
     try:
         steps = gen.standard_normal((n, d)) * math.sqrt(dt)
-        path = np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)])
+        path = np.zeros((d, n + 1))  # coordinate rows, which the cloud holds without a copy
+        np.cumsum(steps.T, axis=1, out=path[:, 1:])
     except MemoryError:
         raise ValueError(f"a path of {n} steps (T={T!r}, dt={dt!r}) does not fit in memory") from None
-    return PointCloud(path)
+    path.flags.writeable = False
+    return PointCloud(path.T)

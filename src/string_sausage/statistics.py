@@ -47,37 +47,36 @@ def squared_distances(rows: np.ndarray, x) -> np.ndarray:
     return dist2
 
 
-def _diameter(points: np.ndarray) -> float:
-    """Exact diameter of a finite point set (after Malandain & Boissonnat 2002).
+def _diameter(rows: np.ndarray) -> float:
+    """Exact diameter of a finite point set given as contiguous coordinate
+    rows (d, N) (after Malandain & Boissonnat 2002).
 
     Double sweeps give a pair at distance L and its midpoint c.  A farther
     pair has |p - c| + |q - c| > L, so only points with |p - c| >=
     L - max |q - c| are scanned, in blocks of 128; a block of centre a and
     reach r meets only the later points q with |q - a| > L - r, and L rises
-    with each larger pair.  Distances are summed column by column, so the
-    result is a full scan's; a slack of 1e-9 L covers the rounding.
+    with each larger pair.  Distances are summed coordinate by coordinate, so
+    the result is a full scan's; a slack of 1e-9 L covers the rounding.
     """
-    if points.shape[1] == 1:
-        return float(points.max() - points.min())
-    cols = np.ascontiguousarray(points.T)
     i, j, best = 0, 0, -1.0
     while True:  # double sweeps, while the farthest point moves the pair apart
-        dist2 = squared_distances(cols, cols[:, j])
+        dist2 = squared_distances(rows, rows[:, j])
         k = int(dist2.argmax())
         if dist2[k] <= best:
             break
         i, j, best = j, k, float(dist2[k])
-    rad = np.sqrt(squared_distances(cols, (cols[:, i] + cols[:, j]) / 2))
-    low, size = math.sqrt(best) * (1 - 1e-9), 128  # L less the slack; block rows
-    cand = np.compress(rad >= low - rad.max(), points, axis=0)
-    blocks = [cand[b : b + size] for b in range(0, len(cand), size)]
-    centres = np.array([(x.min(axis=0) + x.max(axis=0)) / 2 for x in blocks])
-    reach = np.array([np.sqrt(squared_distances(x.T, a).max()) for x, a in zip(blocks, centres)])
+    rad = np.sqrt(squared_distances(rows, (rows[:, i] + rows[:, j]) / 2))
+    low, size = math.sqrt(best) * (1 - 1e-9), 128  # L less the slack; points per block
+    cand = np.compress(rad >= low - rad.max(), rows, axis=1)
+    blocks = [cand[:, b : b + size] for b in range(0, cand.shape[1], size)]
+    centres = np.array([(x.min(axis=1) + x.max(axis=1)) / 2 for x in blocks])
+    reach = np.array([np.sqrt(squared_distances(x, a).max()) for x, a in zip(blocks, centres)])
     for g, block in enumerate(blocks):
-        near = np.sqrt(squared_distances(centres[g:].T, centres[g])) + reach[g:] > low - reach[g]
-        rest = np.compress(near.repeat(size)[: len(cand) - g * size], cand[g * size :], axis=0)
-        rest = np.compress(np.sqrt(squared_distances(rest.T, centres[g])) > low - reach[g], rest, axis=0)
-        best = float(squared_distances(block.T[:, :, None], rest.T).max(initial=best))
+        near = np.sqrt(squared_distances(centres.T, centres[g])) + reach > low - reach[g]
+        near[:g] = False  # the earlier blocks met this one already
+        rest = np.compress(near.repeat(size)[: cand.shape[1]], cand, axis=1)
+        rest = np.compress(np.sqrt(squared_distances(rest, centres[g])) > low - reach[g], rest, axis=1)
+        best = float(squared_distances(block[:, :, None], rest).max(initial=best))
         low = math.sqrt(best) * (1 - 1e-9)
     return math.sqrt(best)
 
@@ -89,11 +88,11 @@ def range_of(values) -> float:
     (one-sided) underestimate of the continuum supremum.
     """
     values = np.asarray(values, float)
-    if values.ndim == 1:
-        values = values[:, None]
     if values.shape[0] == 0 or not np.isfinite(values).all():
         raise ValueError("range_of needs a nonempty, finite sample")
-    return _diameter(values)
+    if values.ndim == 1 or values.shape[1] == 1:
+        return float(values.max() - values.min())
+    return _diameter(np.ascontiguousarray(values.T))
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,7 @@ def quenched(
         raise ValueError(f"environment has dimension {env.box.d}, the string d={params.d}")
     if height is not None and not 0 <= height < math.inf:
         raise ValueError(f"soft indicator height must be finite and >= 0, got {height!r}")
+    params = replace(params, nu=env.nu)  # the estimate reports the field's intensity
     if height is None:
         return _estimate(_hard, (env,), "quenched_hard", params, n_rep, seed, workers)
     return _estimate(_soft, (env, height), "quenched_soft", params, n_rep, seed, workers)

@@ -362,6 +362,8 @@ def write_env(path):
         ["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"],
         # a mean trap count past numpy's Poisson limit names nu and the box
         ["--hard", "--nu", "1e300", "--T", "0.25", "--n", "100", "--threads", "1"],
+        # a frozen field is not resampled: nothing runs and no file is written
+        ["--env", "ENV_FILE", "--save-env", "SIDE", "--n", "100", "--threads", "1"],
     ],
     ids=[
         "too_few_replicas", "zero_threads", "quenched_too_few_replicas",
@@ -369,11 +371,12 @@ def write_env(path):
         "height_without_soft", "nan_height", "inf_height", "quenched_nan_height",
         "quenched_inf_height", "env_is_directory", "zero_threads_T_zero_hard",
         "zero_threads_T_zero_via_volume", "zero_threads_T_zero_soft", "zero_threads_T_zero_env",
-        "huge_intensity",
+        "huge_intensity", "quenched_save_env",
     ],
 )
 def test_bad_survival_input_exit_2(argv, capsys, tmp_path):
-    files = {"ENV_FILE": write_env(tmp_path / "env.json"), "TMP_DIR": str(tmp_path)}
+    side = tmp_path / "side.json"
+    files = {"ENV_FILE": write_env(tmp_path / "env.json"), "TMP_DIR": str(tmp_path), "SIDE": str(side)}
     argv = [files.get(a, a) for a in argv]
     code = main(["survival", "--T", "0.5", "--seed", "1", *argv])
     assert code == EXIT_CONFIG
@@ -383,6 +386,8 @@ def test_bad_survival_input_exit_2(argv, capsys, tmp_path):
         assert "height" in err
     if "1e300" in argv:
         assert "traps (nu=1e+300 over a box of volume" in err and "lam" not in err
+    if "--save-env" in argv:
+        assert "--save-env applies to annealed survival only" in err and not side.exists()
 
 
 @pytest.mark.parametrize(
@@ -400,9 +405,15 @@ def test_bad_survival_input_exit_2(argv, capsys, tmp_path):
         ('{"nu": 1, "box": {"lower": [NaN, 0], "upper": [1, 1]}, "points": []}', [], "must be finite"),
         ('{"nu": 1, "box": {"lower": [0, 0], "upper": [Infinity, 1]}, "points": [[0.5, 0.5]]}', [],
          "must be finite"),
+        # the field's nu becomes the estimate's, through ModelParams' own checks
+        ('{"nu": -0.5, "box": {"lower": [0, 0], "upper": [1, 1]}, "points": [[0.5, 0.5]]}', [],
+         "nu must be >= 0"),
+        ('{"nu": NaN, "box": {"lower": [0, 0], "upper": [1, 1]}, "points": [[0.5, 0.5]]}', [],
+         "nu must be finite"),
     ],
     ids=["missing_key", "points_of_wrong_dimension", "box_dimension_differs_from_d",
-         "not_an_object", "nu_of_wrong_type", "box_of_wrong_type", "box_with_nan", "box_with_inf"],
+         "not_an_object", "nu_of_wrong_type", "box_of_wrong_type", "box_with_nan", "box_with_inf",
+         "negative_nu", "nan_nu"],
 )
 def test_malformed_env_file_exit_2(text, argv, cause, capsys, tmp_path):
     env_file = tmp_path / "env.json"
@@ -809,6 +820,18 @@ def test_quenched_roundtrip_via_env_file(capsys, tmp_path):
     assert code == EXIT_OK
     rec = last_json(out)
     assert rec["method"] == "quenched_hard"
+
+
+def test_quenched_row_reports_the_field_intensity(capsys, tmp_path):
+    # a field saved at --nu 0.3 and run without --nu: the row reads the
+    # field's nu, not the flag's default 1.0
+    env_file, rows = tmp_path / "env.json", tmp_path / "rows.csv"
+    common = ["survival", "--hard", "--T", "0.25", "--n", "101", "--seed", "5", "--threads", "1"]
+    assert run_cli([*common, "--nu", "0.3", "--save-env", str(env_file)], capsys)[0] == EXIT_OK
+    assert PoissonEnvironment.from_json(env_file.read_text()).nu == 0.3
+    assert run_cli([*common, "--env", str(env_file), "--csv", str(rows)], capsys)[0] == EXIT_OK
+    [rec] = csv.DictReader(rows.read_text().splitlines())
+    assert (rec["method"], rec["nu"]) == ("quenched_hard", "0.3")
 
 
 @pytest.mark.parametrize("kind", ["hard", "soft"])

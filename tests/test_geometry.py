@@ -103,7 +103,7 @@ def test_cloud_bounds_cannot_go_stale():
     np.testing.assert_array_equal(copied, points)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_estimates_do_not_depend_on_the_cloud_layout(d):
     # one cloud held two ways: as its trace's coordinate-major view, and
     # copied from a point-major (C-order) array
@@ -127,24 +127,29 @@ def test_estimates_do_not_depend_on_the_cloud_layout(d):
         assert by_rows == path_functional(by_points, env, p.a, 1.0, p.dt, p.J / p.M)
         assert (by_rows > 0) == contacts[-1]
     assert contacts[:2] == [True, False]
-    # the hit-or-miss kernels on either array, and its estimate on the same stream
-    samples = bounding_box(view, p.a).sample_uniform(2000, substream(23, MC, 0))
-    hits = [geometry._hits(x, samples, bounding_box(view, p.a), p.a) for x in (view.points, point_major)]
-    assert hits[0] == hits[1] == brute_hits(point_major, samples, p.a)
+    # the hit-or-miss kernels on unit-stride rows and on the transpose of a
+    # C-order array, points and samples alike, and its estimate on the same stream
+    box = bounding_box(view, p.a)
+    drawn = box.sample_uniform(2000, substream(23, MC, 0))
+    want = brute_hits(point_major, drawn, p.a)
+    for points, samples in itertools.product((view.points.T, point_major.T), (drawn.T.copy(), drawn.T)):
+        assert geometry._hits(points, samples, box, p.a) == want
+        assert geometry._shell_hits(points, samples, box, p.a) == want
     volumes = [sausage_volume_hit_or_miss(c, p.a, 2000, substream(23, MC, 1)) for c in (view, copy)]
     assert volumes[0] == volumes[1]
-    assert sausage_volume_voxel(view, p.a, p.a / 4) == sausage_volume_voxel(copy, p.a, p.a / 4)
+    if d <= 3:
+        assert sausage_volume_voxel(view, p.a, p.a / 4) == sausage_volume_voxel(copy, p.a, p.a / 4)
 
 
 @pytest.fixture
 def exact_log(monkeypatch):
     """The exact stage's inputs, per call: the points it holds, then the
-    samples it decides."""
+    samples it decides, both coordinate rows (d, N)."""
     log = []
     shell_hits = geometry._shell_hits
 
     def logged(points, samples, box, radius):
-        log.extend([len(points), len(samples)])
+        log.extend([points.shape[1], samples.shape[1]])
         return shell_hits(points, samples, box, radius)
 
     monkeypatch.setattr(geometry, "_shell_hits", logged)
@@ -163,10 +168,10 @@ def brute_hits(points, samples, radius) -> int:
 
 def check_hits(points, samples, radius, box=None) -> int:
     """The pre-pass and exact stage give the brute-force hit count of the given
-    samples, in `box` or else the cloud's box padded by the radius."""
+    samples (N, d), in `box` or else the cloud's box padded by the radius."""
     points, samples = np.asarray(points, float), np.asarray(samples, float)
     box = bounding_box(PointCloud(points), radius) if box is None else box
-    hits = geometry._hits(points, samples, box, radius)
+    hits = geometry._hits(points.T, samples.T, box, radius)
     assert hits == brute_hits(points, samples, radius)
     return hits
 
@@ -376,12 +381,12 @@ def test_exact_stage_dense_and_wide():
     pts = rng.normal(size=(8000, 3)) * 0.1
     box = bounding_box(PointCloud(pts), 0.2)
     samples = box.sample_uniform(4000, rng)
-    assert geometry._shell_hits(pts, samples, box, 0.2) == brute_hits(pts, samples, 0.2)
+    assert geometry._shell_hits(pts.T, samples.T, box, 0.2) == brute_hits(pts, samples, 0.2)
     a = 1e-3
     pts = np.vstack([rng.normal(size=(200, 2)) * 3 * a, rng.normal(size=(200, 2)) * 3 * a + 1e7 * a])
     box = bounding_box(PointCloud(pts), a)
     samples = np.vstack([pts[::2] + rng.uniform(-a, a, (200, 2)), box.sample_uniform(200, rng)])
-    assert geometry._shell_hits(pts, samples, box, a) == brute_hits(pts, samples, a) >= 100
+    assert geometry._shell_hits(pts.T, samples.T, box, a) == brute_hits(pts, samples, a) >= 100
 
 
 def test_prepass_every_sample_sure(exact_log):
@@ -424,7 +429,7 @@ def test_prepass_raster_guard(exact_log):
     box = bounding_box(PointCloud(pts), a)
     assert np.prod((box.upper - box.lower) / (a * _side(3, 1))) > 100 * MAX_RASTER_CELLS
     samples = np.vstack([pts[:500] + rng.uniform(-a, a, (500, 3)) / 2, box.sample_uniform(500, rng)])
-    hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
+    hits, peak = _peak_bytes(lambda: geometry._hits(pts.T, samples.T, box, a))
     assert peak < MAX_RASTER_CELLS  # bytes: far below one raster past the cap
     assert exact_log == [2000, 1000]
     assert hits == brute_hits(pts, samples, a) >= 500
@@ -443,7 +448,7 @@ def test_prepass_lowers_k_to_fit_the_cap(exact_log):
     assert np.prod(extent / (a * _side(2, 1)) + 2) < MAX_RASTER_CELLS
     rng = substream(37, MC, 0)
     samples = np.vstack([pts[::4] + rng.uniform(-a, a, (1000, 2)), box.sample_uniform(1000, rng)])
-    hits, peak = _peak_bytes(lambda: geometry._hits(pts, samples, box, a))
+    hits, peak = _peak_bytes(lambda: geometry._hits(pts.T, samples.T, box, a))
     assert peak < 12 * MAX_RASTER_CELLS  # bytes: a few bool rasters at the cap
     built, queried = exact_log
     assert built < len(pts) and queried < len(samples)
@@ -526,7 +531,7 @@ def test_voxel_count_equals_a_kd_tree_count(d, monkeypatch):
     hits = geometry._hits
 
     def checked(points, samples, box, radius):
-        assert box.contains(samples).all()
+        assert box.contains(samples.T).all()
         return hits(points, samples, box, radius)
 
     monkeypatch.setattr(geometry, "_hits", checked)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from series_oracle import evaluate_at, grid
 from string_sausage import rng as streams
-from string_sausage.rng import NOISE, substream
+from string_sausage.rng import AUX, NOISE, substream
 from string_sausage.simulate import Trace, brownian_path, replica_block, simulate, traces
 from string_sausage.spectral import ModelParams, mode_rates
 
@@ -150,3 +151,19 @@ def test_brownian_path_statistics():
         v = ends[:, j].var()
         assert abs(v - 1.0) < 4 * math.sqrt(2.0 / 499)
     assert brownian_path(2, 1.0, 0.1, seed=3).points.shape == (11, 2)
+    # the cloud holds the read-only coordinate rows the steps were summed
+    # into, bit-equal to stacking the origin on the summed (n, d) steps
+    for d in (1, 2, 3):
+        points = brownian_path(d, 1.0, 0.01, seed=3, replica=d).points
+        assert points.base.shape == (d, 101) and np.shares_memory(points, points.base)
+        assert points.base.flags.c_contiguous and not points.flags.writeable
+        steps = substream(3, AUX, d).standard_normal((100, d)) * math.sqrt(0.01)
+        np.testing.assert_array_equal(points, np.vstack([np.zeros((1, d)), np.cumsum(steps, axis=0)]))
+    # so a long path's peak memory is its steps and its rows, with no third copy
+    tracemalloc.start()
+    try:
+        brownian_path(3, 1.0, 1e-5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 3 * 100_001 * 8

@@ -42,7 +42,9 @@ def brute_diameter(pts) -> float:
 
 
 def test_range_of_matches_brute_force():
-    # bit for bit, on Gaussian clouds and on stationary fields at M = 4096
+    # bit for bit, on Gaussian clouds, on stationary fields at M = 4096, and
+    # on a trace's last values at M = 64, 256 and 4096 held three ways: its
+    # coordinate-major view, a C-order copy and a Fortran-order copy
     rng = substream(3, AUX, 0)
     for d in (1, 2, 3, 4):
         pts = rng.standard_normal((200, d))
@@ -51,6 +53,11 @@ def test_range_of_matches_brute_force():
             p = ModelParams(d=d, K=2047, M=4096, dt=0.1, T=1.0)
             field = grid_values(p, sample_stationary_field(p, rng))
             assert range_of(field) == brute_diameter(field)
+        for M in (64, 256, 4096) if d < 4 else ():
+            view = simulate(ModelParams(d=d, K=M // 2 - 1, M=M, dt=0.05, T=0.1), seed=d).values[-1]
+            want = brute_diameter(np.ascontiguousarray(view))
+            for values in (view, np.ascontiguousarray(view), np.asfortranarray(view)):
+                assert range_of(values) == want
 
 
 def test_range_of_degenerate_clouds():
@@ -93,14 +100,11 @@ def test_squared_distances_equal_the_axis_sum():
         # sweeps), Python floats (any_contact), the origin (the smoothing norm)
         for point in (x, x.tolist(), np.zeros(d)):
             np.testing.assert_array_equal(squared_distances(cols, point), axis_sum(pts - np.asarray(point)))
-        # strided rows, a row-major (N, d) array's transpose (the diameter's
-        # blocks, tau_sequence), and the first d rows of a zero-padded one
-        # (the hit-or-miss exact stage), against a point and row by row
+        # strided rows, a row-major (N, d) array's transpose (tau_sequence),
+        # and a block of columns of contiguous rows (the diameter's blocks)
         np.testing.assert_array_equal(squared_distances(pts.T, x), axis_sum(pts - x))
-        padded = np.zeros((500, 4))
-        padded[:, :d] = pts
-        np.testing.assert_array_equal(squared_distances(padded.T[:d], padded[::-1].T[:d]), axis_sum(pts - pts[::-1]))
-        # rows against rows (the chain's largest step)
+        np.testing.assert_array_equal(squared_distances(cols[:, 100:228], x), axis_sum(pts[100:228] - x))
+        # rows against rows (the chain's largest step, the exact stage's pairs)
         np.testing.assert_array_equal(squared_distances(cols[:, 1:], cols[:, :-1]), axis_sum(np.diff(pts, axis=0)))
         # rows against k points (d, k, 1), (k, N) (path_functional), and
         # rows (d, b, 1) against rows, (b, N) (the diameter's block pairs)
