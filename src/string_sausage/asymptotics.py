@@ -233,29 +233,23 @@ def stopping_chain(
     times = trace.times
     dt = p.dt
 
-    S_list: list[float] = []
-    T_list: list[float] = []
-    rng_noise, rng_string, vol_u, vol_n = [], [], [], []
+    # one record per completed interval: (S_i, T_i, range of the noise segment,
+    # range of u(T_i), volume of u(T_i) at a, volume of the segment at a/2)
+    records: list[tuple[float, ...]] = []
     i_prev = 0
     # segment whose smoothed range defines S_i: the initial string for i=1,
     # afterwards the noise accumulated over the previous completed interval
     seg = trace.coeffs[0]
-    i = 0
-    while True:
+    while (T_prev := float(times[i_prev])) + L <= times[-1]:
         # locate S_{i+1}
-        T_prev = float(times[i_prev])
-        start = T_prev + L
-        if start > times[-1]:
-            break
-        j = int(math.ceil(round(start / dt, 9)))
+        j = int(math.ceil(round((T_prev + L) / dt, 9)))
         while j < times.shape[0] and range_of(grid_values(p, heat_convolve(p, seg, times[j] - T_prev))) > delta:
             j += 1
         later = tau[tau >= j]  # empty too when no grid time is S_{i+1}
         if later.size == 0:
             break
         i_T = int(later[0])
-        S_list.append(float(times[j]))
-        T_list.append(float(times[i_T]))
+        i = len(records)
 
         seg = noise_segment(p, trace.coeffs[i_prev], trace.coeffs[i_T], times[i_T] - T_prev)
         seg_values = grid_values(p, seg)
@@ -278,26 +272,10 @@ def stopping_chain(
                 f"interval {i + 1}: string sausage volume {est_u.volume:.4g} below "
                 f"noise-segment sausage volume {est_n.volume:.4g} beyond MC tolerance"
             )
-        rng_noise.append(r_n)
-        rng_string.append(r_u)
-        vol_u.append(est_u.volume)
-        vol_n.append(est_n.volume)
+        records.append((times[j], times[i_T], r_n, r_u, est_u.volume, est_n.volume))
         i_prev = i_T
-        i += 1
 
-    chain = StoppingChain(
-        Lambda,
-        delta,
-        L,
-        step,
-        times[tau],
-        np.asarray(S_list),
-        np.asarray(T_list),
-        np.asarray(rng_noise),
-        np.asarray(rng_string),
-        np.asarray(vol_u),
-        np.asarray(vol_n),
-    )
+    chain = StoppingChain(Lambda, delta, L, step, times[tau], *np.array(records, float).reshape(-1, 6).T)
     if not chain.resolved:
         warnings.warn(
             f"path sampling too coarse for tau detection: max step {chain.max_step:.3g} "
