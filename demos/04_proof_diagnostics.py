@@ -8,6 +8,7 @@ trap-clearing radius has a closed form.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ L = ss.chain_L(p.a, E)
 Lam = ss.calibrate_lambda(p, L, n_rep=100, seed=33)
 print(f"\nchain parameters: delta = {ss.chain_delta(p.a)}, E = {E:.3f}, L = {L:.3f}, Lambda = {Lam:.3f}")
 
-long_p = dataclasses.replace(p, T=12.0 * L)
+long_p = dataclasses.replace(p, T=math.ceil(12.0 * L / p.dt) * p.dt)  # 12 L, rounded up to the step grid
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", UserWarning)
     trace = ss.simulate(long_p, 34)

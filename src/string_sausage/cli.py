@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -296,7 +297,7 @@ def cmd_diagnostics(args) -> tuple[list[dict], dict]:
         E = choose_E(p.d, p.a)
         L = chain_L(p.a, E)
         Lambda = calibrate_lambda(p, L, n_rep=N_LAMBDA, seed=args.seed + 1)
-        horizon = max(p.T, 3.0 * L)
+        horizon = max(p.T, math.ceil(3.0 * L / p.dt) * p.dt)  # 3L, rounded up to the step grid
         chain_params = dataclasses.replace(p, T=horizon)
         trace = simulate(chain_params, args.seed, replica=0)
         chain = stopping_chain(trace, Lambda, seed=args.seed + 2)
@@ -418,10 +419,9 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
             trace = simulate(p, point_seed, replica=0)
             est = replica_volume(trace, point_seed, 0, n_mc, streams.new_generator())
             return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
-    rows = [
-        estimate(ModelParams(T=T, J=J, nu=nu, a=a, **base), seed + idx)
-        for idx, (T, J, nu, a) in enumerate(grid)
-    ]
+    # every grid point's model is checked before the first one runs
+    points = [ModelParams(T=T, J=J, nu=nu, a=a, **base) for T, J, nu, a in grid]
+    rows = [estimate(p, seed + idx) for idx, p in enumerate(points)]
     summary = {
         "command": "run",
         "experiment": experiment,

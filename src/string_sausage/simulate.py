@@ -14,6 +14,7 @@ from .spectral import (
     ModelParams,
     evolve,
     grid_values,
+    horizon_steps,
 )
 from .statistics import squared_distances
 
@@ -122,7 +123,7 @@ def brownian_path(
     d: int, T: float, dt: float, seed: int, replica: int = 0
 ) -> PointCloud:
     """Sampled standard Brownian path in R^d (used for Wiener-sausage checks)."""
-    n = int(round(T / dt))
+    n = horizon_steps(T, dt)
     gen = streams.substream(seed, streams.AUX, replica)
     try:
         steps = gen.standard_normal((n, d)) * math.sqrt(dt)

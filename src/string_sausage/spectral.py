@@ -55,6 +55,18 @@ def mode_rates(K: int) -> np.ndarray:
     return TWO_PI_SQ * k * k
 
 
+def horizon_steps(T: float, dt: float) -> int:
+    """The number of steps of dt in the horizon T, which must lie within 1e-6
+    of a whole number of them: a path is observed on that grid only."""
+    steps = T / dt
+    n = round(steps)
+    if abs(steps - n) > 1e-6:
+        lo = math.floor(steps)
+        raise ValueError(f"horizon T={T!r} is not a whole number of steps of dt={dt!r}: "
+                         f"the nearest horizons on the grid are {lo * dt:.12g} and {(lo + 1) * dt:.12g}")
+    return n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model and resolution parameters.
@@ -100,8 +112,7 @@ class ModelParams:
             raise ValueError("time step dt must be > 0")
         if self.T < 0:
             raise ValueError("horizon T must be >= 0")
-        if self.T > 0 and self.n_steps == 0:
-            raise ValueError(f"horizon T={self.T!r} rounds to no step of dt={self.dt!r}")
+        horizon_steps(self.T, self.dt)
         if self.tail_variance() >= self.eps_tail:
             raise ValueError(
                 f"neglected tail variance {self.tail_variance():.3e} exceeds "
@@ -114,7 +125,7 @@ class ModelParams:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+        return horizon_steps(self.T, self.dt)
 
 
 # Kept only as the snapshot list `survival._soft` hands

@@ -56,11 +56,11 @@ class SurvivalEstimate:
     def ci95(self) -> tuple[float, float]:
         """95% interval: the point itself at T=0, where survival is exactly 1;
         Wilson score for the indicator means, open even where p_hat is 0 or 1
-        and `stderr` is 0; p_hat +- 1.96 stderr otherwise."""
+        and `stderr` is 0; p_hat +- 1.96 stderr clipped to [0, 1] otherwise."""
         if self.params.T == 0:
             return (self.p_hat, self.p_hat)
         if self.method not in INDICATOR_METHODS:
-            return (self.p_hat - 1.96 * self.stderr, self.p_hat + 1.96 * self.stderr)
+            return (max(0.0, self.p_hat - 1.96 * self.stderr), min(1.0, self.p_hat + 1.96 * self.stderr))
         return wilson95(self.p_hat, self.n_replicas)
 
 

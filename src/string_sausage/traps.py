@@ -41,10 +41,6 @@ class Box:
     def volume(self) -> float:
         return math.prod((self.upper - self.lower).tolist())  # np.prod's product, without its ~3 us call
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return ((pts >= self.lower) & (pts <= self.upper)).all(axis=1)
-
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # bit-equal to rng.uniform(lower, upper, (n, d)), without its argument checks
         return self.lower + (self.upper - self.lower) * rng.random((n, self.d))

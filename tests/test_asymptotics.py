@@ -345,13 +345,13 @@ def chain_setup():
     p = ModelParams(d=2, K=8, M=32, dt=0.05, T=1.0, a=0.3, eps_tail=5e-3)
     L = chain_L(p.a, choose_E(p.d, p.a))
     Lam = calibrate_lambda(p, L, n_rep=100, seed=11)
-    return p, L, Lam
+    # 12 L, rounded up to the step grid
+    return p, L, Lam, dataclasses.replace(p, T=math.ceil(12.0 * L / p.dt) * p.dt)
 
 
 def test_stopping_chain_first_interval_time():
     """With zero initial data, S_1 is the first admissible grid time."""
-    p, L, Lam = chain_setup()
-    pc = dataclasses.replace(p, T=12.0 * L)
+    p, L, Lam, pc = chain_setup()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         trace = simulate(pc, 13, replica=0)
@@ -362,8 +362,7 @@ def test_stopping_chain_first_interval_time():
 
 
 def test_stopping_chain_invariants_over_runs():
-    p, L, Lam = chain_setup()
-    pc = dataclasses.replace(p, T=12.0 * L)
+    p, L, Lam, pc = chain_setup()
     total = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -385,8 +384,7 @@ def test_stopping_chain_invariants_over_runs():
 
 
 def test_stopping_chain_range_closeness():
-    p, L, Lam = chain_setup()
-    pc = dataclasses.replace(p, T=12.0 * L)
+    p, L, Lam, pc = chain_setup()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         trace = simulate(pc, 29, replica=0)

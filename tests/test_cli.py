@@ -104,7 +104,7 @@ def test_seed_outside_64_bits_exit_2(seed, capsys):
 @pytest.mark.parametrize(
     "argv, cause",
     [
-        (["scaling-check", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", str((1 << 64) - 1)],
+        (["scaling-check", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", str((1 << 64) - 1)],
          "must lie in [0, 2**64 - 1): scaling-check runs its unit-J side at seed + 1"),
         (["diagnostics", "--chain", "--seed", str((1 << 64) - 2)],
          "must lie in [0, 2**64 - 2): diagnostics --chain also runs seed + 1 and seed + 2"),
@@ -210,10 +210,10 @@ def test_diagnostics_without_a_finite_clearing_bound_exit_2(flags, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["simulate", "--T", "0.25", "--seed", "1"],
-     ["sausage", "--T", "0.25", "--n-mc", "1000", "--seed", "1"],
-     ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
-     ["scaling-check", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+    [["simulate", "--T", "0.24", "--seed", "1"],
+     ["sausage", "--T", "0.24", "--n-mc", "1000", "--seed", "1"],
+     ["survival", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", "5"],
+     ["scaling-check", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", "5"],
      ["diagnostics", "--M", "256", "--K", "64", "--seed", "7"],
      ["fit", "--input", "FIT"],
      ["run", "--config", "RUN"]],
@@ -224,7 +224,7 @@ def test_unwritable_csv_exit_2_without_a_summary(argv, capsys, tmp_path):
     # cannot be opened does no work and prints nothing to stdout
     fit, run = tmp_path / "fit.csv", tmp_path / "run.json"
     fit.write_text("T,neg_log_S\n" + "".join(f"{T},{7.0 * T ** 0.5}\n" for T in (1, 2, 4, 16)))
-    run.write_text(json.dumps({"seed": 5, "n_replicas": 100, "T": 0.25, "threads": 1}))
+    run.write_text(json.dumps({"seed": 5, "n_replicas": 100, "T": 0.24, "threads": 1}))
     argv = [{"FIT": str(fit), "RUN": str(run)}.get(a, a) for a in argv]
     assert main([*argv, "--csv", str(tmp_path / "missing" / "x.csv")]) == EXIT_CONFIG
     out, err = capsys.readouterr()
@@ -234,9 +234,9 @@ def test_unwritable_csv_exit_2_without_a_summary(argv, capsys, tmp_path):
 # the flags that read or write a file, each with the command line it needs
 FILE_FLAGS = {
     "csv": ["fit", "--input", "FIT"],
-    "out": ["simulate", "--T", "0.25", "--seed", "1"],
-    "save-env": ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
-    "env": ["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5"],
+    "out": ["simulate", "--T", "0.24", "--seed", "1"],
+    "save-env": ["survival", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", "5"],
+    "env": ["survival", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", "5"],
     "config": ["run"],
     "input": ["fit"],
 }
@@ -258,7 +258,7 @@ def test_file_path_through_a_regular_file_exit_2(flag, capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, side",
     [(["simulate", "--seed", "7", "--out", "SIDE"], "side.npz"),
-     (["survival", "--T", "0.25", "--n", "100", "--threads", "1", "--seed", "5", "--save-env", "SIDE"],
+     (["survival", "--T", "0.24", "--n", "100", "--threads", "1", "--seed", "5", "--save-env", "SIDE"],
       "side.json")],
     ids=["simulate_out", "survival_save_env"],
 )
@@ -272,7 +272,7 @@ def test_unwritable_csv_leaves_no_side_file(argv, side, capsys, tmp_path):
 def test_existing_empty_csv_gets_the_header(capsys, tmp_path):
     csv_path = tmp_path / "empty.csv"
     csv_path.write_text("")
-    assert run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
+    assert run_cli(["simulate", "--T", "0.24", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 4
 
@@ -282,7 +282,7 @@ def test_csv_into_a_pipe_gets_the_header(capsys):
     # a pipe cannot tell its position: it is a fresh stream, headed like an empty file
     r, w = os.pipe()
     with os.fdopen(r) as fh:
-        code, _ = run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", f"/dev/fd/{w}"], capsys)
+        code, _ = run_cli(["simulate", "--T", "0.24", "--seed", "1", "--csv", f"/dev/fd/{w}"], capsys)
         os.close(w)
         lines = fh.read().splitlines()
     assert code == EXIT_OK
@@ -293,7 +293,7 @@ def test_failed_command_leaves_its_new_csv_empty_for_the_next_run(capsys, tmp_pa
     csv_path = tmp_path / "rows.csv"
     assert main(["survival", "--n", "50", "--threads", "1", "--seed", "1", "--csv", str(csv_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err and csv_path.read_text() == ""
-    assert run_cli(["simulate", "--T", "0.25", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
+    assert run_cli(["simulate", "--T", "0.24", "--seed", "1", "--csv", str(csv_path)], capsys)[0] == EXIT_OK
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert [line.split(",")[6] for line in lines[1:]] == ["final_radius", "final_range", "max_radius"]
@@ -320,12 +320,16 @@ def test_bad_model_params_exit_2(capsys):
     [
         (["--T", "inf"], "T must be finite"),
         (["--dt", "inf"], "dt must be finite"),
-        (["--dt", "5", "--T", "1"], "rounds to no step"),
+        (["--dt", "5", "--T", "1"], "not a whole number of steps of dt=5.0: the nearest horizons on the grid are 0 and 5"),
         (["--eps-tail", "nan"], "eps_tail must be finite"),
         (["--J", "nan"], "J must be finite"),
         (["--nu", "inf"], "nu must be finite"),
+        (["--T", "0.25"], "horizon T=0.25 is not a whole number of steps of dt=0.02: "
+                          "the nearest horizons on the grid are 0.24 and 0.26"),
+        (["--T", "1", "--dt", "0.3"], "the nearest horizons on the grid are 0.9 and 1.2"),
     ],
-    ids=["T_inf", "dt_inf", "horizon_below_one_step", "eps_tail_nan", "J_nan", "nu_inf"],
+    ids=["T_inf", "dt_inf", "horizon_below_one_step", "eps_tail_nan", "J_nan", "nu_inf",
+         "horizon_off_the_step_grid", "step_off_the_horizon"],
 )
 def test_non_finite_model_values_exit_2(argv, cause, capsys):
     code = main(["survival", "--hard", "--n", "100", "--seed", "1", "--threads", "1", *argv])
@@ -361,7 +365,7 @@ def write_env(path):
         ["--soft", "--T", "0", "--n", "100", "--threads", "0"],
         ["--env", "ENV_FILE", "--T", "0", "--n", "100", "--threads", "0"],
         # a mean trap count past numpy's Poisson limit names nu and the box
-        ["--hard", "--nu", "1e300", "--T", "0.25", "--n", "100", "--threads", "1"],
+        ["--hard", "--nu", "1e300", "--T", "0.24", "--n", "100", "--threads", "1"],
         # a frozen field is not resampled: nothing runs and no file is written
         ["--env", "ENV_FILE", "--save-env", "SIDE", "--n", "100", "--threads", "1"],
     ],
@@ -453,12 +457,13 @@ def test_scaling_check_at_a_shared_boundary_is_not_informative(capsys):
     assert rec["overlap"] is True and rec["informative"] is False
 
 
-def test_diagnostics_chain_reports_under_resolution(capsys):
+def test_diagnostics_chain_reports_under_resolution(capsys, tmp_path):
     # at the default dt the center of mass moves about 0.5 per step, well
     # above Lambda/10, so tau detection is under-resolved
+    csv_path = tmp_path / "rows.csv"
     with pytest.warns(UserWarning, match="too coarse"):
         code, out = run_cli(
-            ["diagnostics", "--d", "2", "--a", "0.3", "--seed", "7", "--chain"],
+            ["diagnostics", "--d", "2", "--a", "0.3", "--seed", "7", "--chain", "--csv", str(csv_path)],
             capsys,
         )
     assert code == EXIT_OK
@@ -466,6 +471,10 @@ def test_diagnostics_chain_reports_under_resolution(capsys):
     assert chain["resolved"] is False
     assert chain["step_limit"] == chain["Lambda"] / 10.0
     assert chain["max_step"] >= chain["step_limit"]
+    # the chain's trace runs to 3 L rounded up to the step grid, and its row reports that horizon
+    [rec] = [r for r in csv.DictReader(csv_path.read_text().splitlines()) if r["method"] == "chain_intervals"]
+    steps = float(rec["T"]) / 0.02
+    assert abs(steps - round(steps)) < 1e-6 and 0 <= float(rec["T"]) - 3 * chain["L"] < 0.02
 
 
 def test_diagnostics_chain_pins_three_intervals(capsys):
@@ -492,6 +501,9 @@ def test_simulate_subcommand(capsys, tmp_path):
     assert len(rec["final_com"]) == 2
     assert rec["final_radius"] >= 0
     assert out_npz.exists()
+    # a horizon off the step grid would simulate to another time than the one reported
+    assert main(["simulate", "--T", "0.25", "--seed", "7"]) == EXIT_CONFIG
+    assert "nearest horizons on the grid are 0.24 and 0.26" in capsys.readouterr().err
 
 
 def test_simulate_out_without_suffix_reports_the_file_written(capsys, tmp_path):
@@ -528,7 +540,7 @@ def test_sausage_subcommand(capsys):
 def test_sausage_with_no_hit_keeps_an_open_interval(capsys):
     # in d = 9 the sausage fills under 4e-5 of its padded box: none of 1000
     # samples hits, the stderr is 0, and the Wilson interval is still open
-    code, out = run_cli(["sausage", "--d", "9", "--T", "0.25", "--n-mc", "1000", "--seed", "1"], capsys)
+    code, out = run_cli(["sausage", "--d", "9", "--T", "0.24", "--n-mc", "1000", "--seed", "1"], capsys)
     assert code == EXIT_OK
     rec = last_json(out)
     assert (rec["volume"], rec["stderr"]) == (0.0, 0.0)
@@ -672,7 +684,7 @@ def test_parse_config_flat_and_json(capsys, tmp_path):
 def test_run_config_sweep_cardinality():
     cfg = {
         "experiment": "survival", "seed": 9, "n_replicas": 100, "threads": 1,
-        "T": [0.25, 0.5, 0.75, 1.0], "nu": 0.5,
+        "T": [0.24, 0.5, 0.76, 1.0], "nu": 0.5,
     }
     rows, summary = run_config(cfg)
     assert len(rows) == 4
@@ -748,18 +760,21 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
     ):
         code, err = run_config_file(cfg, config, capsys)
         assert code == EXIT_CONFIG and f"config value {key} =" in err, config
+    # an off-grid horizon anywhere in a sweep stops the run before its first point
+    code, err = run_config_file(cfg, {"seed": 1, "n_replicas": 100, "threads": 1, "T": [0.5, 0.25]}, capsys)
+    assert code == EXIT_CONFIG and "horizon T=0.25 is not a whole number of steps of dt=0.02" in err
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_run_seed_outside_64_bits_exit_2(seed, capsys, tmp_path):
-    config = {"seed": seed, "n_replicas": 100, "threads": 1, "T": 0.25}
+    config = {"seed": seed, "n_replicas": 100, "threads": 1, "T": 0.24}
     code, err = run_config_file(tmp_path / "c.json", config, capsys)
     assert code == EXIT_CONFIG and f"seed {seed} must lie in [0, 2**64)" in err
 
 
 def test_run_derived_seed_outside_64_bits_exit_2(capsys, tmp_path):
     # three grid points run at seed, seed + 1 and seed + 2, all checked before the first
-    config = {"seed": (1 << 64) - 3, "n_replicas": 100, "threads": 1, "T": [0.25, 0.5, 0.75]}
+    config = {"seed": (1 << 64) - 3, "n_replicas": 100, "threads": 1, "T": [0.24, 0.5, 0.76]}
     code, _ = run_config_file(tmp_path / "c.json", config, capsys)
     assert code == EXIT_OK
     config["seed"] += 1
@@ -826,7 +841,7 @@ def test_quenched_row_reports_the_field_intensity(capsys, tmp_path):
     # a field saved at --nu 0.3 and run without --nu: the row reads the
     # field's nu, not the flag's default 1.0
     env_file, rows = tmp_path / "env.json", tmp_path / "rows.csv"
-    common = ["survival", "--hard", "--T", "0.25", "--n", "101", "--seed", "5", "--threads", "1"]
+    common = ["survival", "--hard", "--T", "0.24", "--n", "101", "--seed", "5", "--threads", "1"]
     assert run_cli([*common, "--nu", "0.3", "--save-env", str(env_file)], capsys)[0] == EXIT_OK
     assert PoissonEnvironment.from_json(env_file.read_text()).nu == 0.3
     assert run_cli([*common, "--env", str(env_file), "--csv", str(rows)], capsys)[0] == EXIT_OK

@@ -132,7 +132,7 @@ shapes = {
     "soft_env": ["survival", "--soft", "--env", sys.argv[2], *model],
     "run": ["run", "--config", sys.argv[3]],
     "simulate": ["simulate", "--M", "256", "--K", "64", "--seed", "7"],
-    "voxel": ["sausage", "--method", "voxel", "--T", "0.25", "--seed", "5"],
+    "voxel": ["sausage", "--method", "voxel", "--T", "0.24", "--seed", "5"],
     "diagnostics": ["diagnostics", "--M", "256", "--K", "64", "--seed", "7"],
 }
 report = {"import": scipy_loaded()}

@@ -151,6 +151,8 @@ def test_brownian_path_statistics():
         v = ends[:, j].var()
         assert abs(v - 1.0) < 4 * math.sqrt(2.0 / 499)
     assert brownian_path(2, 1.0, 0.1, seed=3).points.shape == (11, 2)
+    with pytest.raises(ValueError, match="the nearest horizons on the grid are 0.9 and 1.2"):
+        brownian_path(2, 1.0, 0.3, seed=3)
     # the cloud holds the read-only coordinate rows the steps were summed
     # into, bit-equal to stacking the origin on the summed (n, d) steps
     for d in (1, 2, 3):

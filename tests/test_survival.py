@@ -342,9 +342,11 @@ def test_indicator_interval_is_wilson():
     lo, hi = SurvivalEstimate(1.0, 0.0, 100, "quenched_hard", p).ci95()
     assert hi == 1.0
     assert lo == pytest.approx(100 / (100 + 1.96 ** 2))
-    # weighted means keep the normal interval
+    # weighted means keep the normal interval, clipped to [0, 1]
     weighted = SurvivalEstimate(0.5, 0.01, 100, "hard_via_volume", p)
     assert weighted.ci95() == pytest.approx((0.5 - 0.0196, 0.5 + 0.0196))
+    assert SurvivalEstimate(1e-10, 1e-10, 100, "hard_via_volume", p).ci95() == (0.0, pytest.approx(2.96e-10))
+    assert SurvivalEstimate(0.995, 0.01, 100, "soft_weight", p).ci95() == (pytest.approx(0.9754), 1.0)
 
 
 # Per estimator path, the `survival` module names a replica calls once, and
