@@ -73,8 +73,9 @@ class ModelParams:
 
     d: state dimension; J: circle length; nu: trap intensity; a: trap
     radius; K: Fourier mode cutoff; M: evaluation grid size (>= 2K+1);
-    dt: observation step; T: time horizon; eps_tail: bound accepted for
-    the neglected per-coefficient stationary variance sum_{k>K} 1/(4 pi^2 k^2).
+    dt: observation step; T: time horizon, a whole number of steps of dt
+    (`horizon_steps`); eps_tail: bound accepted for the neglected
+    per-coefficient stationary variance sum_{k>K} 1/(4 pi^2 k^2).
 
     The defaults are the package's one set: the CLI's model flags and the
     keys a `run` config omits take theirs from here.
