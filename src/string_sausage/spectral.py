@@ -59,6 +59,8 @@ def horizon_steps(T: float, dt: float) -> int:
     """The number of steps of dt in the horizon T, which must lie within 1e-6
     of a whole number of them: a path is observed on that grid only."""
     steps = T / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"horizon T={T!r} is not a finite number of steps of dt={dt!r}")
     n = round(steps)
     if abs(steps - n) > 1e-6:
         lo = math.floor(steps)

@@ -327,9 +327,10 @@ def test_bad_model_params_exit_2(capsys):
         (["--T", "0.25"], "horizon T=0.25 is not a whole number of steps of dt=0.02: "
                           "the nearest horizons on the grid are 0.24 and 0.26"),
         (["--T", "1", "--dt", "0.3"], "the nearest horizons on the grid are 0.9 and 1.2"),
+        (["--dt", "1e-320"], "horizon T=1.0 is not a finite number of steps of dt=1e-320"),
     ],
     ids=["T_inf", "dt_inf", "horizon_below_one_step", "eps_tail_nan", "J_nan", "nu_inf",
-         "horizon_off_the_step_grid", "step_off_the_horizon"],
+         "horizon_off_the_step_grid", "step_off_the_horizon", "subnormal_step"],
 )
 def test_non_finite_model_values_exit_2(argv, cause, capsys):
     code = main(["survival", "--hard", "--n", "100", "--seed", "1", "--threads", "1", *argv])
