@@ -125,7 +125,7 @@ def add_model_args(sp: argparse.ArgumentParser, threads: bool = False) -> None:
     sp.add_argument("--seed", type=int, required=True, help="master seed in [0, 2**64) (no wall-clock default)")
     sp.add_argument("--csv", type=str, default=None, help="append result rows to this CSV file")
     if threads:
-        sp.add_argument("--threads", type=int, default=None, help="worker count (default: every core)")
+        sp.add_argument("--threads", type=int, default=None, help="worker count (default: every core this process may run on)")
 
 
 def params_from(args) -> ModelParams:

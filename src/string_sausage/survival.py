@@ -156,8 +156,11 @@ def _replica_batch(args) -> np.ndarray:
 
 
 def n_workers(requested: int | None = None) -> int:
-    """Worker count: `requested`, else every core."""
+    """Worker count: `requested`, else every core this process may run on
+    (its CPU affinity, where the platform reports one)."""
     if requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if isinstance(requested, bool) or not isinstance(requested, int) or requested < 1:
         raise ValueError(f"worker count must be an integer >= 1, got {requested!r}")

@@ -42,8 +42,12 @@ class Box:
         return math.prod((self.upper - self.lower).tolist())  # np.prod's product, without its ~3 us call
 
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # bit-equal to rng.uniform(lower, upper, (n, d)), without its argument checks
-        return self.lower + (self.upper - self.lower) * rng.random((n, self.d))
+        """n uniform points (n, d), a view of contiguous coordinate rows (d, n),
+        bit-equal to rng.uniform(lower, upper, (n, d)) without its argument checks."""
+        rows = rng.random((n, self.d)).T.copy()
+        rows *= (self.upper - self.lower)[:, None]
+        rows += self.lower[:, None]
+        return rows.T
 
 
 @dataclass(frozen=True)

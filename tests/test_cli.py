@@ -300,11 +300,18 @@ def test_failed_command_leaves_its_new_csv_empty_for_the_next_run(capsys, tmp_pa
 
 
 def test_worker_count_reads_no_environment(monkeypatch):
-    # the worker count is --threads, a `run` config's threads, or every core:
-    # `survival` sees an `os` without `environ`, so reading any variable (a
-    # former knob set to 0, say) fails
-    monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=os.cpu_count))
-    assert survival.n_workers() == (os.cpu_count() or 1)
+    # the worker count is --threads, a `run` config's threads, or every core
+    # this process may run on: `survival` sees an `os` without `environ`, so
+    # reading any variable (a former knob set to 0, say) fails
+    monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=lambda: 8, sched_getaffinity=lambda pid: {0, 3}))
+    assert survival.n_workers() == 2  # the affinity under taskset or a cpuset, not the 8 cores
+    monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=lambda: 8))
+    assert survival.n_workers() == 8  # no affinity on this platform
+    monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=lambda: None))
+    assert survival.n_workers() == 1
+    monkeypatch.undo()
+    want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert survival.n_workers() == want
 
 
 def test_bad_model_params_exit_2(capsys):

@@ -194,6 +194,26 @@ def test_hit_or_miss_matches_brute_force_nearest_distance():
         assert est.volume == box.volume * (hits / 2000)
 
 
+# Hit-or-miss volumes of criterion-05 strings (seed 43, replica d, 2000
+# samples from substream(43, MC, d)), with their hit counts: the count is
+# exact, so any rewrite of the kernels must give these floats.
+PINNED_VOLUMES = {
+    (1, 1.0): 2.734525075902062,  # 2000 hits
+    (1, 16.0): 7.678235603658216,  # 2000 hits
+    (2, 1.0): 5.939201289912548,  # 1254 hits
+    (2, 16.0): 30.804625453171404,  # 1061 hits
+    (3, 1.0): 11.189518623115084,  # 653 hits
+    (3, 16.0): 93.66434789071906,  # 466 hits
+}
+
+
+@pytest.mark.parametrize("d, T", sorted(PINNED_VOLUMES))
+def test_hit_or_miss_volumes_are_pinned(d, T):
+    p = ModelParams(d=d, K=16, M=64, dt=0.05, T=T, nu=1.0, a=0.3, eps_tail=2e-3)
+    cloud = simulate(p, 43, replica=d).cloud()
+    assert sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(43, MC, d)).volume == PINNED_VOLUMES[d, T]
+
+
 @pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_prepass_matches_brute_force_on_strings(d, T, exact_log):
@@ -233,6 +253,7 @@ def test_sample_uniform_is_bit_equal_to_uniform():
             np.testing.assert_array_equal(
                 drawn, substream(seed, MC, 0).uniform(box.lower, box.upper, size=(500, d))
             )
+            assert drawn.T.flags.c_contiguous  # the coordinate rows hit-or-miss reads
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -279,6 +300,80 @@ def test_dilate_is_the_stencil_dilation(d):
             assert np.all(got[want])
             if stencil is hit:
                 np.testing.assert_array_equal(got[inner], want[inner])
+
+
+def dilate_by_shifts(raster, strides, *stencils):
+    """The flat bool raster dilated by each stencil with numpy flat shifts,
+    one OR of a shifted slice per shift: the reference for the bitset kernel."""
+    splits = [geometry._split(stencil) for stencil in stencils]
+    n, step = len(raster), strides[-1]
+    rows = [raster]
+    for b in range(1, max(h for half, _ in splits for _, h in half) + 1):
+        row = rows[-1].copy()
+        row[b * step :] |= raster[: -b * step]
+        row[: -b * step] |= raster[b * step :]
+        rows.append(row)
+    grown = []
+    for half, subs in splits:
+        if len(strides) == 1:
+            [((), h)] = half
+            grown.append(rows[h])
+            continue
+        out = np.zeros_like(raster)
+        if len(strides) == 2:
+            for (a,), h in half:
+                shift = a * strides[0]
+                lo, hi = max(shift, 0), min(n, n + shift)
+                if lo < hi:
+                    out[lo:hi] |= rows[h][lo - shift : hi - shift]
+        else:
+            for h, prefixes in subs:
+                out |= dilate_by_shifts(rows[h], strides[:-1], prefixes)[0]
+        grown.append(out)
+    return grown
+
+
+def assert_dilate_is_the_flat_shift_dilation(grid, k):
+    d, shape = grid.ndim, grid.shape
+    strides = [math.prod(shape[j + 1 :]) for j in range(d)]
+    hit, reach = geometry._stencils(d, k)
+    for stencils in ((hit, reach), (reach,), (hit,)):
+        got = geometry._dilate(grid.ravel(), strides, *stencils)
+        want = dilate_by_shifts(grid.ravel(), strides, *stencils)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == bool and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dilate_is_the_flat_shift_dilation(d):
+    # bit for bit, wraps included: random rasters at every k up to one past
+    # RASTER_K, and rasters whose occupied cells lie at the ends of rows,
+    # where the shifts along every axis wrap into the neighbouring rows
+    rng = substream(38, MC, d)
+    for k in range(1, geometry.RASTER_K[d] + 2):
+        shape = tuple(int(x) for x in rng.integers(3, 40 if d < 3 else 14, size=d))
+        for density in (0.0, 0.02, 0.3, 1.0):
+            assert_dilate_is_the_flat_shift_dilation(rng.random(shape) < density, k)
+        edges = np.zeros(shape, bool)
+        for axis in range(d):
+            for end in (0, -1):
+                index = [slice(None)] * d
+                index[axis] = end
+                edges[tuple(index)] = rng.random(edges[tuple(index)].shape) < 0.3
+        assert_dilate_is_the_flat_shift_dilation(edges, k)
+        corners = np.zeros(shape, bool)
+        for corner in itertools.product((0, -1), repeat=d):
+            corners[corner] = True
+        assert_dilate_is_the_flat_shift_dilation(corners, k)
+
+
+def test_dilate_is_the_flat_shift_dilation_on_a_large_raster():
+    # more than 2^17 cells: the integer spans thousands of machine words
+    grid = substream(39, MC, 0).random((331, 409)) < 0.01
+    assert grid.size >= 1 << 17
+    assert_dilate_is_the_flat_shift_dilation(grid, geometry.RASTER_K[2])
 
 
 def test_prepass_hit_shift_does_not_wrap_into_the_next_row():
