@@ -309,9 +309,6 @@ def test_worker_count_reads_no_environment(monkeypatch):
     assert survival.n_workers() == 8  # no affinity on this platform
     monkeypatch.setattr(survival, "os", SimpleNamespace(cpu_count=lambda: None))
     assert survival.n_workers() == 1
-    monkeypatch.undo()
-    want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert survival.n_workers() == want
 
 
 def test_bad_model_params_exit_2(capsys):
