@@ -20,18 +20,21 @@ a sure miss when no cloud point lies in its reach stencil, the offsets with
 sum_j max(|delta_j| - 1, 0)^2 <= k^2 d: a pair within the query bound
 r (1 + 1e-12) has that integer sum below k^2 d (1 + 3e-9), so at most
 k^2 d.  The reach spans ceil(r (1 + 1e-12) / s) cells on an axis.  Both
-tests are dilations of the occupied cells by flat shifts of the raster,
-made on the raster packed into one Python integer, bit i for flat cell i,
-where a flat shift is a bit shift.  On rasters of a few thousand cells
-that is faster than ORing numpy slices, whose ~75 calls cost more than
-their arithmetic.  A shift past the end of an axis wraps into a
-neighbouring row: in reach that only widens the set, and for hits the
-raster keeps as many empty cells above the data on every axis as the hit
-stencil spans, so no hit shift lands on data.  The 1e-9 margin exceeds
-the rounding of a cell index on an axis of fewer than about 1.5e6 cells,
-which MAX_RASTER_CELLS ensures.  Past that cap the raster is built at a
-lower k; past it at k = 1 no raster is built and the exact stage decides
-every sample.
+tests are dilations of the occupied cells by one rule in every d: a
+stencil is held as its rows, an offset on the first d - 1 axes with a
+half-width along the last; the raster is grown along its last axis once
+per half-width, and each row ORs one flat shift of that growth.  The
+raster is packed into one Python integer, bit i for flat cell i, where a
+flat shift is a bit shift.  On rasters of a few thousand cells that is
+faster than ORing numpy slices, whose ~75 calls cost more than their
+arithmetic.  A shift past the end of an axis wraps into a neighbouring
+row: in reach that only widens the set, and for hits the raster keeps as
+many empty cells above the data on every axis as the hit stencil spans,
+so no hit shift lands on data.  The 1e-9 margin exceeds the rounding of
+a cell index on an axis of fewer than about 1.5e6 cells, which
+MAX_RASTER_CELLS ensures.  Past that cap the raster is built at a lower
+k; past it at k = 1, or where the cell side underflows, no raster is
+built and the exact stage decides every sample.
 
 The exact stage holds only the cloud points within reach of the samples
 left undecided, so the hit count is the one a scan over the whole cloud
@@ -139,78 +142,50 @@ def _cell_index(rows: np.ndarray, lo: np.ndarray, side: float, shape: tuple) -> 
 
 
 @functools.cache
-def _stencils(d: int, k: int) -> tuple[frozenset, frozenset]:
+def _stencils(d: int, k: int) -> tuple[tuple, tuple]:
     """The hit and the reach stencil on cells of side r/(k sqrt(d)) (1 - 1e-9)
-    (module docstring): the cell offsets delta with
-    sum_j (|delta_j| + 1)^2 <= k^2 d and with sum_j max(|delta_j| - 1, 0)^2 <= k^2 d."""
+    (module docstring), the offsets delta with sum_j (|delta_j| + 1)^2 <= k^2 d
+    and with sum_j max(|delta_j| - 1, 0)^2 <= k^2 d, as rows: the pairs (offset
+    on the first d - 1 axes, padded with zeros to two; half-width along the
+    last), widest last.  A stencil holds, with each offset, every offset nearer
+    zero on an axis."""
     m = int(k * math.sqrt(d)) + 1
-    span = list(itertools.product(range(-m, m + 1), repeat=d))
-    return tuple(
-        frozenset(o for o in span if sum(max(abs(x) + gap, 0) ** 2 for x in o) <= k * k * d)
-        for gap in (1, -1)
-    )
+    stencils = []
+    for gap in (1, -1):
+        half = {}
+        for o in itertools.product(range(-m, m + 1), repeat=d):
+            if sum(max(abs(x) + gap, 0) ** 2 for x in o) <= k * k * d:
+                prefix = (*o[:-1], 0, 0)[:2]
+                half[prefix] = max(half.get(prefix, 0), abs(o[-1]))
+        stencils.append(tuple(sorted(half.items(), key=lambda row: row[1])))
+    return tuple(stencils)
 
 
-@functools.cache
-def _split(stencil: frozenset) -> tuple[tuple, tuple]:
-    """The pairs (prefix, half-width of the stencil along the last axis), and
-    for each distinct half-width h the prefixes whose half-width is h or more."""
-    half = {}
-    for o in stencil:
-        half[o[:-1]] = max(half.get(o[:-1], 0), abs(o[-1]))
-    return tuple(half.items()), tuple(
-        (h, frozenset(p for p, g in half.items() if g >= h)) for h in sorted(set(half.values()))
-    )
-
-
-def _dilate(raster: np.ndarray, strides: list, *stencils: frozenset) -> list[np.ndarray]:
-    """The flat bool raster, with axis strides `strides`, dilated by each
-    stencil: packed into one integer, bit i for cell i, dilated by
-    `_dilate_bits` and unpacked."""
-    n = len(raster)
-    bits = int.from_bytes(np.packbits(raster, bitorder="little").tobytes(), "little")
-    return [
-        np.unpackbits(
-            np.frombuffer(g.to_bytes((n + 7) // 8, "little"), np.uint8), count=n, bitorder="little"
-        ).view(bool)
-        for g in _dilate_bits(bits, n, strides, *stencils)
-    ]
-
-
-def _dilate_bits(bits: int, n: int, strides: list, *stencils: frozenset) -> list[int]:
-    """The raster of n cells held as the bits of `bits` (none at n or above),
-    with axis strides `strides`, dilated by each stencil.
-
-    A stencil holds, with each offset, every offset nearer zero on an axis.
-    The raster is grown along its last axis once per half-width.  On two
-    axes a stencil then ORs one flat shift of those rows per prefix; on more
-    it dilates the rows of each half-width by the prefixes that reach it.
+def _dilate(raster: np.ndarray, strides: list, *stencils: tuple) -> list[np.ndarray]:
+    """The flat bool raster, with C-order axis strides `strides`, dilated by
+    each stencil's rows (widest last): packed into one integer, bit i for
+    cell i, grown along the last axis once per half-width, and ORed, per row
+    (a, c), h, with the growth by h shifted by a strides[0] + c strides[1].
     A shift moves every cell by the same flat offset, so one past the end of
     an axis wraps into a neighbouring row; bits shifted to n or above are
-    cleared before any right shift and in every result.
-    """
-    splits = [_split(stencil) for stencil in stencils]
-    mask, step = (1 << n) - 1, strides[-1]
-    rows = [bits]
-    for b in range(1, max(subs[-1][0] for _, subs in splits) + 1):  # the widest half-width
-        rows.append(rows[-1] | bits << b * step | bits >> b * step)
-    rows = [row & mask for row in rows]
-    grown = []
-    for half, subs in splits:
-        if len(strides) == 1:
-            [((), h)] = half
-            grown.append(rows[h])
-            continue
-        out = 0
-        if len(strides) == 2:
-            for (a,), h in half:
-                shift = a * strides[0]
-                out |= rows[h] << shift if shift >= 0 else rows[h] >> -shift
-        else:
-            for h, prefixes in subs:
-                out |= _dilate_bits(rows[h], n, strides[:-1], prefixes)[0]
-        grown.append(out & mask)
-    return grown
+    cleared before any right shift and in every result."""
+    n = len(raster)
+    mask = (1 << n) - 1
+    bits = int.from_bytes(np.packbits(raster, bitorder="little").tobytes(), "little")
+    grown = [bits]
+    for b in range(1, max(rows[-1][1] for rows in stencils) + 1):  # the widest half-width
+        grown.append(grown[-1] | bits << b | bits >> b)
+    grown = [g & mask for g in grown]
+    s0, s1 = (*strides[:-1], 0, 0)[:2]
+    out = []
+    for rows in stencils:
+        dilated = 0
+        for (a, c), h in rows:
+            shift = a * s0 + c * s1
+            dilated |= grown[h] << shift if shift >= 0 else grown[h] >> -shift
+        dilated = (dilated & mask).to_bytes((n + 7) // 8, "little")
+        out.append(np.unpackbits(np.frombuffer(dilated, np.uint8), count=n, bitorder="little").view(bool))
+    return out
 
 
 def _raster_prepass(
@@ -223,11 +198,13 @@ def _raster_prepass(
         side = radius / (k * math.sqrt(d)) * (1 - 1e-9)
         hit, reach = _stencils(d, k)
         # empty cells above the data on every axis, as many as the hit
-        # stencil spans on one (the last): no hit shift wraps into data
-        pad = _split(hit)[1][-1][0]
-        shape = tuple(int(e / side) + 2 + pad for e in extent)
-        if math.prod(shape) <= MAX_RASTER_CELLS:
-            break
+        # stencil spans on one: no hit shift wraps into data
+        pad = hit[-1][1]
+        # a side that underflows to 0 or an infinite cell count is past the cap, never cast
+        if side > 0 and max(extent) / side < MAX_RASTER_CELLS:
+            shape = tuple(int(e / side) + 2 + pad for e in extent)
+            if math.prod(shape) <= MAX_RASTER_CELLS:
+                break
     else:
         return 0, samples, points
     point_cells = _cell_index(points, box.lower, side, shape)
@@ -344,10 +321,12 @@ def sausage_volume_voxel(cloud: PointCloud, radius: float, voxel_size: float) ->
     if not 0 < voxel_size <= radius / 4 < math.inf:  # also rejects NaN and radius <= 0
         raise ValueError("need a finite radius > 0 and 0 < voxel_size <= radius/4")
     box = bounding_box(cloud, radius + voxel_size)
-    counts = np.ceil((box.upper - box.lower) / voxel_size).astype(int)
-    n_voxels, n_in = int(np.prod(counts)), 0
-    if n_voxels > MAX_VOXELS:
+    # the float counts first: an infinite count is too large, and is never cast
+    counts = np.ceil([e / voxel_size for e in (box.upper - box.lower).tolist()])
+    if not math.prod(counts) <= MAX_VOXELS:
         raise ValueError("voxel grid too large; coarsen voxel_size or shrink the cloud")
+    counts = counts.astype(int)
+    n_voxels, n_in = int(np.prod(counts)), 0
     grid = Box(box.lower, box.lower + counts * voxel_size)
     for start in range(0, n_voxels, VOXEL_CHUNK):
         cells = np.unravel_index(np.arange(start, min(start + VOXEL_CHUNK, n_voxels)), counts)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -551,6 +552,34 @@ def test_sausage_with_no_hit_keeps_an_open_interval(capsys):
     assert (rec["volume"], rec["stderr"]) == (0.0, 0.0)
     lo, hi = rec["ci95"]
     assert lo == 0.0 < hi
+
+
+@pytest.mark.parametrize("a", ["1e-320", "5e-324"])
+def test_subnormal_trap_radius_exit_0(a, capsys, tmp_path):
+    # the raster's cell side is subnormal or 0: no raster is built, and the
+    # exact stage finds no sample within the radius, so no volume and every
+    # path survives
+    flags = ["--a", a, "--T", "0.24", "--seed", "1"]
+    pool = ["--n", "100", "--threads", "1"]
+    code, out = run_cli(["sausage", *flags, "--n-mc", "1000"], capsys)
+    assert code == EXIT_OK and last_json(out)["volume"] == 0.0
+    code, out = run_cli(["survival", "--hard", "--via-volume", *flags, *pool], capsys)
+    assert code == EXIT_OK and last_json(out)["p_hat"] == 1.0
+    code, out = run_cli(["scaling-check", "--via-volume", *flags, *pool], capsys)
+    assert code == EXIT_OK and last_json(out)["original"]["p_hat"] == 1.0
+    sweep = {"experiment": "survival", "method": "hard_via_volume", "seed": 1, "n_replicas": 100,
+             "T": [0.24, 0.5], "a": float(a), "threads": 1}
+    code, _ = run_config_file(tmp_path / "sweep.json", sweep, capsys)
+    assert code == EXIT_OK
+
+
+def test_subnormal_voxel_size_exit_2(capsys):
+    # a / 4 = 2.5e-321: every voxel count overflows, which is the grid-size
+    # error, without a numpy warning from casting the counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sausage", "--method", "voxel", "--a", "1e-320", "--T", "0.24", "--seed", "1"]) == EXIT_CONFIG
+    assert "voxel grid too large" in capsys.readouterr().err
 
 
 def test_sausage_replica_draws_its_own_samples(capsys):

@@ -214,6 +214,23 @@ def test_hit_or_miss_volumes_are_pinned(d, T):
     assert sausage_volume_hit_or_miss(cloud, p.a, 2000, substream(43, MC, d)).volume == PINNED_VOLUMES[d, T]
 
 
+# The exact stage's inputs on criterion-05 strings (seed 29, replica d, 2000
+# samples from substream(29, MC, d)): the cloud points it holds (of 1344,
+# 5184 and 20544 at T = 1, 4 and 16) and the samples it decides.  A kernel
+# that widens the near set or moves samples between the stages changes them.
+PREPASS_SPLIT = {
+    (1, 1.0): [25, 100],
+    (1, 4.0): [32, 57],
+    (1, 16.0): [48, 45],
+    (2, 1.0): [168, 264],
+    (2, 4.0): [156, 215],
+    (2, 16.0): [211, 106],
+    (3, 1.0): [1344, 1035],
+    (3, 4.0): [5047, 816],
+    (3, 16.0): [11115, 527],
+}
+
+
 @pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_prepass_matches_brute_force_on_strings(d, T, exact_log):
@@ -221,9 +238,21 @@ def test_prepass_matches_brute_force_on_strings(d, T, exact_log):
     cloud = simulate(p, 29, replica=d).cloud()
     samples = bounding_box(cloud, p.a).sample_uniform(2000, substream(29, MC, d))
     assert check_hits(cloud.points, samples, p.a) > 0  # all 2000 in d=1
-    built, queried = exact_log
-    # the raster settles part of the samples; the exact stage holds only nearby points
-    assert 0 < queried < 2000 and built <= len(cloud.points)
+    assert exact_log == PREPASS_SPLIT[d, T]
+
+
+@pytest.mark.parametrize("a", [1e-320, 5e-324, 1e-307])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hit_or_miss_at_a_subnormal_radius(d, a, exact_log):
+    # the cell side is subnormal (0 at 5e-324) or the cell counts overflow:
+    # no raster is built, and the exact stage decides every sample; the
+    # samples on cloud points hit, the uniform ones miss
+    p = ModelParams(d=d, K=16, M=64, dt=0.05, T=0.25, eps_tail=2e-3)
+    cloud = simulate(p, 31, replica=d).cloud()
+    drawn = bounding_box(cloud, a).sample_uniform(1000, substream(31, MC, d))
+    assert check_hits(cloud.points, np.vstack([cloud.points[:100], drawn]), a) >= 100
+    assert exact_log == [len(cloud.points), 1100]
+    assert sausage_volume_hit_or_miss(cloud, a, 1000, substream(31, MC, d)).volume == 0.0
 
 
 @pytest.mark.parametrize("d", [4, 9])
@@ -256,6 +285,12 @@ def test_sample_uniform_is_bit_equal_to_uniform():
             assert drawn.T.flags.c_contiguous  # the coordinate rows hit-or-miss reads
 
 
+def offsets(rows, d):
+    """The cell offsets a stencil's rows hold: each prefix on the first d - 1
+    axes with every last-axis offset up to its half-width."""
+    return {(*prefix[: d - 1], x) for prefix, h in rows for x in range(-h, h + 1)}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stencils_hold_exactly_the_sure_offsets(d):
     # every hit offset's farthest cell pair is closer than r; every offset whose
@@ -264,7 +299,13 @@ def test_stencils_hold_exactly_the_sure_offsets(d):
     bound = 1 + 1e-12
     for k in range(1, geometry.RASTER_K[d] + 2):
         side = _side(d, k)
-        hit, reach = geometry._stencils(d, k)
+        rows = geometry._stencils(d, k)
+        for stencil in rows:  # one row per prefix, padded with zeros to two axes, widest last
+            prefixes = [prefix for prefix, _ in stencil]
+            assert len(set(prefixes)) == len(prefixes)
+            assert [h for _, h in stencil] == sorted(h for _, h in stencil)
+            assert all(len(prefix) == 2 and not any(prefix[d - 1 :]) for prefix in prefixes)
+        hit, reach = (offsets(stencil, d) for stencil in rows)
         assert hit <= reach and (0,) * d in hit
         far = np.array([[abs(x) + 1 for x in o] for o in hit], float) * side
         assert np.sqrt((far ** 2).sum(axis=1)).max() < 1
@@ -282,14 +323,15 @@ def test_dilate_is_the_stencil_dilation(d):
     # axis), and a superset for the reach, whose shifts may wrap
     rng = substream(36, MC, d)
     for k in range(1, geometry.RASTER_K[d] + 1):
-        hit, reach = geometry._stencils(d, k)
-        pad = max(max(o) for o in hit)
+        rows = geometry._stencils(d, k)
+        hit, reach = (offsets(stencil, d) for stencil in rows)
+        pad = rows[0][-1][1]
         shape = tuple(int(x) for x in rng.integers(8, 14, size=d) + pad)
         grid = np.zeros(shape, bool)
         inner = tuple(slice(0, n - pad) for n in shape)
         grid[inner] = rng.random(tuple(n - pad for n in shape)) < 0.05
         strides = [math.prod(shape[j + 1 :]) for j in range(d)]
-        got_hit, got_reach = (g.reshape(shape) for g in geometry._dilate(grid.ravel(), strides, hit, reach))
+        got_hit, got_reach = (g.reshape(shape) for g in geometry._dilate(grid.ravel(), strides, *rows))
         for stencil, got in ((hit, got_hit), (reach, got_reach)):
             want = np.zeros(shape, bool)
             for idx in zip(*np.nonzero(grid)):
@@ -303,34 +345,29 @@ def test_dilate_is_the_stencil_dilation(d):
 
 
 def dilate_by_shifts(raster, strides, *stencils):
-    """The flat bool raster dilated by each stencil with numpy flat shifts,
-    one OR of a shifted slice per shift: the reference for the bitset kernel."""
-    splits = [geometry._split(stencil) for stencil in stencils]
-    n, step = len(raster), strides[-1]
-    rows = [raster]
-    for b in range(1, max(h for half, _ in splits for _, h in half) + 1):
-        row = rows[-1].copy()
-        row[b * step :] |= raster[: -b * step]
-        row[: -b * step] |= raster[b * step :]
-        rows.append(row)
-    grown = []
-    for half, subs in splits:
-        if len(strides) == 1:
-            [((), h)] = half
-            grown.append(rows[h])
-            continue
-        out = np.zeros_like(raster)
-        if len(strides) == 2:
-            for (a,), h in half:
-                shift = a * strides[0]
-                lo, hi = max(shift, 0), min(n, n + shift)
-                if lo < hi:
-                    out[lo:hi] |= rows[h][lo - shift : hi - shift]
-        else:
-            for h, prefixes in subs:
-                out |= dilate_by_shifts(rows[h], strides[:-1], prefixes)[0]
-        grown.append(out)
-    return grown
+    """The flat bool raster dilated by each stencil's rows with numpy flat
+    shifts, one OR of a shifted slice per shift: the reference for the bitset
+    kernel.  The raster grows along its last axis (stride 1) once per
+    half-width; each row (a, c), h ORs that growth by h shifted by
+    a strides[0] + c strides[1]."""
+    n = len(raster)
+    grown = [raster]
+    for b in range(1, max(h for rows in stencils for _, h in rows) + 1):
+        row = grown[-1].copy()
+        row[b:] |= raster[:-b]
+        row[:-b] |= raster[b:]
+        grown.append(row)
+    s0, s1 = (*strides[:-1], 0, 0)[:2]
+    out = []
+    for rows in stencils:
+        dilated = np.zeros_like(raster)
+        for (a, c), h in rows:
+            shift = a * s0 + c * s1
+            lo, hi = max(shift, 0), min(n, n + shift)
+            if lo < hi:
+                dilated[lo:hi] |= grown[h][lo - shift : hi - shift]
+        out.append(dilated)
+    return out
 
 
 def assert_dilate_is_the_flat_shift_dilation(grid, k):
@@ -367,6 +404,11 @@ def test_dilate_is_the_flat_shift_dilation(d):
         for corner in itertools.product((0, -1), repeat=d):
             corners[corner] = True
         assert_dilate_is_the_flat_shift_dilation(corners, k)
+        # the last cell alone: its growth past the end, shifted back down,
+        # would land in cells nothing else reaches
+        last = np.zeros(shape, bool)
+        last.flat[-1] = True
+        assert_dilate_is_the_flat_shift_dilation(last, k)
 
 
 def test_dilate_is_the_flat_shift_dilation_on_a_large_raster():
