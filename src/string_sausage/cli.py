@@ -178,6 +178,8 @@ def cmd_sausage(args) -> tuple[list[dict], dict]:
         est = replica_volume(simulate(p, seed, replica=r), seed, r, n_mc, streams.new_generator())
     else:
         voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
+        if voxel == 0 and args.voxel_size is None:
+            raise ValueError(f"trap radius a={p.a!r} is too small for a voxel grid: its default side a/4 underflows to 0")
         est = sausage_volume_voxel(simulate(p, seed, replica=r).cloud(), p.a, voxel)
     return [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)], {
         "ci95": est.ci95(), "command": "sausage", "method": args.method, "n": est.n_samples,
@@ -398,8 +400,10 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
     grid = list(itertools.product(*sweeps.values()))
-    seed = master_seed(_convert("seed", config["seed"], int), len(grid),
-                       f"run uses seed + i for grid point i of {len(grid)}")
+    # the grid points that differ in T alone form a group, which shares one seed and one set of paths
+    n_groups = len(grid) // len(sweeps["T"])
+    seed = master_seed(_convert("seed", config["seed"], int), n_groups,
+                       f"run uses seed + g for group g of {n_groups} (the grid points that differ in T alone)")
     base = {
         name: _convert(name, config.get(name, MODEL_DEFAULTS[name]), type(MODEL_DEFAULTS[name]))
         for name in ("d", "K", "M", "dt", "eps_tail")
@@ -409,19 +413,25 @@ def run_config(config: dict) -> tuple[list[dict], dict]:
         workers = config.get("threads")
         method = config.get("method", "hard_direct")
 
-        def estimate(p: ModelParams, point_seed: int) -> dict:
-            est = annealed_hard(p, n_rep, point_seed, method=method, workers=workers)
-            return row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, point_seed)
+        def estimate(longest: ModelParams, group: list, group_seed: int) -> list[dict]:
+            ests = annealed_hard(longest, n_rep, group_seed, method=method, workers=workers,
+                                 horizons=[p.T for p in group])
+            return [row("survival", p, est.method, est.p_hat, est.stderr, est.n_replicas, group_seed)
+                    for p, est in zip(group, ests)]
     else:
         n_mc = _convert("n_mc", config.get("n_mc", N_MC), int)
 
-        def estimate(p: ModelParams, point_seed: int) -> dict:
-            trace = simulate(p, point_seed, replica=0)
-            est = replica_volume(trace, point_seed, 0, n_mc, streams.new_generator())
-            return row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, point_seed)
+        def estimate(longest: ModelParams, group: list, group_seed: int) -> list[dict]:
+            trace, gen = simulate(longest, group_seed, replica=0), streams.new_generator()
+            ests = [replica_volume(trace.prefix(p), group_seed, 0, n_mc, gen) for p in group]
+            return [row("sausage", p, est.method, est.volume, est.stderr, est.n_samples, group_seed)
+                    for p, est in zip(group, ests)]
     # every grid point's model is checked before the first one runs
     points = [ModelParams(T=T, J=J, nu=nu, a=a, **base) for T, J, nu, a in grid]
-    rows = [estimate(p, seed + idx) for idx, p in enumerate(points)]
+    # T is the grid's slowest axis: group g holds the points g, g + n_groups, ...
+    groups = [points[g::n_groups] for g in range(n_groups)]
+    results = [estimate(max(group, key=lambda p: p.T), group, seed + g) for g, group in enumerate(groups)]
+    rows = [results[g][t] for t in range(len(sweeps["T"])) for g in range(n_groups)]
     summary = {
         "command": "run",
         "experiment": experiment,

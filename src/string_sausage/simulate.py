@@ -44,6 +44,16 @@ class Trace:
         """All space-time samples flattened into one point cloud in R^d."""
         return PointCloud(self.values.reshape(-1, self.params.d))
 
+    def prefix(self, params: ModelParams) -> Trace:
+        """The path up to `params.T`, for `params` that differ from this
+        trace's in a horizon no longer than its T alone: views of its first
+        `params.n_steps + 1` snapshots, nothing copied.  A path is a
+        bit-exact prefix of the same stream's longer path."""
+        if params is self.params:
+            return self
+        n = params.n_steps + 1
+        return Trace(params, self.coeffs[:n], self.values[:n])
+
     @property
     def com(self) -> np.ndarray:
         """Center of mass (n+1, d) at each time: the grid mean, read off the zero mode."""

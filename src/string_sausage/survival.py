@@ -9,7 +9,9 @@ finite resolution overestimates survival.
 
 `_estimate` is the one estimator body: `annealed_hard`, `annealed_soft`
 and `quenched` check their arguments and hand it a per-replica weight,
-`_hard`, `_hard_volume` or `_soft`.  The hard and soft weights draw traps
+`_hard`, `_hard_volume` or `_soft`.  `annealed_hard` may also hand it
+several horizons: each replica's path is then evolved to the longest once,
+and every horizon weighs its prefix.  The hard and soft weights draw traps
 from (ENV, r) around the replica's cloud when no environment is given and
 otherwise use the frozen one.  Each chunk of replicas keeps one generator
 for these draws, re-keyed to the replica's stream when it draws.
@@ -141,17 +143,21 @@ def _soft(
 
 
 def _replica_batch(args) -> np.ndarray:
-    """Per-replica weights `weight(trace, seed, r, gen, *extra)` for one
-    chunk of consecutive replicas, whose traces one `traces` generator
-    serves; `gen` is the chunk's one generator for the replicas' own draws."""
-    weight, params, seed, replicas, extra = args
+    """Weights `weight(trace, seed, r, gen, *extra)` for one chunk of
+    consecutive replicas, one row per horizon (n_h, len(replicas)): each
+    replica's path is evolved to `params.T` once, by the chunk's one `traces`
+    generator, and each horizon weighs its prefix; `gen` is the chunk's one
+    generator for the replicas' own draws."""
+    weight, params, horizons, seed, replicas, extra = args
     try:
-        weights = np.empty(len(replicas))
+        weights = np.empty((len(horizons), len(replicas)))
     except MemoryError:
         raise ValueError(f"the weights of {len(replicas)} replicas do not fit in memory") from None
     paths, gen = traces(params, seed, replicas), streams.new_generator()
     for i, r in enumerate(replicas):
-        weights[i] = weight(simulate(params, seed, replica=r, paths=paths), seed, r, gen, *extra)
+        trace = simulate(params, seed, replica=r, paths=paths)
+        for h, p in enumerate(horizons):
+            weights[h, i] = weight(trace.prefix(p), seed, r, gen, *extra)
     return weights
 
 
@@ -168,7 +174,7 @@ def n_workers(requested: int | None = None) -> int:
 
 
 def _run_batches(
-    weight, params: ModelParams, seed: int, extra: tuple, n_rep: int, workers: int
+    weight, params: ModelParams, horizons: list, seed: int, extra: tuple, n_rep: int, workers: int
 ) -> np.ndarray:
     """Replica-parallel execution with an order-independent merge.
 
@@ -178,39 +184,57 @@ def _run_batches(
     """
     replicas = range(n_rep)
     if workers <= 1:
-        return _replica_batch((weight, params, seed, replicas, extra))
+        return _replica_batch((weight, params, horizons, seed, replicas, extra))
     chunk = max(1, math.ceil(n_rep / (workers * 4)))
     chunks = [replicas[i : i + chunk] for i in range(0, n_rep, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_replica_batch, [(weight, params, seed, c, extra) for c in chunks]))
-    return np.concatenate(parts)
+        parts = list(pool.map(_replica_batch, [(weight, params, horizons, seed, c, extra) for c in chunks]))
+    return np.concatenate(parts, axis=1)
 
 
 def _estimate(
     weight, extra: tuple, method: str, params: ModelParams, n_rep: int, seed: int,
-    workers: int | None,
-) -> SurvivalEstimate:
+    workers: int | None, horizons: list[float] | None = None,
+) -> SurvivalEstimate | list[SurvivalEstimate]:
     """The one estimator body: the mean of the replica weights
     `weight(trace, seed, r, gen, *extra)` over r = 0..n_rep-1, with the binomial
-    stderr for the indicator methods and the sample stderr otherwise."""
+    stderr for the indicator methods and the sample stderr otherwise.
+
+    With `horizons`, horizons T in [0, params.T], one estimate per horizon,
+    in order: each replica's path is evolved to params.T once and each
+    horizon weighs its prefix.  A path is a bit-exact prefix of its longer
+    path, so each estimate equals the one at `replace(params, T=T)` alone.
+    """
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")
     w = n_workers(workers)
-    if params.T == 0:
-        # empty time integral: the survival weight is exp(-0) for every path
-        return SurvivalEstimate(1.0, 0.0, n_rep, method, params, float(n_rep), 1.0 / n_rep)
-    weights = _run_batches(weight, params, seed, extra, n_rep, w)
-    p = float(np.mean(weights))
-    if method in INDICATOR_METHODS:
-        stderr = math.sqrt(p * (1.0 - p) / n_rep)
-    else:
-        stderr = float(np.std(weights, ddof=1) / math.sqrt(n_rep))
-    total, square = float(weights.sum()), float((weights * weights).sum())
-    return SurvivalEstimate(
-        min(p, 1.0), stderr, n_rep, method, params,
-        total * total / square if square > 0 else 0.0,
-        float(weights.max()) / total if total > 0 else 0.0,
-    )
+    Ts = [params.T] if horizons is None else horizons
+    points = [params if T == params.T else replace(params, T=T) for T in Ts]
+    longer = [p.T for p in points if p.n_steps > params.n_steps]
+    if longer:
+        raise ValueError(f"horizon T={longer[0]!r} is past the paths' horizon T={params.T!r}")
+    # one row of replica weights per distinct horizon past T = 0
+    live = list(dict.fromkeys(p for p in points if p.T > 0))
+    rows = dict(zip(live, _run_batches(weight, params, live, seed, extra, n_rep, w))) if live else {}
+    estimates = []
+    for p in points:
+        if p.T == 0:
+            # empty time integral: the survival weight is exp(-0) for every path
+            estimates.append(SurvivalEstimate(1.0, 0.0, n_rep, method, p, float(n_rep), 1.0 / n_rep))
+            continue
+        weights = rows[p]
+        mean = float(np.mean(weights))
+        if method in INDICATOR_METHODS:
+            stderr = math.sqrt(mean * (1.0 - mean) / n_rep)
+        else:
+            stderr = float(np.std(weights, ddof=1) / math.sqrt(n_rep))
+        total, square = float(weights.sum()), float((weights * weights).sum())
+        estimates.append(SurvivalEstimate(
+            min(mean, 1.0), stderr, n_rep, method, p,
+            total * total / square if square > 0 else 0.0,
+            float(weights.max()) / total if total > 0 else 0.0,
+        ))
+    return estimates[0] if horizons is None else estimates
 
 
 def annealed_hard(
@@ -220,18 +244,25 @@ def annealed_hard(
     method: str = "hard_direct",
     n_mc: int = 2000,
     workers: int | None = None,
-) -> SurvivalEstimate:
+    horizons: list[float] | None = None,
+) -> SurvivalEstimate | list[SurvivalEstimate]:
     """Annealed hard-obstacle survival S_T.
 
     method='hard_direct' averages the contact indicator over independent
     (noise, environment) pairs; method='hard_via_volume' averages
     exp(-nu * sausage volume) over noise replicas via the Poisson identity.
     Both estimate the same quantity.
+
+    With `horizons`, horizons T in [0, params.T], one estimate per horizon,
+    in order: each replica's path is evolved to params.T once and each
+    horizon weighs its prefix, so the estimate at T equals
+    `annealed_hard(replace(params, T=T), n_rep, seed, ...)` bit for bit, and
+    the estimates at different horizons share their replicas.
     """
     if method not in ("hard_direct", "hard_via_volume"):
         raise ValueError(f"unknown method {method!r}")
     weight, extra = (_hard, (None,)) if method == "hard_direct" else (_hard_volume, (n_mc,))
-    return _estimate(weight, extra, method, params, n_rep, seed, workers)
+    return _estimate(weight, extra, method, params, n_rep, seed, workers, horizons)
 
 
 def annealed_soft(

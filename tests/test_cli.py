@@ -582,6 +582,14 @@ def test_subnormal_voxel_size_exit_2(capsys):
     assert "voxel grid too large" in capsys.readouterr().err
 
 
+def test_underflowing_default_voxel_side_names_the_radius(capsys):
+    # a / 4 underflows to 0 at a = 5e-324: the error names the radius, not a --voxel-size never given
+    assert main(["sausage", "--method", "voxel", "--a", "5e-324", "--T", "0.25", "--dt", "0.05", "--seed", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "trap radius a=5e-324 is too small for a voxel grid: its default side a/4 underflows to 0" in err
+    assert "voxel_size" not in err
+
+
 def test_sausage_replica_draws_its_own_samples(capsys):
     # replica r's hit-or-miss samples come from (MC, r), as in replica r of `survival --via-volume`
     code, out = run_cli(["sausage", "--T", "0.5", "--seed", "5", "--replica", "3", "--n-mc", "2000"], capsys)
@@ -750,6 +758,41 @@ def test_run_config_defaults_match_sausage_flags(capsys):
     assert (rec["estimate"], rec["stderr"], rec["n"]) == tuple(last_json(out)[k] for k in ("volume", "stderr", "n"))
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("method", ["hard_direct", "hard_via_volume"])
+def test_run_sweep_rows_are_single_horizon_rows(method, threads, capsys, tmp_path):
+    """Each row of a T sweep is the `survival` row at its horizon and its group's seed."""
+    Ts, nus, seed = [0.5, 0.0, 0.25, 0.5], [0.25, 1.0], 7
+    config = {"experiment": "survival", "method": method, "seed": seed, "n_replicas": 100,
+              "threads": threads, "T": Ts, "nu": nus, "dt": 0.05}
+    cfg, run_csv, single_csv = tmp_path / "c.json", tmp_path / "run.csv", tmp_path / "single.csv"
+    cfg.write_text(json.dumps(config))
+    code, _ = run_cli(["run", "--config", str(cfg), "--csv", str(run_csv)], capsys)
+    assert code == EXIT_OK
+    # T is the slowest axis; the grid points of one nu share the seed seed + g
+    for T in Ts:
+        for g, nu in enumerate(nus):
+            argv = ["survival", "--hard", "--T", repr(T), "--nu", repr(nu), "--dt", "0.05", "--n", "100",
+                    "--threads", str(threads), "--seed", str(seed + g), "--csv", str(single_csv)]
+            code, _ = run_cli(argv + (["--via-volume"] if method == "hard_via_volume" else []), capsys)
+            assert code == EXIT_OK
+    assert run_csv.read_bytes() == single_csv.read_bytes()
+    rows = list(csv.DictReader(run_csv.read_text().splitlines()))
+    assert [r["estimate"] for r in rows if r["T"] == "0.0"] == ["1.0", "1.0"]
+    assert rows[0] == rows[6] and rows[1] == rows[7]  # the repeated T
+    assert len({r["estimate"] for r in rows}) == 5  # four distinct points and T = 0
+
+
+def test_run_sausage_sweep_rows_are_single_horizon_rows(capsys, tmp_path):
+    config = {"experiment": "sausage", "seed": 3, "T": [0.5, 0.25], "a": [0.2, 0.3], "dt": 0.05, "n_mc": 1000}
+    rows, _ = run_config(config)
+    for i, (T, a) in enumerate([(0.5, 0.2), (0.5, 0.3), (0.25, 0.2), (0.25, 0.3)]):
+        code, out = run_cli(["sausage", "--T", repr(T), "--a", repr(a), "--dt", "0.05", "--n-mc", "1000",
+                             "--seed", str(3 + i % 2)], capsys)
+        assert code == EXIT_OK
+        assert (rows[i]["seed"], rows[i]["estimate"]) == (3 + i % 2, last_json(out)["volume"])
+
+
 def test_run_config_requires_seed():
     with pytest.raises(Exception):
         run_config({"experiment": "survival"})
@@ -807,14 +850,15 @@ def test_run_seed_outside_64_bits_exit_2(seed, capsys, tmp_path):
 
 
 def test_run_derived_seed_outside_64_bits_exit_2(capsys, tmp_path):
-    # three grid points run at seed, seed + 1 and seed + 2, all checked before the first
-    config = {"seed": (1 << 64) - 3, "n_replicas": 100, "threads": 1, "T": [0.24, 0.5, 0.76]}
+    # three groups run at seed, seed + 1 and seed + 2, all checked before the first
+    config = {"seed": (1 << 64) - 3, "n_replicas": 100, "threads": 1, "T": 0.24, "nu": [0.5, 1, 2]}
     code, _ = run_config_file(tmp_path / "c.json", config, capsys)
     assert code == EXIT_OK
     config["seed"] += 1
     code, err = run_config_file(tmp_path / "c.json", config, capsys)
     assert code == EXIT_CONFIG
-    assert f"seed {config['seed']} must lie in [0, 2**64 - 2): run uses seed + i for grid point i of 3" in err
+    assert (f"seed {config['seed']} must lie in [0, 2**64 - 2): run uses seed + g for group g of 3 "
+            "(the grid points that differ in T alone)") in err
 
 
 @pytest.mark.parametrize(

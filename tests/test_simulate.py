@@ -1,4 +1,6 @@
+import collections
 import importlib
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -118,6 +120,41 @@ def test_traces_drop_a_block_before_the_next(monkeypatch):
         assert simulate(p, 31, replica=r, paths=paths).values.shape == (p.n_steps + 1, p.M, p.d)
     # blocks of 64 transformed 40 + 24 at a time, then a block of one
     assert (size, len(made["evolve"]), len(made["grid_values"])) == (64, 3, 5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shorter_paths_are_prefixes_of_the_longest(d, monkeypatch):
+    # the path to T is the first T/dt steps of the same stream's path to 16,
+    # bit for bit, and its prefix's cloud is a view with contiguous rows
+    horizons = [1.0, 2.0, 4.0, 8.0, 16.0]
+    models = [ModelParams(d=d, K=16, M=64, dt=0.05, T=T, eps_tail=2e-3) for T in horizons]
+    longest, n = models[-1], 130
+    sim = importlib.import_module("string_sausage.simulate")
+    sizes = collections.defaultdict(list)  # (stage, T) -> paths per block or sub-block, in order
+    for name in ("evolve", "grid_values"):
+        original = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda q, c, *rest, _f=original, _n=name:
+                            sizes[_n, q.T].append(len(c)) or _f(q, c, *rest))
+    # every horizon's generator walks the replicas in step, so one block of each is held at a time
+    for served in zip(*(traces(p, 31, range(n)) for p in models)):
+        whole = served[-1]
+        for p, alone in zip(models, served):
+            prefix = whole.prefix(p)
+            assert prefix.params == p and prefix.n_snapshots == p.n_steps + 1
+            for mine, theirs in ((prefix.coeffs, alone.coeffs), (prefix.values, alone.values),
+                                 (prefix.cloud().points, alone.cloud().points)):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            points = prefix.cloud().points
+            assert np.shares_memory(points, whole.values) and points.strides[0] == points.itemsize
+
+    def cuts(stage, T):
+        return set(itertools.accumulate(sizes[stage, T]))
+
+    # each shorter path's blocks straddle the longest path's, and so do the
+    # sub-blocks its values are transformed in at the short horizons
+    assert all(cuts("evolve", T) != cuts("evolve", 16.0) for T in horizons[:-1])
+    assert cuts("grid_values", 1.0) != cuts("grid_values", 16.0)
+    assert max(sizes["grid_values", 1.0]) > 1
 
 
 def test_trace_values_match_pointwise_series():

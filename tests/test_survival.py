@@ -3,6 +3,7 @@ import gc
 import importlib
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,6 +254,24 @@ def test_replica_streams_rekey_two_generators(method, tag, monkeypatch):
     annealed_hard(params(nu=0.5), 101, seed=8, method=method, n_mc=1000, workers=1)
     assert len(built) == 2
     assert opened == collections.Counter([(NOISE, r) for r in range(101)] + [(tag, r) for r in range(101)])
+
+
+@pytest.mark.parametrize("method", ["hard_direct", "hard_via_volume"])
+def test_horizons_weigh_prefixes_of_one_path_per_replica(method, monkeypatch):
+    # each replica's path is evolved once, to the longest horizon, and each
+    # horizon's estimate equals the one at that horizon alone
+    p, horizons = params(nu=0.5, T=1.0), [0.5, 0.0, 1.0, 0.2, 0.5]
+    evolved = collections.Counter()
+    original = survival.simulate
+    monkeypatch.setattr(survival, "simulate", lambda q, *a, **k: evolved.update([q.T]) or original(q, *a, **k))
+    shared = annealed_hard(p, 101, seed=4, method=method, n_mc=1000, workers=1, horizons=horizons)
+    assert evolved == {1.0: 101}
+    monkeypatch.setattr(survival, "simulate", original)
+    for T, est in zip(horizons, shared):
+        assert est == annealed_hard(replace(p, T=T), 101, seed=4, method=method, n_mc=1000, workers=1)
+    assert shared[1].p_hat == 1.0 and shared[0].stderr > 0
+    with pytest.raises(ValueError, match="horizon T=1.1 is past the paths' horizon T=1.0"):
+        annealed_hard(p, 101, seed=4, method=method, workers=1, horizons=[0.5, 1.1])
 
 
 def test_no_path_array_outlives_the_estimate(monkeypatch):
