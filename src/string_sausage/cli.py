@@ -179,7 +179,8 @@ def cmd_sausage(args) -> tuple[list[dict], dict]:
     else:
         voxel = args.voxel_size if args.voxel_size is not None else p.a / 4.0
         if voxel == 0 and args.voxel_size is None:
-            raise ValueError(f"trap radius a={p.a!r} is too small for a voxel grid: its default side a/4 underflows to 0")
+            raise ValueError(f"trap radius a={p.a!r} is too small for a voxel grid: "
+                             "its default side a/4 underflows to 0")
         est = sausage_volume_voxel(simulate(p, seed, replica=r).cloud(), p.a, voxel)
     return [row("sausage", p, args.method, est.volume, est.stderr, est.n_samples, args.seed)], {
         "ci95": est.ci95(), "command": "sausage", "method": args.method, "n": est.n_samples,

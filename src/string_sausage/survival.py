@@ -158,6 +158,7 @@ def _replica_batch(args) -> np.ndarray:
         trace = simulate(params, seed, replica=r, paths=paths)
         for h, p in enumerate(horizons):
             weights[h, i] = weight(trace.prefix(p), seed, r, gen, *extra)
+        del trace  # so that its block is freed before `traces` evolves the next
     return weights
 
 

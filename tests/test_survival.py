@@ -299,6 +299,31 @@ def test_no_path_array_outlives_the_estimate(monkeypatch):
         assert len(arrays) == 200 and not [a for a in arrays if a() is not None]
 
 
+def test_a_chunk_holds_one_block_of_paths_at_a_time(monkeypatch):
+    # when `traces` evolves a block, no earlier block is referenced, by the
+    # replica loop's last trace or its prefixes either
+    p = params(T=5.0)
+    env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 1.0, substream(12, ENV, 0))
+    sim = importlib.import_module("string_sausage.simulate")
+    evolve, blocks = sim.evolve, []
+
+    def watched(*args):
+        assert [b for b in blocks if b() is not None] == []
+        block = evolve(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(sim, "evolve", watched)
+    for run in (
+        lambda: annealed_hard(p, 100, seed=3, method="hard_via_volume", n_mc=1000, workers=1,
+                              horizons=[1.0, 5.0]),
+        lambda: quenched(p, env, 100, seed=3, height=1.0, workers=1),
+    ):
+        blocks.clear()
+        run()
+        assert len(blocks) == 2
+
+
 def _known_weight(trace, seed, r, gen, kind):
     return {"ramp": r + 1.0, "one_in_four": float(r % 4 == 0), "zero": 0.0}[kind]
 
