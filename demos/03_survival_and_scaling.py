@@ -32,13 +32,10 @@ print(f"  unit  p = {report.scaled.p_hat:.4f} +- {report.scaled.stderr:.4f}")
 print("  overlap:", report.overlap)
 
 # growth of -log S_T with the horizon: gamma should head toward d/(d+2)
+# (each replica's path is evolved to T = 16 once, and every horizon weighs its prefix)
 Ts = [1.0, 2.0, 4.0, 8.0, 16.0]
-ys, ses = [], []
-for i, T in enumerate(Ts):
-    p = ss.ModelParams(d=2, K=16, M=64, dt=0.05, T=T, nu=1.0, a=0.3, eps_tail=2e-3)
-    est = ss.annealed_hard(p, 100, seed=24 + i, method="hard_via_volume")
-    ys.append(-math.log(est.p_hat))
-    ses.append(est.stderr / est.p_hat)
-fit = ss.exponent_fit(Ts, ys, ses)
+p = ss.ModelParams(d=2, K=16, M=64, dt=0.05, T=Ts[-1], nu=1.0, a=0.3, eps_tail=2e-3)
+ests = ss.annealed_hard(p, 100, seed=24, method="hard_via_volume", horizons=Ts)
+fit = ss.exponent_fit(Ts, [-math.log(e.p_hat) for e in ests], [e.stderr / e.p_hat for e in ests])
 lo, hi = fit.ci95()
 print(f"\nfitted exponent gamma = {fit.gamma_hat:.3f}  CI [{lo:.3f}, {hi:.3f}]  (d/(d+2) = 0.5)")

@@ -373,14 +373,14 @@ def _as_list(v):
 
 
 def _convert(name: str, value, kind: type):
-    """`kind(value)`, with a value of the wrong type, a boolean or, for an
-    integer key, a fractional number reported as a config error."""
+    """`kind(value)` of a JSON number: any other value (a string, a list, a
+    boolean) or, for an integer key, a fractional number is a config error."""
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        if isinstance(value, bool) or fractional:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or fractional:
             raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise ValueError(f"config value {name} = {value!r} cannot be read as {kind.__name__}") from None
 
 

@@ -56,10 +56,10 @@ class SurvivalEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
 
     def ci95(self) -> tuple[float, float]:
-        """95% interval: the point itself at T=0, where survival is exactly 1;
-        Wilson score for the indicator means, open even where p_hat is 0 or 1
-        and `stderr` is 0; p_hat +- 1.96 stderr clipped to [0, 1] otherwise."""
-        if self.params.T == 0:
+        """95% interval: the point itself at no steps, where survival is
+        exactly 1; Wilson score for the indicator means, open even where p_hat
+        is 0 or 1 and `stderr` is 0; p_hat +- 1.96 stderr clipped to [0, 1] otherwise."""
+        if self.params.n_steps == 0:
             return (self.p_hat, self.p_hat)
         if self.method not in INDICATOR_METHODS:
             return (max(0.0, self.p_hat - 1.96 * self.stderr), min(1.0, self.p_hat + 1.96 * self.stderr))
@@ -142,6 +142,14 @@ def _soft(
     return math.exp(-path_functional(trace.snapshots(), env, p.a, height, dt=p.dt, dx=p.J / p.M))
 
 
+def _weight_rows(n_h: int, n_rep: int) -> np.ndarray:
+    """Rows of replica weights (n_h, n_rep), each 1 until weighed."""
+    try:
+        return np.ones((n_h, n_rep))
+    except MemoryError:
+        raise ValueError(f"the weights of {n_rep} replicas do not fit in memory") from None
+
+
 def _replica_batch(args) -> np.ndarray:
     """Weights `weight(trace, seed, r, gen, *extra)` for one chunk of
     consecutive replicas, one row per horizon (n_h, len(replicas)): each
@@ -149,10 +157,7 @@ def _replica_batch(args) -> np.ndarray:
     generator, and each horizon weighs its prefix; `gen` is the chunk's one
     generator for the replicas' own draws."""
     weight, params, horizons, seed, replicas, extra = args
-    try:
-        weights = np.empty((len(horizons), len(replicas)))
-    except MemoryError:
-        raise ValueError(f"the weights of {len(replicas)} replicas do not fit in memory") from None
+    weights = _weight_rows(len(horizons), len(replicas))
     paths, gen = traces(params, seed, replicas), streams.new_generator()
     for i, r in enumerate(replicas):
         trace = simulate(params, seed, replica=r, paths=paths)
@@ -205,6 +210,8 @@ def _estimate(
     in order: each replica's path is evolved to params.T once and each
     horizon weighs its prefix.  A path is a bit-exact prefix of its longer
     path, so each estimate equals the one at `replace(params, T=T)` alone.
+    Horizons of one step count share one row of weights; at no steps the
+    time integral is empty, so every weight is 1.
     """
     if n_rep < 100:
         raise ValueError("need n_rep >= 100")
@@ -214,16 +221,14 @@ def _estimate(
     longer = [p.T for p in points if p.n_steps > params.n_steps]
     if longer:
         raise ValueError(f"horizon T={longer[0]!r} is past the paths' horizon T={params.T!r}")
-    # one row of replica weights per distinct horizon past T = 0
-    live = list(dict.fromkeys(p for p in points if p.T > 0))
-    rows = dict(zip(live, _run_batches(weight, params, live, seed, extra, n_rep, w))) if live else {}
+    steps = {p.n_steps: p for p in points}
+    live = [p for n, p in steps.items() if n > 0]
+    rows = {0: _weight_rows(1, n_rep)[0]} if 0 in steps else {}
+    if live:
+        rows.update(zip((p.n_steps for p in live), _run_batches(weight, params, live, seed, extra, n_rep, w)))
     estimates = []
     for p in points:
-        if p.T == 0:
-            # empty time integral: the survival weight is exp(-0) for every path
-            estimates.append(SurvivalEstimate(1.0, 0.0, n_rep, method, p, float(n_rep), 1.0 / n_rep))
-            continue
-        weights = rows[p]
+        weights = rows[p.n_steps]
         mean = float(np.mean(weights))
         if method in INDICATOR_METHODS:
             stderr = math.sqrt(mean * (1.0 - mean) / n_rep)

@@ -298,13 +298,11 @@ def test_criterion_11_exponent_pipeline():
     exact = exponent_fit(Ts, 7.0 * Ts ** 0.5)
     ok = abs(exact.gamma_hat - 0.5) < 1e-9
 
-    ys, ses = [], []
-    for i, T in enumerate(Ts):
-        p = ss.ModelParams(d=2, K=16, M=64, dt=0.05, T=float(T), nu=1.0, a=0.3, eps_tail=2e-3)
-        est = ss.annealed_hard(p, 100, 1012 + i, method="hard_via_volume", n_mc=1500, workers=1)
-        ys.append(-math.log(est.p_hat))
-        ses.append(est.stderr / est.p_hat)
-    sweep = exponent_fit(Ts, ys, ses)
+    # one path per replica, evolved to T = 16, and each horizon weighs its prefix
+    p = ss.ModelParams(d=2, K=16, M=64, dt=0.05, T=16.0, nu=1.0, a=0.3, eps_tail=2e-3)
+    ests = ss.annealed_hard(p, 100, 1012, method="hard_via_volume", n_mc=1500, workers=1,
+                            horizons=Ts.tolist())
+    sweep = exponent_fit(Ts, [-math.log(e.p_hat) for e in ests], [e.stderr / e.p_hat for e in ests])
     lo, hi = sweep.ci95()
     verdict(
         11,

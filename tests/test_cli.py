@@ -762,7 +762,7 @@ def test_run_config_defaults_match_sausage_flags(capsys):
 @pytest.mark.parametrize("method", ["hard_direct", "hard_via_volume"])
 def test_run_sweep_rows_are_single_horizon_rows(method, threads, capsys, tmp_path):
     """Each row of a T sweep is the `survival` row at its horizon and its group's seed."""
-    Ts, nus, seed = [0.5, 0.0, 0.25, 0.5], [0.25, 1.0], 7
+    Ts, nus, seed = [0.5, 0.0, 0.25, 0.5, 1e-9], [0.25, 1.0], 7
     config = {"experiment": "survival", "method": method, "seed": seed, "n_replicas": 100,
               "threads": threads, "T": Ts, "nu": nus, "dt": 0.05}
     cfg, run_csv, single_csv = tmp_path / "c.json", tmp_path / "run.csv", tmp_path / "single.csv"
@@ -778,9 +778,10 @@ def test_run_sweep_rows_are_single_horizon_rows(method, threads, capsys, tmp_pat
             assert code == EXIT_OK
     assert run_csv.read_bytes() == single_csv.read_bytes()
     rows = list(csv.DictReader(run_csv.read_text().splitlines()))
-    assert [r["estimate"] for r in rows if r["T"] == "0.0"] == ["1.0", "1.0"]
+    # 1e-9 is a horizon of no steps, as T = 0 is: both estimate exactly 1
+    assert [r["estimate"] for r in rows if r["T"] in ("0.0", "1e-09")] == ["1.0"] * 4
     assert rows[0] == rows[6] and rows[1] == rows[7]  # the repeated T
-    assert len({r["estimate"] for r in rows}) == 5  # four distinct points and T = 0
+    assert len({r["estimate"] for r in rows}) == 5  # four distinct points and no steps
 
 
 def test_run_sausage_sweep_rows_are_single_horizon_rows(capsys, tmp_path):
@@ -834,6 +835,11 @@ def test_run_bad_config_exit_2(capsys, tmp_path):
         ({"seed": 1.7}, "seed"), ({"seed": True}, "seed"), ({"seed": 1, "n_replicas": 100.9}, "n_replicas"),
         ({"seed": 1, "K": 16.8}, "K"), ({"seed": 1, "d": True}, "d"), ({"seed": 1, "M": 64.5}, "M"),
         ({"seed": 1, "experiment": "sausage", "n_mc": [2000]}, "n_mc"),
+        # a number written as a JSON string is not read as one
+        ({"seed": "5"}, "seed"), ({"seed": 1, "T": ["0.25"]}, "T"),
+        ({"seed": 1, "n_replicas": "100"}, "n_replicas"),
+        # an integer past the float range is a config error too, not a traceback
+        ({"seed": 1, "T": 10 ** 400}, "T"),
     ):
         code, err = run_config_file(cfg, config, capsys)
         assert code == EXIT_CONFIG and f"config value {key} =" in err, config

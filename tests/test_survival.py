@@ -37,6 +37,19 @@ def make_env(points, lo, hi, nu=1.0):
     return PoissonEnvironment(np.asarray(points, float), box, nu)
 
 
+PATHS = ("hard_direct", "hard_via_volume", "annealed_soft", "quenched_hard", "quenched_soft")
+
+
+def estimate(path, p, n_rep, seed, workers=1, env=None):
+    """The estimate of one estimator path; the soft ones at height 1, the quenched ones on `env`."""
+    if path in ("hard_direct", "hard_via_volume"):
+        return annealed_hard(p, n_rep, seed=seed, method=path, n_mc=1000, workers=workers)
+    if path == "annealed_soft":
+        return annealed_soft(p, 1.0, n_rep, seed=seed, workers=workers)
+    height = 1.0 if path == "quenched_soft" else None
+    return quenched(p, env, n_rep, seed=seed, height=height, workers=workers)
+
+
 def test_quenched_hard_contact():
     # every replica starts as the zero string, so a trap within a of the
     # origin kills it at time 0, and a trap far from any path never does
@@ -107,10 +120,13 @@ def test_annealed_zero_intensity_survives():
 
 
 def test_annealed_T_zero_is_one():
-    p = params(T=0.0)
-    for method in ("hard_direct", "hard_via_volume"):
-        est = annealed_hard(p, 100, seed=1, method=method, workers=1)
-        assert est.p_hat == 1.0
+    # 1e-9 is no step of dt 0.1: like T = 0 it estimates exactly 1, even for
+    # the zero string inside a trap at the origin
+    env = make_env([[0.0, 0.0]], [-2, -2], [2, 2])
+    for path in PATHS:
+        zero, tiny = (estimate(path, params(T=T), 100, 1, env=env) for T in (0.0, 1e-9))
+        assert (zero.p_hat, zero.stderr, zero.ess, zero.max_weight_share) == (1.0, 0.0, 100.0, 0.01)
+        assert replace(tiny, params=zero.params) == zero and tiny.ci95() == zero.ci95() == (1.0, 1.0)
 
 
 def test_annealed_needs_replicas_and_known_method():
@@ -188,22 +204,10 @@ def test_scaling_check_runs_and_overlaps():
     assert rep.original.n_replicas == rep.scaled.n_replicas == 150
 
 
-@pytest.mark.parametrize(
-    "path", ["hard_direct", "hard_via_volume", "annealed_soft", "quenched_hard", "quenched_soft"]
-)
+@pytest.mark.parametrize("path", PATHS)
 def test_every_estimator_is_worker_invariant(path):
-    p = params(nu=0.5)
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
-
-    def estimate(workers):
-        if path in ("hard_direct", "hard_via_volume"):
-            return annealed_hard(p, 100, seed=10, method=path, n_mc=1000, workers=workers)
-        if path == "annealed_soft":
-            return annealed_soft(p, 1.0, 100, seed=10, workers=workers)
-        height = 1.0 if path == "quenched_soft" else None
-        return quenched(p, env, 100, seed=10, height=height, workers=workers)
-
-    serial, parallel = estimate(1), estimate(2)
+    serial, parallel = (estimate(path, params(nu=0.5), 100, 10, workers, env) for workers in (1, 2))
     assert serial.stderr > 0  # a constant weight would pass vacuously
     assert (serial.p_hat, serial.stderr) == (parallel.p_hat, parallel.stderr)
     assert (serial.ess, serial.max_weight_share) == (parallel.ess, parallel.max_weight_share)
@@ -221,16 +225,10 @@ def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatc
     p = params(nu=0.5, T=T)
     assert replica_block(p) == block
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
-
-    def estimate(workers):
-        if path == "hard_via_volume":
-            return annealed_hard(p, 101, seed=8, method=path, n_mc=1000, workers=workers)
-        return quenched(p, env, 101, seed=8, height=1.0, workers=workers)
-
     opened = collections.Counter()
     original = streams.rekey
     monkeypatch.setattr(streams, "rekey", lambda gen, *a: opened.update([a[1:]]) or original(gen, *a))
-    serial = estimate(1)
+    serial = estimate(path, p, 101, 8, 1, env)
     monkeypatch.setattr(streams, "rekey", original)
     # every replica's path stream is opened once, none past the last replica
     assert sorted(k for k in opened if k[0] == NOISE) == [(NOISE, r) for r in range(101)]
@@ -238,7 +236,7 @@ def test_estimates_do_not_depend_on_blocks_or_workers(path, T, block, monkeypatc
     # and its volume samples once; the quenched replicas draw nothing else
     own = [(MC, r) for r in range(101)] if path == "hard_via_volume" else []
     assert opened == collections.Counter([(NOISE, r) for r in range(101)] + own)
-    parallel = estimate(3)
+    parallel = estimate(path, p, 101, 8, 3, env)
     assert serial.stderr > 0
     assert (serial.p_hat, serial.stderr, serial.ess) == (parallel.p_hat, parallel.stderr, parallel.ess)
 
@@ -337,9 +335,11 @@ def test_weight_diagnostics_on_known_weights():
     assert (quarter.p_hat, quarter.ess, quarter.max_weight_share) == (0.25, 25.0, 1 / 25)
     zero = survival._estimate(_known_weight, ("zero",), "hard_direct", p, 100, 1, 1)
     assert (zero.p_hat, zero.ess, zero.max_weight_share) == (0.0, 0.0, 0.0)
-    # at T = 0 every weight is exp(-0) = 1
-    flat = annealed_hard(params(T=0.0), 120, seed=1, workers=1)
-    assert (flat.ess, flat.max_weight_share) == (120.0, 1 / 120)
+    # 0.3 and 0.1 * 3 are both 3 steps of dt 0.1: one weight call per replica serves both
+    calls = []
+    a, b = survival._estimate(lambda trace, seed, r, gen: calls.append(r) or 0.5, (), "w", p, 100, 1, 1,
+                              horizons=[0.3, 0.1 * 3])
+    assert calls == list(range(100)) and a.params.T != b.params.T and replace(b, params=a.params) == a
 
 
 def test_parallel_merge_is_order_independent():
@@ -424,15 +424,8 @@ def test_replicas_call_the_traced_names(path, monkeypatch):
     for name in TRACED_NAMES:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(Trace, "cloud", counting("cloud", Trace.cloud))
-    p = params(nu=0.5)
     env = sample_environment(Box(np.full(2, -3.0), np.full(2, 3.0)), 0.5, substream(12, ENV, 0))
-    if path in ("hard_direct", "hard_via_volume"):
-        module.annealed_hard(p, 100, seed=17, method=path, n_mc=1000, workers=1)
-    elif path == "annealed_soft":
-        module.annealed_soft(p, 1.0, 100, seed=17, workers=1)
-    else:
-        height = 1.0 if path == "quenched_soft" else None
-        module.quenched(p, env, 100, seed=17, height=height, workers=1)
+    estimate(path, params(nu=0.5), 100, 17, env=env)
     used, builds_cloud = TRACED_USE[path]
     assert {name: calls[name] for name in TRACED_NAMES} == {
         name: 100 if name in used else 0 for name in TRACED_NAMES
